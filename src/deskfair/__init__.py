@@ -40,7 +40,6 @@ from .policies import (
 )
 from .lp import LinearProgram, LpSolution, LpStatus, build_group_relaxation, integrality_check, solve_lp, to_mps
 from .solvers import (
-    BudgetedInstance,
     IntegralityAudit,
     SetCoverInstance,
     SolveResult,
@@ -53,7 +52,6 @@ from .solvers import (
 )
 from .oracle import OracleResult, enumerate_optimal, remaining_counts_table
 from .generators import (
-    GenSpec,
     gen_case_study,
     gen_leave_one_out,
     gen_random,

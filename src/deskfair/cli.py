@@ -29,7 +29,7 @@ from .instance import (
     instance_to_dict,
     load_instance,
 )
-from .lp import INT_TOL, LpStatus, build_group_relaxation, integrality_check, snap_binary, solve_lp, to_mps
+from .lp import build_group_relaxation, to_mps
 from .metrics import rational_field
 from .reports import (
     RunRecord,
@@ -39,7 +39,7 @@ from .reports import (
     comparison_to_text,
     run_record_to_dict,
 )
-from .solvers import IntegralityAudit, SetCoverInstance, SolverDiagnostics
+from .solvers import IntegralityAudit, SetCoverInstance
 
 POLICIES = ("conventional", "roulette", "group-lp", "group-exact", "individual-exact", "ideal")
 
@@ -71,37 +71,20 @@ def run_policy(inst: Instance, policy: str, seed: int | None = None,
         s = 0 if seed is None else seed
         out = policies.roulette_reject(inst, s)
         return RunRecord(policy, out.keep, out.report, _ms(t0), seed=s, trace=out.trace)
-    if policy == "group-exact":
+    if policy in ("group-exact", "group-lp"):
         if dump_lp:
             _write_text(dump_lp, to_mps(build_group_relaxation(inst)))
         res = solvers.solve_group_exact(inst)
+        note = None
+        if policy == "group-lp":
+            note = ("relaxation optimum integral; certified exactly" if res.diagnostics.lp_integral
+                    else "relaxation optimum fractional; fell back to exact search")
         return RunRecord(policy, res.keep, res.report, _ms(t0),
-                         objective=res.objective, diagnostics=res.diagnostics)
+                         objective=res.objective, diagnostics=res.diagnostics, note=note)
     if policy == "individual-exact":
         res = solvers.solve_individual_exact(inst)
         return RunRecord(policy, res.keep, res.report, _ms(t0),
                          objective=res.objective, diagnostics=res.diagnostics)
-    if policy == "group-lp":
-        lp = build_group_relaxation(inst)
-        if dump_lp:
-            _write_text(dump_lp, to_mps(lp))
-        sol = solve_lp(lp)
-        if sol.status is LpStatus.OPTIMAL and integrality_check(sol):
-            keep = snap_binary(sol)
-            exact = metrics.group_objective(inst, keep)
-            if metrics.is_feasible(inst, keep) and abs(sol.objective_value - float(exact)) <= INT_TOL:
-                diag = SolverDiagnostics(
-                    node_count=0, lp_calls=1, wall_time_ms=_ms(t0),
-                    lp_objective=sol.objective_value, lp_integral=True,
-                    best_bound=sol.objective_value,
-                )
-                return RunRecord(policy, keep, metrics.evaluate(inst, keep), _ms(t0),
-                                 objective=exact, diagnostics=diag,
-                                 note="relaxation optimum integral; certified exactly")
-        res = solvers.solve_group_exact(inst)
-        return RunRecord(policy, res.keep, res.report, _ms(t0),
-                         objective=res.objective, diagnostics=res.diagnostics,
-                         note="relaxation optimum fractional; fell back to exact search")
     if policy == "ideal":
         witness = solvers.solve_ideal_feasibility(inst)
         if witness is None:
@@ -283,10 +266,9 @@ def cmd_reduce_setcover(args) -> int:
         sets=tuple(frozenset(int(e) for e in s) for s in raw["sets"]),
         budget=int(budget),
     )
-    reduced = solvers.reduce_set_cover(sc)
     payload = {
-        "instance": instance_to_dict(reduced.instance),
-        "budget": reduced.budget,
+        "instance": instance_to_dict(solvers.reduce_set_cover(sc)),
+        "budget": sc.budget,
     }
     if args.decide:
         answer, witness = solvers.decide_set_cover(sc)

@@ -7,7 +7,6 @@ here satisfies the full data-model contract.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .instance import Instance, validate_instance
 
@@ -135,36 +134,3 @@ def gen_random(n: int, m: int, x: int, density: float, seed: int) -> Instance:
     ]
     return _make(authors, papers, x)
 
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters for one instance family; `build()` dispatches on family.
-
-    Set-cover-derived instances are not built here: the reduction (and its
-    budget) lives in the solver pipeline.
-    """
-
-    family: str
-    n: int | None = None
-    m: int | None = None
-    x: int | None = None
-    density: float | None = None
-    seed: int | None = None
-    case: str | None = None
-
-    def build(self) -> Instance:
-        if self.family == "triangle":
-            return gen_triangle()
-        if self.family == "leave_one_out":
-            if self.n is None:
-                raise BadParameter("leave_one_out requires n")
-            return gen_leave_one_out(self.n)
-        if self.family == "case_study":
-            if self.case is None:
-                raise BadParameter("case_study requires a case name")
-            return gen_case_study(self.case)
-        if self.family == "random":
-            if None in (self.n, self.m, self.x, self.density, self.seed):
-                raise BadParameter("random requires n, m, x, density, seed")
-            return gen_random(self.n, self.m, self.x, self.density, self.seed)
-        raise BadParameter(f"unknown family {self.family!r}")

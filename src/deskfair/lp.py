@@ -69,7 +69,6 @@ class LpSolution:
     r: KeepVector | None
     objective_value: float
     iteration_count: int
-    is_integral: bool
 
 
 def build_group_relaxation(inst: Instance) -> LinearProgram:
@@ -106,7 +105,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     xB = lp.b - lp.A @ lp.lo
     if np.any(xB < -FEAS_TOL):
         # A >= 0 here, so the all-lower point minimizes every row: no point fits.
-        return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), 0, False)
+        return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), 0)
 
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basis] = True
@@ -163,7 +162,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 leave_row = i
                 leave_to_upper = hits_upper
         if not np.isfinite(step):
-            return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration, False)
+            return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration)
 
         step = max(step, 0.0)
         xB -= sigma * step * y
@@ -189,14 +188,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x = np.array([nonbasic_value(j) for j in range(n_all)])
     x[basis] = xB
     r = np.clip(x[:n_struct], 0.0, 1.0)
-    objective = float(lp.c @ r)
-    integral = bool(np.all(np.abs(r - np.round(r)) <= INT_TOL))
     return LpSolution(
         status=LpStatus.OPTIMAL,
         r=KeepVector.fractional(tuple(float(v) for v in r)),
-        objective_value=objective,
+        objective_value=float(lp.c @ r),
         iteration_count=iteration,
-        is_integral=integral,
     )
 
 

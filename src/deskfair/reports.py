@@ -8,7 +8,6 @@ decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,10 +67,6 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
     if record.note is not None:
         out["note"] = record.note
     return out
-
-
-def run_record_to_json(record: RunRecord, inst: Instance) -> str:
-    return json.dumps(run_record_to_dict(record, inst), indent=2)
 
 
 @dataclass(frozen=True)

@@ -246,18 +246,14 @@ def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> Sol
     lo_idx, hi_idx = 0, len(levels) - 1
     witness = _search_keep(inst, floors(levels[hi_idx]), upper, budget)
     assert witness is not None  # the empty keep set meets level 1
-    best_idx = hi_idx
+    # Invariant: `witness` meets levels[hi_idx]; the loop ends at lo_idx == hi_idx.
     while lo_idx < hi_idx:
         mid = (lo_idx + hi_idx) // 2
         found = _search_keep(inst, floors(levels[mid]), upper, budget)
         if found is not None:
-            witness, best_idx = found, mid
-            hi_idx = mid
+            witness, hi_idx = found, mid
         else:
             lo_idx = mid + 1
-    if best_idx != lo_idx:
-        witness = _search_keep(inst, floors(levels[lo_idx]), upper, budget)
-        assert witness is not None  # lo_idx ended on a feasible level
 
     elapsed = (time.perf_counter() - start) * 1000.0
     report = metrics.evaluate(inst, witness)
@@ -296,15 +292,16 @@ def integrality_audit(inst: Instance, node_limit: int | None = None) -> Integral
     """Compare the relaxation optimum against the exact binary optimum.
 
     A positive gap exhibits an instance where the relaxation is *not* exact,
-    i.e. rounding the LP cannot be trusted on that instance.
+    i.e. rounding the LP cannot be trusted on that instance. The relaxation
+    figures are those of the exact solve's root LP.
     """
-    sol = solve_lp(build_group_relaxation(inst))
     exact = solve_group_exact(inst, node_limit=node_limit)
+    diag = exact.diagnostics
     return IntegralityAudit(
-        lp_objective=sol.objective_value,
+        lp_objective=diag.lp_objective,
         ilp_objective=exact.objective,
-        gap=sol.objective_value - float(exact.objective),
-        lp_integral=integrality_check(sol),
+        gap=diag.lp_objective - float(exact.objective),
+        lp_integral=diag.lp_integral,
     )
 
 
@@ -330,31 +327,19 @@ class SetCoverInstance:
                 raise ValueError(f"set #{k} leaves the universe")
 
 
-@dataclass(frozen=True)
-class BudgetedInstance:
-    """A submission-limit instance plus a cardinality budget on kept papers.
-
-    The budget only exists in the set-cover pipeline; plain instances carry
-    no such constraint.
-    """
-
-    instance: Instance
-    budget: int
-
-
-def reduce_set_cover(sc: SetCoverInstance) -> BudgetedInstance:
+def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     """Encode set cover as a submission-limit instance: universe elements
     become authors, sets become papers, and the cap x = number of sets never
-    binds. Covering every element with at most K sets is exactly finding a
-    keep vector with every author's kept count >= 1 and at most K papers kept.
+    binds. Covering every element with at most K = `sc.budget` sets is exactly
+    finding a keep vector with every author's kept count >= 1 and at most K
+    papers kept; the budget stays with `sc`, plain instances carry none.
     """
     authors = [f"e{i}" for i in range(1, sc.universe_size + 1)]
     papers = [
         {"id": f"s{j + 1}", "authors": [f"e{i}" for i in sorted(s)]}
         for j, s in enumerate(sc.sets)
     ]
-    inst = validate_instance({"x": len(sc.sets), "authors": authors, "papers": papers})
-    return BudgetedInstance(inst, sc.budget)
+    return validate_instance({"x": len(sc.sets), "authors": authors, "papers": papers})
 
 
 def decide_set_cover(
@@ -365,15 +350,14 @@ def decide_set_cover(
     covered = set().union(*sc.sets)
     if covered != set(range(1, sc.universe_size + 1)):
         return False, None
-    reduced = reduce_set_cover(sc)
-    inst = reduced.instance
+    inst = reduce_set_cover(sc)
     budget = _Budget(_node_limit(node_limit))
     witness = _search_keep(
         inst,
         lower=[1] * inst.n,
         upper=[inst.x] * inst.n,
         budget_nodes=budget,
-        max_kept=reduced.budget,
+        max_kept=sc.budget,
     )
     if witness is None:
         return False, None

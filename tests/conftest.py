@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -73,3 +74,26 @@ def cvpr26():
     from deskfair.generators import gen_case_study
 
     return gen_case_study("cvpr26")
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count real `solve_lp` calls: every `deskfair.*` module attribute bound
+    to `lp.solve_lp` is replaced by one counting wrapper. Returns a one-item
+    list holding the running count."""
+    from deskfair import lp
+
+    original = lp.solve_lp
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "deskfair" or name.startswith("deskfair.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+    return count

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from deskfair.cli import main
+from deskfair.cli import main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_triangle
 from deskfair.instance import dump_instance
 from deskfair.metrics import parse_rational
@@ -237,6 +237,8 @@ def test_gen_families(tmp_path):
     assert main(["gen", "--family", "case-study", "--case", "appc1", "--output", str(out)]) == 0
     assert len(read_json(out)["papers"]) == 6
     assert main(["gen", "--family", "case-study", "--case", "zzz", "--output", str(out)]) == 1
+    assert main(["gen", "--family", "leave-one-out", "--output", str(out)]) == 1
+    assert main(["gen", "--family", "mystery", "--output", str(out)]) == 1
 
 
 def test_reduce_setcover(tmp_path):
@@ -262,6 +264,12 @@ def test_dump_lp(cvpr_file, tmp_path):
     assert "OBJSENSE" in text and "ENDATA" in text
     doc = read_json(out)
     assert doc["note"].startswith("relaxation optimum integral")
+
+
+@pytest.mark.parametrize("inst", [gen_triangle(), gen_case_study("cvpr26")], ids=["triangle", "cvpr26"])
+def test_group_lp_solves_no_extra_lp(inst, lp_calls):
+    record = run_policy(inst, "group-lp")
+    assert lp_calls[0] == record.diagnostics.lp_calls
 
 
 def test_group_lp_fallback_note(triangle_file, tmp_path):

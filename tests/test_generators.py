@@ -2,7 +2,6 @@ import pytest
 
 from deskfair.generators import (
     BadParameter,
-    GenSpec,
     UnknownCase,
     gen_case_study,
     gen_leave_one_out,
@@ -109,13 +108,3 @@ def test_all_generated_instances_validate():
         inst = gen_random(1 + seed % 6, 1 + seed % 11, 1 + seed % 4, 0.3, seed)
         assert validate_instance(instance_to_dict(inst)) == inst
 
-
-def test_genspec_dispatch():
-    assert GenSpec("triangle").build() == gen_triangle()
-    assert GenSpec("leave_one_out", n=4).build() == gen_leave_one_out(4)
-    assert GenSpec("case_study", case="appc2").build() == gen_case_study("appc2")
-    assert GenSpec("random", n=3, m=5, x=2, density=0.5, seed=1).build() == gen_random(3, 5, 2, 0.5, 1)
-    with pytest.raises(BadParameter):
-        GenSpec("leave_one_out").build()
-    with pytest.raises(BadParameter):
-        GenSpec("mystery").build()

@@ -142,6 +142,13 @@ def test_integrality_audit_case_study(cvpr26):
     assert not audit.is_counterexample
 
 
+def test_integrality_audit_reuses_exact_root(triangle, lp_calls):
+    exact_calls = solve_group_exact(triangle).diagnostics.lp_calls
+    lp_calls[0] = 0
+    integrality_audit(triangle)
+    assert lp_calls[0] == exact_calls
+
+
 def test_integrality_audit_slack_cap():
     inst = gen_random(3, 4, 2, 0.5, 3).with_cap(4)
     audit = integrality_audit(inst)
@@ -163,9 +170,8 @@ def test_node_limit_env_override(monkeypatch, triangle):
 
 def test_reduce_set_cover_shape():
     sc = SetCoverInstance(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3})), budget=2)
-    red = reduce_set_cover(sc)
-    inst = red.instance
-    assert inst.x == 3 and red.budget == 2
+    inst = reduce_set_cover(sc)
+    assert inst.x == 3
     from deskfair.instance import build_incidence
 
     assert build_incidence(inst).entries == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
@@ -173,16 +179,16 @@ def test_reduce_set_cover_shape():
 
 def test_reduce_single_covering_set():
     sc = SetCoverInstance(3, (frozenset({1, 2, 3}),), budget=1)
-    red = reduce_set_cover(sc)
-    assert red.instance.m == 1
-    assert len(red.instance.papers[0].authors) == 3
+    inst = reduce_set_cover(sc)
+    assert inst.m == 1
+    assert len(inst.papers[0].authors) == 3
 
 
 def test_reduce_diagonal():
     sc = SetCoverInstance(2, (frozenset({1}), frozenset({2})), budget=2)
     from deskfair.instance import build_incidence
 
-    assert build_incidence(reduce_set_cover(sc).instance).entries == ((1, 0), (0, 1))
+    assert build_incidence(reduce_set_cover(sc)).entries == ((1, 0), (0, 1))
 
 
 def test_decide_set_cover_examples():
