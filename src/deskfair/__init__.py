@@ -8,17 +8,14 @@ CLI (`deskfair`).
 
 from .instance import (
     AuthorCategory,
-    IncidenceMatrix,
     Instance,
     KeepVector,
     Paper,
-    build_incidence,
     classify_author,
     coauthors,
     dump_instance,
     instance_from_json,
     instance_to_json,
-    kept_count,
     load_instance,
     validate_instance,
 )

@@ -1,4 +1,4 @@
-"""Core data model: authors, papers, incidence structure, author categories.
+"""Core data model: authors, papers, who wrote what, author categories.
 
 Everything downstream (metrics, policies, solvers) consumes the immutable
 :class:`Instance` built here. Identifiers are opaque strings; all math uses
@@ -191,35 +191,6 @@ def dump_instance(inst: Instance, path) -> None:
 
 
 @dataclass(frozen=True)
-class IncidenceMatrix:
-    """0/1 author-by-paper matrix; entry (i, j) is 1 iff author i is on paper j."""
-
-    entries: tuple[tuple[int, ...], ...]
-    row_sums: tuple[int, ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def build_incidence(inst: Instance) -> IncidenceMatrix:
-    """Build the incidence matrix, recomputing row sums as a consistency check."""
-    entries = []
-    for i in range(inst.n):
-        row = [0] * inst.m
-        for j in inst.author_papers[i]:
-            row[j] = 1
-        entries.append(tuple(row))
-    row_sums = tuple(sum(row) for row in entries)
-    assert all(row_sums[i] == inst.paper_count(i) >= 1 for i in range(inst.n))
-    return IncidenceMatrix(tuple(entries), row_sums)
-
-
-@dataclass(frozen=True)
 class KeepVector:
     """Per-paper keep decision; r_j = 1 keeps paper j, r_j = 0 rejects it.
 
@@ -265,17 +236,6 @@ class KeepVector:
 
     def rejected_indices(self) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.values) if v != 1)
-
-
-def kept_count(W: IncidenceMatrix, r: KeepVector, author: int):
-    """Dot product of author row with the keep vector; an int for binary r."""
-    if len(r) != W.cols:
-        raise DimensionMismatch(f"keep vector length {len(r)} != paper count {W.cols}")
-    if not 0 <= author < W.rows:
-        raise IndexOutOfRange(f"author index {author} out of range [0, {W.rows})")
-    row = W.entries[author]
-    total = sum(v for w, v in zip(row, r.values) if w)
-    return int(total) if r.is_binary else total
 
 
 def coauthors(inst: Instance, author: int) -> frozenset[int]:

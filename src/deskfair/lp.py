@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .instance import Instance, KeepVector, build_incidence
+from .instance import Instance, KeepVector
 
 FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
@@ -71,19 +71,68 @@ class LpSolution:
     iteration_count: int
 
 
+def _group_coefficients(inst: Instance) -> np.ndarray:
+    """c_j: the sum of 1/|papers of i| over paper j's authors i, so c.r is
+    the total kept fraction of keep vector r."""
+    inv_sizes = [1.0 / inst.paper_count(i) for i in range(inst.n)]
+    return np.array([sum(inv_sizes[i] for i in authors) for authors in inst.paper_authors])
+
+
+def _cap_rows(inst: Instance, c: np.ndarray, authors, papers) -> LinearProgram:
+    """Cap rows of `authors` over the columns `papers`, which must hold every
+    paper of those authors; scattered straight from `inst.author_papers`."""
+    column = {j: k for k, j in enumerate(papers)}
+    A = np.zeros((len(authors), len(papers)))
+    for k, i in enumerate(authors):
+        A[k, [column[j] for j in inst.author_papers[i]]] = 1.0
+    return LinearProgram(
+        c=c[list(papers)],
+        A=A,
+        b=np.full(len(authors), float(inst.x)),
+        lo=np.zeros(len(papers)),
+        hi=np.ones(len(papers)),
+    )
+
+
 def build_group_relaxation(inst: Instance) -> LinearProgram:
     """LP relaxation of mean-cost minimization, phrased as maximizing the
     total kept fraction: c_j sums 1/|papers of i| over paper j's authors,
     rows cap each author's kept papers at x, and 0 <= r <= 1."""
-    W = np.array(build_incidence(inst).entries, dtype=float)
-    inv_sizes = np.array([1.0 / inst.paper_count(i) for i in range(inst.n)])
-    return LinearProgram(
-        c=inv_sizes @ W,
-        A=W,
-        b=np.full(inst.n, float(inst.x)),
-        lo=np.zeros(inst.m),
-        hi=np.ones(inst.m),
-    )
+    return _cap_rows(inst, _group_coefficients(inst), range(inst.n), range(inst.m))
+
+
+@dataclass(frozen=True, eq=False)
+class GroupPresolve:
+    """The group relaxation reduced to the rows that can bind.
+
+    A row whose author has at most x papers holds for every r in [0, 1]^m,
+    so only over-cap authors keep a row. A paper with no over-cap author then
+    sits in no row and has c_j > 0, so some optimum (of the LP and of the
+    binary problem alike) keeps it: it is fixed at r_j = 1 and dropped.
+    """
+
+    lp: LinearProgram      # over-cap authors x the papers they touch
+    cols: tuple[int, ...]  # paper index of each reduced column
+    offset: float          # c.r of the fixed papers, all kept
+    m: int                 # paper count of the full instance
+
+    def expand(self, reduced: KeepVector) -> KeepVector:
+        """Full-length binary keep vector: fixed papers kept, the rest from
+        the reduced binary vector."""
+        values = [1] * self.m
+        for j, v in zip(self.cols, reduced.values):
+            values[j] = v
+        return KeepVector.binary(values)
+
+
+def presolve_group(inst: Instance) -> GroupPresolve:
+    """Reduced group relaxation; never allocates the full n x m matrix."""
+    rows = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
+    cols = sorted({j for i in rows for j in inst.author_papers[i]})
+    c = _group_coefficients(inst)
+    fixed = np.ones(inst.m, dtype=bool)
+    fixed[cols] = False
+    return GroupPresolve(_cap_rows(inst, c, rows, cols), tuple(cols), float(c[fixed].sum()), inst.m)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

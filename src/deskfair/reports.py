@@ -43,6 +43,8 @@ def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:
         "wall_time_ms": diag.wall_time_ms,
         "lp_objective": diag.lp_objective,
         "lp_integral": diag.lp_integral,
+        "lp_rows": diag.lp_rows,
+        "lp_cols": diag.lp_cols,
         "best_bound": diag.best_bound,
     }
 

@@ -23,8 +23,8 @@ from .lp import (
     FEAS_TOL,
     INT_TOL,
     LpStatus,
-    build_group_relaxation,
     integrality_check,
+    presolve_group,
     snap_binary,
     solve_lp,
 )
@@ -57,8 +57,10 @@ class SolverDiagnostics:
     node_count: int = 0
     lp_calls: int = 0
     wall_time_ms: float = 0.0
-    lp_objective: float | None = None  # root relaxation value
+    lp_objective: float | None = None  # root relaxation value of the full LP
     lp_integral: bool | None = None    # was the root relaxation already 0/1
+    lp_rows: int | None = None         # size of the LP actually solved,
+    lp_cols: int | None = None         # after presolve
     best_bound: float | None = None
     incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
@@ -82,14 +84,19 @@ class SolveResult:
 def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
     """Binary keep vector maximizing the total kept fraction subject to the cap.
 
-    Equivalently minimizes the mean cost. LP-first: an integral relaxation
-    optimum is re-certified in exact rationals and returned; otherwise branch
-    and bound on the most fractional variable, pruning against the exact
-    incumbent with a 1e-9 safety margin on the float LP bound.
+    Equivalently minimizes the mean cost. The relaxation is first presolved
+    (`lp.presolve_group`) to the over-cap authors' rows and papers; the fixed
+    papers' objective is added to every float bound. LP-first: an integral relaxation optimum is expanded to a full keep
+    vector, re-certified in exact rationals on the full instance and
+    returned; otherwise branch and bound on the most fractional variable,
+    pruning against the exact incumbent with a 1e-9 safety margin on the
+    float LP bound.
     """
     start = time.perf_counter()
     limit = _node_limit(node_limit)
-    lp0 = build_group_relaxation(inst)
+    pre = presolve_group(inst)
+    lp0, offset = pre.lp, pre.offset
+    rows, cols = lp0.A.shape
 
     seed = conventional_desk_reject(inst).keep
     best_keep = seed
@@ -109,23 +116,24 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
             raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
         if node.lp_bound + FEAS_TOL <= float(best_obj):
             continue
-        lo = np.array([1.0 if j in node.fixed_one else 0.0 for j in range(inst.m)])
-        hi = np.array([0.0 if j in node.fixed_zero else 1.0 for j in range(inst.m)])
+        lo = np.array([1.0 if j in node.fixed_one else 0.0 for j in range(cols)])
+        hi = np.array([0.0 if j in node.fixed_zero else 1.0 for j in range(cols)])
         sol = solve_lp(lp0.with_bounds(lo, hi))
         lp_calls += 1
+        bound = sol.objective_value + offset
         if node.depth == 0:
-            root_objective = sol.objective_value
+            root_objective = bound
             root_integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
         if sol.status is not LpStatus.OPTIMAL:
             continue
-        if sol.objective_value + FEAS_TOL <= float(best_obj):
+        if bound + FEAS_TOL <= float(best_obj):
             continue
         if integrality_check(sol):
-            keep = snap_binary(sol)
+            keep = pre.expand(snap_binary(sol))
             exact = metrics.group_objective(inst, keep)
             certified = (
                 metrics.is_feasible(inst, keep)
-                and abs(sol.objective_value - float(exact)) <= INT_TOL
+                and abs(bound - float(exact)) <= INT_TOL
             )
             if certified:
                 if exact > best_obj:
@@ -135,14 +143,13 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
             # Uncertifiable vertex (numerics went sour): split on a free
             # variable instead of trusting or discarding the node.
             fixed = node.fixed_zero | node.fixed_one
-            j = next((k for k in range(inst.m) if k not in fixed), None)
+            j = next((k for k in range(cols) if k not in fixed), None)
             if j is None:
                 continue
         else:
             values = sol.r.values
             frac = [min(v, 1.0 - v) for v in values]
-            j = max(range(inst.m), key=lambda k: (frac[k], -k))
-        bound = sol.objective_value
+            j = max(range(cols), key=lambda k: (frac[k], -k))
         stack.append(BranchNode(node.fixed_zero | {j}, node.fixed_one, bound, node.depth + 1))
         stack.append(BranchNode(node.fixed_zero, node.fixed_one | {j}, bound, node.depth + 1))
 
@@ -158,6 +165,8 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
             wall_time_ms=elapsed,
             lp_objective=root_objective,
             lp_integral=root_integral,
+            lp_rows=rows,
+            lp_cols=cols,
             best_bound=root_objective,
             incumbent_trace=tuple(incumbents),
         ),

@@ -76,18 +76,14 @@ def cvpr26():
     return gen_case_study("cvpr26")
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Count real `solve_lp` calls: every `deskfair.*` module attribute bound
-    to `lp.solve_lp` is replaced by one counting wrapper. Returns a one-item
-    list holding the running count."""
-    from deskfair import lp
+def spy_on(monkeypatch, original):
+    """Replace every `deskfair.*` module attribute bound to `original` with
+    one recording wrapper. Returns the list of positional-argument tuples of
+    the calls seen so far."""
+    calls = []
 
-    original = lp.solve_lp
-    count = [0]
-
-    def counting(*args, **kwargs):
-        count[0] += 1
+    def recording(*args, **kwargs):
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -95,5 +91,13 @@ def lp_calls(monkeypatch):
             continue
         for attr, value in list(vars(module).items()):
             if value is original:
-                monkeypatch.setattr(module, attr, counting)
-    return count
+                monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Real `solve_lp` calls, one argument tuple `(lp,)` per call."""
+    from deskfair import lp
+
+    return spy_on(monkeypatch, lp.solve_lp)

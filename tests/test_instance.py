@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from deskfair.instance import (
     AuthorCategory,
     AuthorWithNoPapers,
-    DimensionMismatch,
     DuplicateId,
     EmptyAuthorList,
     IndexOutOfRange,
     KeepVector,
     NonPositiveCap,
     UnknownAuthorOnPaper,
-    build_incidence,
     classify_author,
     coauthors,
     instance_from_json,
     instance_to_json,
-    kept_count,
     validate_instance,
 )
 
@@ -81,18 +78,18 @@ def test_validate_author_with_no_papers():
 
 
 def test_incidence_triangle(triangle):
-    W = build_incidence(triangle)
-    assert W.entries == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-    assert W.row_sums == (2, 2, 2)
+    assert triangle.author_papers == ((0, 1), (0, 2), (1, 2))
+    assert triangle.paper_authors == ((0, 1), (0, 2), (1, 2))
+    assert [triangle.paper_count(i) for i in range(3)] == [2, 2, 2]
 
 
 def test_incidence_single_author_single_paper():
     inst = validate_instance({"x": 1, "authors": ["a1"], "papers": [{"id": "p1", "authors": ["a1"]}]})
-    assert build_incidence(inst).entries == ((1,),)
+    assert inst.author_papers == ((0,),) and inst.paper_authors == ((0,),)
 
 
 def test_incidence_case_study_row_sums(cvpr26):
-    assert build_incidence(cvpr26).row_sums == (26, 1)
+    assert [cvpr26.paper_count(i) for i in range(cvpr26.n)] == [26, 1]
 
 
 def test_coauthors(triangle, cvpr26):
@@ -102,25 +99,6 @@ def test_coauthors(triangle, cvpr26):
     assert coauthors(cvpr26, 1) == {0}
     with pytest.raises(IndexOutOfRange):
         coauthors(triangle, 3)
-
-
-def test_kept_count_binary(triangle):
-    W = build_incidence(triangle)
-    assert kept_count(W, KeepVector.binary([1, 0, 0]), 0) == 1
-    full = KeepVector.binary([1, 1, 1])
-    assert [kept_count(W, full, i) for i in range(3)] == [2, 2, 2]
-
-
-def test_kept_count_fractional_exact(triangle):
-    W = build_incidence(triangle)
-    half = KeepVector.fractional((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
-    assert kept_count(W, half, 0) == 1
-
-
-def test_kept_count_dimension_mismatch(triangle):
-    W = build_incidence(triangle)
-    with pytest.raises(DimensionMismatch):
-        kept_count(W, KeepVector.binary([1, 0]), 0)
 
 
 def test_classify_case_study(cvpr26):
@@ -154,14 +132,13 @@ def test_keepvector_modes():
 @given(instances())
 @settings(max_examples=150)
 def test_incidence_matches_membership(inst):
-    W = build_incidence(inst)
     for i in range(inst.n):
         for j in range(inst.m):
-            assert (W.entries[i][j] == 1) == (j in inst.author_papers[i])
-    assert all(W.row_sums[i] == len(inst.author_papers[i]) >= 1 for i in range(inst.n))
-    col_sums = [sum(W.entries[i][j] for i in range(inst.n)) for j in range(inst.m)]
-    assert all(c >= 1 for c in col_sums)
-    assert col_sums == [len(a) for a in inst.paper_authors]
+            listed = inst.author_ids[i] in inst.papers[j].authors
+            assert listed == (j in inst.author_papers[i]) == (i in inst.paper_authors[j])
+    assert all(inst.paper_count(i) >= 1 for i in range(inst.n))
+    assert all(list(papers) == sorted(papers) for papers in inst.author_papers)
+    assert all(len(authors) >= 1 for authors in inst.paper_authors)
 
 
 @given(instances())
@@ -184,7 +161,7 @@ def test_category_partition_total_and_exclusive(inst):
 def test_json_round_trip(inst):
     again = instance_from_json(instance_to_json(inst))
     assert again == inst
-    assert build_incidence(again) == build_incidence(inst)
+    assert again.author_papers == inst.author_papers
 
 
 def test_json_round_trip_case_study(cvpr26):

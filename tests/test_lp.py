@@ -3,12 +3,14 @@ import pytest
 from scipy.optimize import linprog
 
 from deskfair.generators import gen_random
+from deskfair.instance import KeepVector
 from deskfair.lp import (
     LinearProgram,
     LpStatus,
     NotOptimal,
     build_group_relaxation,
     integrality_check,
+    presolve_group,
     snap_binary,
     solve_lp,
     to_mps,
@@ -160,6 +162,22 @@ def test_against_reference_solver_on_randoms():
         ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=[(0, 1)] * inst.m, method="highs")
         assert ref.status == 0
         assert abs(ours.objective_value - (-ref.fun)) < 1e-7
+
+
+def test_presolve_is_a_restriction_of_the_full_relaxation():
+    for seed in range(40):
+        inst = random_instance(seed, max_x=3)
+        full = build_group_relaxation(inst)
+        pre = presolve_group(inst)
+        rows = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
+        cols = list(pre.cols)
+        assert cols == sorted({j for i in rows for j in inst.author_papers[i]})
+        assert np.array_equal(pre.lp.A, full.A[rows][:, cols])
+        assert np.array_equal(pre.lp.c, full.c[cols])
+        assert np.array_equal(pre.lp.b, full.b[rows])
+        fixed = [j for j in range(inst.m) if j not in pre.cols]
+        assert pre.offset == pytest.approx(full.c[fixed].sum(), abs=1e-12)
+        assert pre.expand(KeepVector.binary([0] * len(cols))).kept_indices() == tuple(fixed)
 
 
 def test_mps_dump_layout(triangle):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random
+from deskfair.instance import validate_instance
+from deskfair.lp import FEAS_TOL, build_group_relaxation, solve_lp
 from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.solvers import (
@@ -126,6 +128,46 @@ def test_group_bound_dominates_exact():
         assert res.diagnostics.lp_objective >= float(res.objective) - 1e-9
 
 
+def _instance(x, papers):
+    authors = sorted({a for _, names in papers for a in names})
+    return validate_instance({"x": x, "authors": authors,
+                              "papers": [{"id": p, "authors": names} for p, names in papers]})
+
+
+PRESOLVE_CASES = {
+    # a2 sits exactly at the cap on a1's papers: a degenerate row, dropped
+    "at-cap": (_instance(2, [("p1", ["a1", "a2"]), ("p2", ["a1", "a2"]), ("p3", ["a1"])]), (1, 3)),
+    # p3 and p4 have no over-cap author: fixed at r_j = 1 and dropped
+    "uncapped-papers": (_instance(1, [("p1", ["a1"]), ("p2", ["a1", "a2"]), ("p3", ["a3"]),
+                                      ("p4", ["a4", "a5"])]), (1, 2)),
+    # nobody is over the cap: the reduced LP is empty and everything is kept
+    "no-over-cap": (gen_random(4, 6, 2, 0.5, 1).with_cap(6), (0, 0)),
+    "appc1": (gen_case_study("appc1"), (1, 4)),
+    "ex52": (gen_case_study("ex52"), (1, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESOLVE_CASES))
+def test_presolve_matches_oracle_and_full_relaxation(name):
+    inst, shape = PRESOLVE_CASES[name]
+    res = solve_group_exact(inst)
+    diag = res.diagnostics
+    assert (diag.lp_rows, diag.lp_cols) == shape
+    assert res.report.zeta_group == enumerate_optimal(inst).best_group
+    full = solve_lp(build_group_relaxation(inst)).objective_value
+    assert abs(diag.lp_objective - full) <= FEAS_TOL
+    if shape == (0, 0):
+        assert res.keep.values == (1,) * inst.m
+        assert diag.lp_integral and res.objective == inst.n
+
+
+def test_presolve_solves_only_binding_rows(cvpr26, lp_calls):
+    res = solve_group_exact(cvpr26)
+    # the one-paper author's row cannot bind; the full relaxation is (2, 26)
+    assert [lp.A.shape for (lp,) in lp_calls] == [(1, 26)]
+    assert (res.diagnostics.lp_rows, res.diagnostics.lp_cols) == (1, 26)
+
+
 def test_integrality_audit_triangle(triangle):
     audit = integrality_audit(triangle)
     assert audit.lp_objective == pytest.approx(1.5, abs=1e-9)
@@ -144,9 +186,9 @@ def test_integrality_audit_case_study(cvpr26):
 
 def test_integrality_audit_reuses_exact_root(triangle, lp_calls):
     exact_calls = solve_group_exact(triangle).diagnostics.lp_calls
-    lp_calls[0] = 0
+    lp_calls.clear()
     integrality_audit(triangle)
-    assert lp_calls[0] == exact_calls
+    assert len(lp_calls) == exact_calls
 
 
 def test_integrality_audit_slack_cap():
@@ -172,9 +214,7 @@ def test_reduce_set_cover_shape():
     sc = SetCoverInstance(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3})), budget=2)
     inst = reduce_set_cover(sc)
     assert inst.x == 3
-    from deskfair.instance import build_incidence
-
-    assert build_incidence(inst).entries == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+    assert inst.author_papers == ((0,), (0, 1), (1, 2))
 
 
 def test_reduce_single_covering_set():
@@ -186,9 +226,7 @@ def test_reduce_single_covering_set():
 
 def test_reduce_diagonal():
     sc = SetCoverInstance(2, (frozenset({1}), frozenset({2})), budget=2)
-    from deskfair.instance import build_incidence
-
-    assert build_incidence(reduce_set_cover(sc)).entries == ((1, 0), (0, 1))
+    assert reduce_set_cover(sc).author_papers == ((0,), (1,))
 
 
 def test_decide_set_cover_examples():
