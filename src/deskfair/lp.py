@@ -1,13 +1,23 @@
-"""Dense bounded-variable primal simplex and the mean-cost relaxation builder.
+"""Dense bounded-variable simplex and the mean-cost relaxation builder.
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
 per-instance integrality audit needs to see. Bland's smallest-index rule makes
 the pivot sequence deterministic and cycle-free.
 
-All constraint matrices built here are nonnegative (incidence rows), so the
-all-lower-bound point is feasible whenever the program is; the solver relies
-on that and reports infeasibility when the starting point violates a row.
+`solve_lp` is the one simplex for cold and warm solves. Pricing, the ratio
+test and the row elimination are numpy operations on a dense tableau that
+also carries the right-hand side B^-1 b, and every optimal solve returns its
+final `Basis`.
+
+- Cold (`start=None`): all constraint matrices built here are nonnegative
+  (incidence rows), so the all-lower-bound point with slacks basic is
+  feasible whenever the program is; the primal simplex starts there, and
+  infeasibility is reported when that point violates a row.
+- Warm (`start=` an optimal basis of an LP differing only in its bounds,
+  in branch and bound the parent node's): the basis stays dual feasible, so a
+  dual simplex restores primal feasibility, or proves there is none, in a few
+  pivots, and the primal loop then confirms optimality.
 """
 
 from __future__ import annotations
@@ -63,12 +73,29 @@ class LinearProgram:
         return replace(self, lo=np.asarray(lo, float), hi=np.asarray(hi, float))
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Final simplex state of an optimal solve, to warm-start a related LP.
+
+    `T` is the tableau B^-1 [A | I | b]: structural columns, slack columns and
+    the right-hand-side column. `basic` holds the variable basic in each row,
+    `at_upper` marks the nonbasic variables sitting at their upper bound. The
+    bounds themselves are not part of it: a warm solve takes them from its own
+    LP. Never mutated; a warm solve works on a copy.
+    """
+
+    T: np.ndarray
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     r: KeepVector | None
     objective_value: float
     iteration_count: int
+    basis: Basis | None = None  # set on every optimal solve
 
 
 def _group_coefficients(inst: Instance) -> np.ndarray:
@@ -135,11 +162,41 @@ def presolve_group(inst: Instance) -> GroupPresolve:
     return GroupPresolve(_cap_rows(inst, c, rows, cols), tuple(cols), float(c[fixed].sum()), inst.m)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Bounded-variable primal simplex, Bland's rule, deterministic.
+def _leaving_row(limit: np.ndarray, basic: np.ndarray, step: float) -> tuple[int, float]:
+    """Bland's ratio test as a scan in row order: a row takes over when its
+    limit undercuts the current step by PIVOT_TOL, or ties it within PIVOT_TOL
+    with a smaller basic index (the first row within reach of the initial
+    step always takes over). Returns (row, step); row -1 means a bound flip.
 
-    Structural variables start nonbasic at their lower bounds with slacks
-    basic; the iteration cap is 50 * (variables + rows).
+    After the first row the step starts from (its limit if it takes over,
+    else the initial step), and each later take-over raises it by less than
+    PIVOT_TOL, so no row beyond that start plus (rows + 1) * PIVOT_TOL can
+    ever win: only the rows within that reach are scanned.
+    """
+    rows = np.flatnonzero(limit < np.inf)
+    if rows.size == 0:
+        return -1, step
+    first = limit[rows[0]]
+    reach = (first if first < step + PIVOT_TOL else step) + (rows.size + 1) * PIVOT_TOL
+    leave = -1
+    for i in rows[limit[rows] < reach]:
+        if limit[i] < step - PIVOT_TOL or (
+            limit[i] < step + PIVOT_TOL and (leave < 0 or basic[i] < basic[leave])
+        ):
+            leave, step = int(i), limit[i]
+    return leave, step
+
+
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+    """Bounded-variable simplex, deterministic; cold or warm.
+
+    Cold (`start=None`): structural variables start nonbasic at their lower
+    bounds with slacks basic, and the primal simplex with Bland's rule runs to
+    optimality. Warm: the tableau and basis statuses of `start` (an optimal
+    basis of an LP with the same c, A and b) are taken over, the basic values
+    are recomputed under this LP's bounds, and a dual simplex restores primal
+    feasibility before the same primal loop finishes. The iteration cap,
+    50 * (variables + rows), covers both phases.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -147,69 +204,99 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     lo = np.concatenate([lp.lo, np.zeros(n_rows)])
     hi = np.concatenate([lp.hi, np.full(n_rows, np.inf)])
     c = np.concatenate([lp.c, np.zeros(n_rows)])
+    movable = hi - lo > PIVOT_TOL
 
-    T = np.hstack([lp.A.astype(float), np.eye(n_rows)])
-    basis = list(range(n_struct, n_all))
-    at_upper = np.zeros(n_all, dtype=bool)
-    xB = lp.b - lp.A @ lp.lo
-    if np.any(xB < -FEAS_TOL):
-        # A >= 0 here, so the all-lower point minimizes every row: no point fits.
-        return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), 0)
+    if start is None:
+        T = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
+        basic = np.arange(n_struct, n_all)
+        at_upper = np.zeros(n_all, dtype=bool)
+        xB = lp.b - lp.A @ lp.lo
+        if np.any(xB < -FEAS_TOL):
+            # A >= 0 here, so the all-lower point minimizes every row: no point fits.
+            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), 0)
+    else:
+        T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
+        nonbasic = np.where(at_upper, hi, lo)
+        nonbasic[basic] = 0.0
+        xB = T[:, n_all] - T[:, :n_all] @ nonbasic
 
     in_basis = np.zeros(n_all, dtype=bool)
-    in_basis[basis] = True
+    in_basis[basic] = True
     max_iter = 50 * (n_struct + n_rows)
     iteration = 0
 
-    def nonbasic_value(j):
-        return hi[j] if at_upper[j] else lo[j]
+    def reduced_costs():
+        return c - c[basic] @ T[:, :n_all]
 
-    while True:
-        cB = c[basis]
-        d = c - cB @ T
-        entering = -1
-        for j in range(n_all):
-            if in_basis[j] or hi[j] - lo[j] <= PIVOT_TOL:
-                continue
-            if (not at_upper[j] and d[j] > FEAS_TOL) or (at_upper[j] and d[j] < -FEAS_TOL):
-                entering = j
-                break
-        if entering < 0:
-            break
-
+    def count_iteration():
+        nonlocal iteration
         iteration += 1
         if iteration > max_iter:
             raise SolverStalled(f"no optimum after {max_iter} pivots")
+
+    def pivot(row, entering, entering_value, leaving_to_upper):
+        p = T[row, entering]
+        if abs(p) < PIVOT_TOL:
+            raise NumericalBreakdown(f"pivot magnitude {abs(p):.3e} below tolerance")
+        leaving = basic[row]
+        in_basis[leaving] = False
+        at_upper[leaving] = leaving_to_upper
+        basic[row] = entering
+        in_basis[entering] = True
+        T[row] /= p
+        col = T[:, entering].copy()
+        col[row] = 0.0
+        others = np.flatnonzero(col)
+        T[others] -= np.outer(col[others], T[row])
+        xB[row] = entering_value
+
+    # Dual simplex (warm only): the start basis is dual feasible, so pivot
+    # until every basic value is back within its bounds.
+    while start is not None:
+        lo_b, hi_b = lo[basic], hi[basic]
+        out = np.flatnonzero((xB < lo_b - FEAS_TOL) | (xB > hi_b + FEAS_TOL))
+        if out.size == 0:
+            break
+        row = out[np.argmin(basic[out])]
+        below = xB[row] < lo_b[row]
+        target = lo_b[row] if below else hi_b[row]
+        # x_B[row] moves by -alpha_j per unit step of nonbasic j in its own
+        # feasible direction (up from lower, down from upper).
+        alpha = T[row, :n_all]
+        gain = np.where(at_upper, alpha, -alpha)
+        toward = gain > PIVOT_TOL if below else gain < -PIVOT_TOL
+        candidates = np.flatnonzero(toward & movable & ~in_basis)
+        if candidates.size == 0:
+            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), iteration)
+        ratio = np.abs(reduced_costs()[candidates] / alpha[candidates])
+        entering = candidates[np.argmax(ratio <= ratio.min() + PIVOT_TOL)]
+        delta = (xB[row] - target) / alpha[entering]
+        entering_value = (hi if at_upper[entering] else lo)[entering] + delta
+        count_iteration()
+        xB -= delta * T[:, entering]
+        pivot(row, entering, entering_value, not below)
+
+    # Primal simplex, Bland's rule: the first improving column enters.
+    while True:
+        d = reduced_costs()
+        improving = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
+        if not improving.any():
+            break
+        entering = int(np.argmax(improving))
+        count_iteration()
 
         sigma = -1.0 if at_upper[entering] else 1.0
         y = T[:, entering]
         # Each basic value moves at rate -sigma*y_i per unit step of the
         # entering variable; the step is capped by the first bound hit.
-        step = hi[entering] - lo[entering]
-        leave_row = -1
-        leave_to_upper = False
-        for i in range(n_rows):
-            rate = -sigma * y[i]
-            if rate < -PIVOT_TOL:
-                limit = (xB[i] - lo[basis[i]]) / -rate
-                hits_upper = False
-            elif rate > PIVOT_TOL and np.isfinite(hi[basis[i]]):
-                limit = (hi[basis[i]] - xB[i]) / rate
-                hits_upper = True
-            else:
-                continue
-            if limit < step - PIVOT_TOL or (
-                limit < step + PIVOT_TOL
-                and leave_row >= 0
-                and basis[i] < basis[leave_row]
-            ):
-                step = limit
-                leave_row = i
-                leave_to_upper = hits_upper
-            elif limit < step + PIVOT_TOL and leave_row < 0:
-                step = limit
-                leave_row = i
-                leave_to_upper = hits_upper
+        rate = -sigma * y
+        lo_b, hi_b = lo[basic], hi[basic]
+        down = rate < -PIVOT_TOL
+        up = (rate > PIVOT_TOL) & np.isfinite(hi_b)
+        limit = np.full(n_rows, np.inf)
+        limit[down] = (xB[down] - lo_b[down]) / -rate[down]
+        limit[up] = (hi_b[up] - xB[up]) / rate[up]
+        leave_row, step = _leaving_row(limit, basic, hi[entering] - lo[entering])
         if not np.isfinite(step):
             return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration)
 
@@ -218,30 +305,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if leave_row < 0:
             at_upper[entering] = not at_upper[entering]  # bound flip
             continue
+        entering_value = (hi if at_upper[entering] else lo)[entering] + sigma * step
+        pivot(leave_row, entering, entering_value, bool(up[leave_row]))
 
-        pivot = T[leave_row, entering]
-        if abs(pivot) < PIVOT_TOL:
-            raise NumericalBreakdown(f"pivot magnitude {abs(pivot):.3e} below tolerance")
-        leaving = basis[leave_row]
-        in_basis[leaving] = False
-        at_upper[leaving] = leave_to_upper
-        entering_value = nonbasic_value(entering) + sigma * step
-        basis[leave_row] = entering
-        in_basis[entering] = True
-        T[leave_row] /= pivot
-        for i in range(n_rows):
-            if i != leave_row and abs(T[i, entering]) > 0.0:
-                T[i] -= T[i, entering] * T[leave_row]
-        xB[leave_row] = entering_value
-
-    x = np.array([nonbasic_value(j) for j in range(n_all)])
-    x[basis] = xB
+    x = np.where(at_upper, hi, lo)
+    x[basic] = xB
     r = np.clip(x[:n_struct], 0.0, 1.0)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         r=KeepVector.fractional(tuple(float(v) for v in r)),
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
+        basis=Basis(T, basic, at_upper),
     )
 
 

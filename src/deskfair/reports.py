@@ -40,12 +40,14 @@ def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:
     return {
         "node_count": diag.node_count,
         "lp_calls": diag.lp_calls,
+        "lp_pivots": diag.lp_pivots,
         "wall_time_ms": diag.wall_time_ms,
         "lp_objective": diag.lp_objective,
         "lp_integral": diag.lp_integral,
         "lp_rows": diag.lp_rows,
         "lp_cols": diag.lp_cols,
         "best_bound": diag.best_bound,
+        "incumbent_trace": [rational_field(v) for v in diag.incumbent_trace],
     }
 
 

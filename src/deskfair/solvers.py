@@ -22,6 +22,7 @@ from .instance import Instance, KeepVector, validate_instance
 from .lp import (
     FEAS_TOL,
     INT_TOL,
+    Basis,
     LpStatus,
     integrality_check,
     presolve_group,
@@ -44,24 +45,26 @@ def _node_limit(explicit: int | None) -> int:
     return int(os.environ.get("DESKFAIR_NODE_LIMIT", DEFAULT_NODE_LIMIT))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchNode:
-    fixed_zero: frozenset[int]
-    fixed_one: frozenset[int]
+    lo: np.ndarray   # bounds of the reduced LP's columns: fixed at one where
+    hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
     lp_bound: float  # inherited upper bound, valid for every completion
     depth: int
+    basis: Basis | None = None  # parent's optimal basis; None solves cold
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
     node_count: int = 0
     lp_calls: int = 0
+    lp_pivots: int = 0                 # simplex iterations over all LP calls
     wall_time_ms: float = 0.0
     lp_objective: float | None = None  # root relaxation value of the full LP
     lp_integral: bool | None = None    # was the root relaxation already 0/1
     lp_rows: int | None = None         # size of the LP actually solved,
     lp_cols: int | None = None         # after presolve
-    best_bound: float | None = None
+    best_bound: float | None = None    # proven upper bound on the optimum
     incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
 
@@ -86,11 +89,12 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
 
     Equivalently minimizes the mean cost. The relaxation is first presolved
     (`lp.presolve_group`) to the over-cap authors' rows and papers; the fixed
-    papers' objective is added to every float bound. LP-first: an integral relaxation optimum is expanded to a full keep
-    vector, re-certified in exact rationals on the full instance and
-    returned; otherwise branch and bound on the most fractional variable,
-    pruning against the exact incumbent with a 1e-9 safety margin on the
-    float LP bound.
+    papers' objective is added to every float bound. LP-first: an integral
+    relaxation optimum is expanded to a full keep vector, re-certified in
+    exact rationals on the full instance and returned; otherwise branch and
+    bound on the most fractional variable, pruning against the exact
+    incumbent with a 1e-9 safety margin on the float LP bound. The root LP is
+    solved cold; every child warm-starts from its parent's optimal basis.
     """
     start = time.perf_counter()
     limit = _node_limit(node_limit)
@@ -105,10 +109,11 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
 
     node_count = 0
     lp_calls = 0
+    lp_pivots = 0
     root_objective = None
     root_integral = None
 
-    stack = [BranchNode(frozenset(), frozenset(), float("inf"), 0)]
+    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0)]
     while stack:
         node = stack.pop()
         node_count += 1
@@ -116,10 +121,9 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
             raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
         if node.lp_bound + FEAS_TOL <= float(best_obj):
             continue
-        lo = np.array([1.0 if j in node.fixed_one else 0.0 for j in range(cols)])
-        hi = np.array([0.0 if j in node.fixed_zero else 1.0 for j in range(cols)])
-        sol = solve_lp(lp0.with_bounds(lo, hi))
+        sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
         lp_calls += 1
+        lp_pivots += sol.iteration_count
         bound = sol.objective_value + offset
         if node.depth == 0:
             root_objective = bound
@@ -142,16 +146,17 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
                 continue
             # Uncertifiable vertex (numerics went sour): split on a free
             # variable instead of trusting or discarding the node.
-            fixed = node.fixed_zero | node.fixed_one
-            j = next((k for k in range(cols) if k not in fixed), None)
-            if j is None:
+            free = np.flatnonzero(node.lo < node.hi)
+            if free.size == 0:
                 continue
+            j = free[0]
         else:
-            values = sol.r.values
-            frac = [min(v, 1.0 - v) for v in values]
-            j = max(range(cols), key=lambda k: (frac[k], -k))
-        stack.append(BranchNode(node.fixed_zero | {j}, node.fixed_one, bound, node.depth + 1))
-        stack.append(BranchNode(node.fixed_zero, node.fixed_one | {j}, bound, node.depth + 1))
+            values = np.array(sol.r.values)
+            j = int(np.argmax(np.minimum(values, 1.0 - values)))  # most fractional, first on ties
+        zero_hi, one_lo = node.hi.copy(), node.lo.copy()
+        zero_hi[j], one_lo[j] = 0.0, 1.0
+        stack.append(BranchNode(node.lo, zero_hi, bound, node.depth + 1, sol.basis))
+        stack.append(BranchNode(one_lo, node.hi, bound, node.depth + 1, sol.basis))
 
     elapsed = (time.perf_counter() - start) * 1000.0
     return SolveResult(
@@ -162,12 +167,13 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
         diagnostics=SolverDiagnostics(
             node_count=node_count,
             lp_calls=lp_calls,
+            lp_pivots=lp_pivots,
             wall_time_ms=elapsed,
             lp_objective=root_objective,
             lp_integral=root_integral,
             lp_rows=rows,
             lp_cols=cols,
-            best_bound=root_objective,
+            best_bound=float(best_obj),  # the search closed: no open node is left
             incumbent_trace=tuple(incumbents),
         ),
     )

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from deskfair import lp
+from deskfair import lp, solvers
 from deskfair.cli import main, run_policy
-from deskfair.generators import gen_case_study, gen_leave_one_out, gen_triangle
+from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance
 from deskfair.metrics import parse_rational
 from deskfair.reports import CSV_HEADER
@@ -278,6 +278,32 @@ def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
 def test_group_lp_solves_no_extra_lp(inst, lp_calls):
     record = run_policy(inst, "group-lp")
     assert len(lp_calls) == record.diagnostics.lp_calls
+
+
+def test_solve_json_reports_pivots_incumbents_and_closed_bound(tmp_path, monkeypatch):
+    pivots = []
+
+    def counting(lp_, **kwargs):
+        sol = lp.solve_lp(lp_, **kwargs)
+        pivots.append(sol.iteration_count)
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_lp", counting)
+    path = tmp_path / "branching.json"
+    dump_instance(gen_random(4, 4, 1, 0.5, 9), path)  # root LP 11/6, optimum 3/2
+    out = tmp_path / "out.json"
+    assert main(["solve", "--input", str(path), "--policy", "group-exact",
+                 "--output", str(out)]) == 0
+    doc = read_json(out)
+    diag = doc["diagnostics"]
+    assert diag["node_count"] > 1 and len(pivots) == diag["lp_calls"]
+    assert diag["lp_pivots"] == sum(pivots) > 0
+    objective = parse_rational(doc["objective"]["rational"])
+    trace = [parse_rational(v["rational"]) for v in diag["incumbent_trace"]]
+    assert len(trace) >= 2 and all(a < b for a, b in zip(trace, trace[1:]))
+    assert trace[-1] == objective == Fraction(3, 2)
+    assert diag["best_bound"] == float(objective)
+    assert diag["lp_objective"] == pytest.approx(11 / 6)
 
 
 def test_group_lp_fallback_note(triangle_file, tmp_path):

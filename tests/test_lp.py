@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from deskfair.generators import gen_random
+from deskfair.generators import gen_case_study, gen_random, gen_triangle
 from deskfair.instance import KeepVector
 from deskfair.lp import (
+    FEAS_TOL,
     LinearProgram,
     LpStatus,
     NotOptimal,
@@ -18,7 +21,7 @@ from deskfair.lp import (
 from deskfair.metrics import group_objective
 from deskfair.oracle import enumerate_optimal
 
-from conftest import random_instance
+from conftest import instances, random_instance
 
 
 def test_relaxation_triangle(triangle):
@@ -112,6 +115,56 @@ def test_fixed_bounds_can_be_infeasible(triangle):
     # keeping p1 and p2 gives a1 two papers under cap 1
     sol = solve_lp(lp.with_bounds([1.0, 1.0, 0.0], [1.0, 1.0, 1.0]))
     assert sol.status is LpStatus.INFEASIBLE
+
+
+@given(instances(max_n=6, max_m=10),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_warm_start_matches_cold_solve(inst, fixings):
+    lp = build_group_relaxation(inst)
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    parent = solve_lp(lp)
+    for j, value in fixings:
+        j %= inst.m
+        if lo[j] == hi[j]:
+            continue
+        lo[j] = hi[j] = value
+        child = lp.with_bounds(lo, hi)
+        tableau = parent.basis.T.copy()
+        warm = solve_lp(child, start=parent.basis)
+        cold = solve_lp(child)
+        assert np.array_equal(parent.basis.T, tableau)  # siblings share the start
+        assert warm.status is cold.status
+        if warm.status is not LpStatus.OPTIMAL:
+            return
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=FEAS_TOL)
+        r = np.asarray(warm.r.values)
+        assert np.all(lp.A @ r <= lp.b + FEAS_TOL)
+        assert np.all(r >= lo - FEAS_TOL) and np.all(r <= hi + FEAS_TOL)
+        parent = warm
+
+
+def test_warm_start_detects_infeasible_child(triangle):
+    lp = build_group_relaxation(triangle)
+    root = solve_lp(lp)
+    # keeping p1 and p2 gives a1 two papers under cap 1
+    sol = solve_lp(lp.with_bounds([1.0, 1.0, 0.0], [1.0, 1.0, 1.0]), start=root.basis)
+    assert sol.status is LpStatus.INFEASIBLE and sol.basis is None
+
+
+@pytest.mark.parametrize("lp, pivots", [
+    (build_group_relaxation(gen_triangle()), 3),
+    (build_group_relaxation(gen_case_study("cvpr26")), 27),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 0)), 112),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 1)), 109),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 2)), 120),
+    # ratio-test limits 0.99999999999909 .. 1.00000000000018 chain within
+    # PIVOT_TOL: a min-then-tie rule leaves a different row than the scan
+    (presolve_group(gen_random(25, 50, 3, 0.1, 114)).lp, 198),
+], ids=["triangle", "cvpr26", "random0", "random1", "random2", "tie-chain"])
+def test_cold_pivot_path_is_pinned(lp, pivots):
+    # counts of the row-by-row loop this vectorized simplex replaced
+    assert solve_lp(lp).iteration_count == pivots
 
 
 def test_bound_sanity():

@@ -285,4 +285,5 @@ def test_incumbent_trace_strictly_improves():
         res = solve_group_exact(inst)
         trace = res.diagnostics.incumbent_trace
         assert trace[-1] == res.objective == group_objective(inst, res.keep)
+        assert res.diagnostics.best_bound == float(res.objective)
         assert all(a < b for a, b in zip(trace, trace[1:]))
