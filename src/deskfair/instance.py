@@ -192,41 +192,21 @@ def dump_instance(inst: Instance, path) -> None:
 
 @dataclass(frozen=True)
 class KeepVector:
-    """Per-paper keep decision; r_j = 1 keeps paper j, r_j = 0 rejects it.
+    """Per-paper keep decision as exact 0/1 ints; r_j = 1 keeps paper j,
+    r_j = 0 rejects it. Relaxation values never get here: the LP layer
+    snaps them first."""
 
-    Binary mode holds exact 0/1 ints; fractional mode (relaxation output)
-    holds values in [0, 1], floats or exact rationals.
-    """
-
-    values: tuple
-    mode: str  # "binary" | "fractional"
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.mode == "binary":
-            if not all(v in (0, 1) for v in self.values):
-                raise ValueError("binary keep vector must contain only 0/1")
-        elif self.mode == "fractional":
-            if not all(0 <= v <= 1 for v in self.values):
-                raise ValueError("fractional keep values must lie in [0, 1]")
-        else:
-            raise ValueError(f"unknown keep vector mode {self.mode!r}")
+        # check the raw values before int() could truncate 0.5 or 1.7
+        if not all(v in (0, 1) for v in self.values):
+            raise ValueError("keep vector must contain only 0/1")
+        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
     @classmethod
     def binary(cls, values) -> "KeepVector":
-        return cls(tuple(int(v) for v in values), "binary")
-
-    @classmethod
-    def fractional(cls, values) -> "KeepVector":
-        return cls(tuple(values), "fractional")
-
-    @classmethod
-    def from_kept_indices(cls, kept, m: int) -> "KeepVector":
-        kept = set(kept)
-        return cls.binary(1 if j in kept else 0 for j in range(m))
-
-    @property
-    def is_binary(self) -> bool:
-        return self.mode == "binary"
+        return cls(tuple(values))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -8,16 +8,21 @@ the pivot sequence deterministic and cycle-free.
 `solve_lp` is the one simplex for cold and warm solves. Pricing, the ratio
 test and the row elimination are numpy operations on a dense tableau that
 also carries the right-hand side B^-1 b, and every optimal solve returns its
-final `Basis`.
+final `Basis`. Every solve copies a start basis, recomputes its basic values
+under the LP's bounds and runs a dual simplex, then the primal simplex.
 
-- Cold (`start=None`): all constraint matrices built here are nonnegative
-  (incidence rows), so the all-lower-bound point with slacks basic is
-  feasible whenever the program is; the primal simplex starts there, and
-  infeasibility is reported when that point violates a row.
+- Cold (`start=None`) starts from the slack basis: all constraint matrices
+  built here are nonnegative (incidence rows), so the all-lower-bound point
+  with slacks basic is feasible whenever the program is, and the dual loop
+  has nothing to do; when that point breaks a row, no column can lower it,
+  and the dual loop reports infeasibility after 0 pivots.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so a
   dual simplex restores primal feasibility, or proves there is none, in a few
   pivots, and the primal loop then confirms optimality.
+
+Solutions are float arrays; `GroupPresolve.expand` turns an integral one
+into a binary `KeepVector`.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class Basis:
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
-    r: KeepVector | None
+    r: np.ndarray | None  # clipped to [0, 1]
     objective_value: float
     iteration_count: int
     basis: Basis | None = None  # set on every optimal solve
@@ -143,13 +148,12 @@ class GroupPresolve:
     offset: float          # c.r of the fixed papers, all kept
     m: int                 # paper count of the full instance
 
-    def expand(self, reduced: KeepVector) -> KeepVector:
+    def expand(self, reduced: np.ndarray) -> KeepVector:
         """Full-length binary keep vector: fixed papers kept, the rest from
-        the reduced binary vector."""
-        values = [1] * self.m
-        for j, v in zip(self.cols, reduced.values):
-            values[j] = v
-        return KeepVector.binary(values)
+        the reduced 0/1 array (see `snap_binary`)."""
+        values = np.ones(self.m, dtype=int)
+        values[list(self.cols)] = reduced
+        return KeepVector.binary(values.tolist())
 
 
 def presolve_group(inst: Instance) -> GroupPresolve:
@@ -190,13 +194,12 @@ def _leaving_row(limit: np.ndarray, basic: np.ndarray, step: float) -> tuple[int
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Bounded-variable simplex, deterministic; cold or warm.
 
-    Cold (`start=None`): structural variables start nonbasic at their lower
-    bounds with slacks basic, and the primal simplex with Bland's rule runs to
-    optimality. Warm: the tableau and basis statuses of `start` (an optimal
-    basis of an LP with the same c, A and b) are taken over, the basic values
-    are recomputed under this LP's bounds, and a dual simplex restores primal
-    feasibility before the same primal loop finishes. The iteration cap,
-    50 * (variables + rows), covers both phases.
+    `start` is an optimal basis of an LP with the same c, A and b, or None
+    for the slack basis ([A | I | b], slacks basic, nothing at its upper
+    bound). Its tableau and statuses are copied, the basic values are
+    recomputed under this LP's bounds, a dual simplex restores primal
+    feasibility and the primal simplex with Bland's rule runs to optimality.
+    The iteration cap, 50 * (variables + rows), covers both phases.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -207,18 +210,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     if start is None:
-        T = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
-        basic = np.arange(n_struct, n_all)
-        at_upper = np.zeros(n_all, dtype=bool)
-        xB = lp.b - lp.A @ lp.lo
-        if np.any(xB < -FEAS_TOL):
-            # A >= 0 here, so the all-lower point minimizes every row: no point fits.
-            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), 0)
-    else:
-        T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
-        nonbasic = np.where(at_upper, hi, lo)
-        nonbasic[basic] = 0.0
-        xB = T[:, n_all] - T[:, :n_all] @ nonbasic
+        tableau = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
+        start = Basis(tableau, np.arange(n_struct, n_all), np.zeros(n_all, dtype=bool))
+    T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
+    nonbasic = np.where(at_upper, hi, lo)
+    nonbasic[basic] = 0.0
+    xB = T[:, n_all] - T[:, :n_all] @ nonbasic
 
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
@@ -250,9 +247,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         T[others] -= np.outer(col[others], T[row])
         xB[row] = entering_value
 
-    # Dual simplex (warm only): the start basis is dual feasible, so pivot
-    # until every basic value is back within its bounds.
-    while start is not None:
+    # Dual simplex: pivot until every basic value is back within its bounds.
+    while True:
         lo_b, hi_b = lo[basic], hi[basic]
         out = np.flatnonzero((xB < lo_b - FEAS_TOL) | (xB > hi_b + FEAS_TOL))
         if out.size == 0:
@@ -313,7 +309,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     r = np.clip(x[:n_struct], 0.0, 1.0)
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        r=KeepVector.fractional(tuple(float(v) for v in r)),
+        r=r,
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
         basis=Basis(T, basic, at_upper),
@@ -324,14 +320,14 @@ def integrality_check(sol: LpSolution) -> bool:
     """True iff every variable of an optimal solution is within 1e-6 of 0 or 1."""
     if sol.status is not LpStatus.OPTIMAL:
         raise NotOptimal(f"integrality is only defined for optimal solutions, got {sol.status}")
-    return all(min(v, 1.0 - v) <= INT_TOL for v in sol.r.values)
+    return bool(np.all(np.minimum(sol.r, 1.0 - sol.r) <= INT_TOL))
 
 
-def snap_binary(sol: LpSolution) -> KeepVector:
-    """Round an integral LP solution to an exact binary keep vector."""
+def snap_binary(sol: LpSolution) -> np.ndarray:
+    """Round an integral LP solution to a 0/1 int array."""
     if not integrality_check(sol):
         raise ValueError("solution is fractional; nothing to snap")
-    return KeepVector.binary(1 if v > 0.5 else 0 for v in sol.r.values)
+    return (sol.r > 0.5).astype(int)
 
 
 def to_mps(lp: LinearProgram, name: str = "DESKFAIR") -> str:

@@ -15,32 +15,26 @@ from fractions import Fraction
 from .instance import DimensionMismatch, Instance, KeepVector
 
 
-class NonBinaryKeepVector(ValueError):
-    """Metrics are defined on keep *sets*; fractional vectors are rejected."""
-
-
-def _check_binary(inst: Instance, keep: KeepVector) -> None:
+def _check_length(inst: Instance, keep: KeepVector) -> None:
     if len(keep) != inst.m:
         raise DimensionMismatch(f"keep vector length {len(keep)} != paper count {inst.m}")
-    if not keep.is_binary:
-        raise NonBinaryKeepVector("fairness metrics require a binary keep vector")
 
 
 def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:
-    _check_binary(inst, keep)
+    _check_length(inst, keep)
     return tuple(sum(keep.values[j] for j in papers) for papers in inst.author_papers)
 
 
 def cost(inst: Instance, keep: KeepVector, author: int) -> Fraction:
     """Fraction of the author's papers rejected under the keep set, in [0, 1]."""
-    _check_binary(inst, keep)
+    _check_length(inst, keep)
     papers = inst.author_papers[author]
     kept = sum(keep.values[j] for j in papers)
     return Fraction(len(papers) - kept, len(papers))
 
 
 def per_author_costs(inst: Instance, keep: KeepVector) -> tuple[Fraction, ...]:
-    _check_binary(inst, keep)
+    _check_length(inst, keep)
     return tuple(
         Fraction(len(papers) - sum(keep.values[j] for j in papers), len(papers))
         for papers in inst.author_papers

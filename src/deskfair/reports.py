@@ -8,7 +8,7 @@ decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .instance import Instance, KeepVector
@@ -37,18 +37,7 @@ class RunRecord:
 
 
 def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:
-    return {
-        "node_count": diag.node_count,
-        "lp_calls": diag.lp_calls,
-        "lp_pivots": diag.lp_pivots,
-        "wall_time_ms": diag.wall_time_ms,
-        "lp_objective": diag.lp_objective,
-        "lp_integral": diag.lp_integral,
-        "lp_rows": diag.lp_rows,
-        "lp_cols": diag.lp_cols,
-        "best_bound": diag.best_bound,
-        "incumbent_trace": [rational_field(v) for v in diag.incumbent_trace],
-    }
+    return {**asdict(diag), "incumbent_trace": [rational_field(v) for v in diag.incumbent_trace]}
 
 
 def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:

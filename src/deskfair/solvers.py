@@ -11,7 +11,6 @@ worst-case cost encodes set cover.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +58,6 @@ class SolverDiagnostics:
     node_count: int = 0
     lp_calls: int = 0
     lp_pivots: int = 0                 # simplex iterations over all LP calls
-    wall_time_ms: float = 0.0
     lp_objective: float | None = None  # root relaxation value of the full LP
     lp_integral: bool | None = None    # was the root relaxation already 0/1
     lp_rows: int | None = None         # size of the LP actually solved,
@@ -96,7 +94,6 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     incumbent with a 1e-9 safety margin on the float LP bound. The root LP is
     solved cold; every child warm-starts from its parent's optimal basis.
     """
-    start = time.perf_counter()
     limit = _node_limit(node_limit)
     pre = presolve_group(inst)
     lp0, offset = pre.lp, pre.offset
@@ -125,14 +122,14 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
         lp_calls += 1
         lp_pivots += sol.iteration_count
         bound = sol.objective_value + offset
+        integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
         if node.depth == 0:
-            root_objective = bound
-            root_integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
+            root_objective, root_integral = bound, integral
         if sol.status is not LpStatus.OPTIMAL:
             continue
         if bound + FEAS_TOL <= float(best_obj):
             continue
-        if integrality_check(sol):
+        if integral:
             keep = pre.expand(snap_binary(sol))
             exact = metrics.group_objective(inst, keep)
             certified = (
@@ -151,14 +148,12 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
                 continue
             j = free[0]
         else:
-            values = np.array(sol.r.values)
-            j = int(np.argmax(np.minimum(values, 1.0 - values)))  # most fractional, first on ties
+            j = int(np.argmax(np.minimum(sol.r, 1.0 - sol.r)))  # most fractional, first on ties
         zero_hi, one_lo = node.hi.copy(), node.lo.copy()
         zero_hi[j], one_lo[j] = 0.0, 1.0
         stack.append(BranchNode(node.lo, zero_hi, bound, node.depth + 1, sol.basis))
         stack.append(BranchNode(one_lo, node.hi, bound, node.depth + 1, sol.basis))
 
-    elapsed = (time.perf_counter() - start) * 1000.0
     return SolveResult(
         policy="group-exact",
         keep=best_keep,
@@ -168,7 +163,6 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
             node_count=node_count,
             lp_calls=lp_calls,
             lp_pivots=lp_pivots,
-            wall_time_ms=elapsed,
             lp_objective=root_objective,
             lp_integral=root_integral,
             lp_rows=rows,
@@ -201,14 +195,18 @@ def _search_keep(inst, lower, upper, budget_nodes, max_kept=None):
     Returns the first witness found, or None.
     """
     n, m = inst.n, inst.m
-    remaining = [[0] * (m + 1) for _ in range(n)]
-    for j in range(m - 1, -1, -1):
-        for i in range(n):
-            remaining[i][j] = remaining[i][j + 1]
-        for i in inst.paper_authors[j]:
-            remaining[i][j] += 1
-    if any(remaining[i][0] < lower[i] for i in range(n)):
+    if any(inst.paper_count(i) < lower[i] for i in range(n)):
         return None
+    # need[j]: (author, kept count that author must already have once paper j
+    # is decided), one pair per author of j, so its later papers can still
+    # lift it to its floor
+    need = [()] * m
+    later = [0] * n
+    for j in range(m - 1, -1, -1):
+        authors = inst.paper_authors[j]
+        need[j] = tuple((i, lower[i] - later[i]) for i in authors)
+        for i in authors:
+            later[i] += 1
 
     kept = [0] * n
     choice = [0] * m
@@ -222,16 +220,17 @@ def _search_keep(inst, lower, upper, budget_nodes, max_kept=None):
         if max_kept is not None and total >= max_kept:
             can_keep = False
         if can_keep:
+            # no floor check: keeping j adds to kept[i] what it takes from
+            # i's papers still open, and every floor held on entering j
             choice[j] = 1
             for i in authors:
                 kept[i] += 1
-            if all(kept[i] + remaining[i][j + 1] >= lower[i] for i in authors):
-                if dfs(j + 1, total + 1):
-                    return True
+            if dfs(j + 1, total + 1):
+                return True
             for i in authors:
                 kept[i] -= 1
         choice[j] = 0
-        if all(kept[i] + remaining[i][j + 1] >= lower[i] for i in authors):
+        if all(kept[i] >= f for i, f in need[j]):
             if dfs(j + 1, total):
                 return True
         return False
@@ -248,7 +247,6 @@ def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> Sol
     that finite grid, testing each level with a feasibility search over keep
     vectors meeting the implied per-author floors.
     """
-    start = time.perf_counter()
     budget = _Budget(_node_limit(node_limit))
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     levels = sorted({Fraction(k, s) for s in sizes for k in range(s + 1)})
@@ -270,14 +268,13 @@ def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> Sol
         else:
             lo_idx = mid + 1
 
-    elapsed = (time.perf_counter() - start) * 1000.0
     report = metrics.evaluate(inst, witness)
     return SolveResult(
         policy="individual-exact",
         keep=witness,
         report=report,
         objective=levels[lo_idx],
-        diagnostics=SolverDiagnostics(node_count=budget.nodes, wall_time_ms=elapsed),
+        diagnostics=SolverDiagnostics(node_count=budget.nodes),
     )
 
 

@@ -123,10 +123,13 @@ def test_classify_disjoint_solo_authors_safe():
 def test_keepvector_modes():
     with pytest.raises(ValueError):
         KeepVector.binary([0, 2])
+    # raw values are checked before int() could truncate them
     with pytest.raises(ValueError):
-        KeepVector.fractional([1.5])
+        KeepVector.binary([0.5])
     with pytest.raises(ValueError):
-        KeepVector((0, 1), "other")
+        KeepVector.binary([2])
+    keep = KeepVector.binary([0.0, 1.0, True, False])
+    assert keep.values == (0, 1, 1, 0) and all(type(v) is int for v in keep.values)
 
 
 @given(instances())

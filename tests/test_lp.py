@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from deskfair.generators import gen_case_study, gen_random, gen_triangle
-from deskfair.instance import KeepVector
 from deskfair.lp import (
     FEAS_TOL,
     LinearProgram,
@@ -58,14 +57,14 @@ def test_solve_triangle_fractional_vertex(triangle):
     sol = solve_lp(build_group_relaxation(triangle))
     assert sol.status is LpStatus.OPTIMAL
     assert np.isclose(sol.objective_value, 1.5, atol=1e-9)
-    assert np.allclose(sol.r.values, 0.5, atol=1e-9)
+    assert np.allclose(sol.r, 0.5, atol=1e-9)
     assert not integrality_check(sol)
 
 
 def test_solve_slack_cap_keeps_everything():
     inst = gen_random(3, 5, 2, 0.5, 4).with_cap(5)
     sol = solve_lp(build_group_relaxation(inst))
-    assert np.allclose(sol.r.values, 1.0, atol=1e-9)
+    assert np.allclose(sol.r, 1.0, atol=1e-9)
     assert np.isclose(sol.objective_value, inst.n, atol=1e-9)
     assert integrality_check(sol)
 
@@ -75,7 +74,7 @@ def test_solve_case_study_integral(cvpr26):
     assert sol.status is LpStatus.OPTIMAL
     assert np.isclose(sol.objective_value, 1 + 25 / 26, atol=1e-9)
     assert integrality_check(sol)
-    values = np.asarray(sol.r.values)
+    values = sol.r
     assert np.isclose(values[25], 1.0, atol=1e-6)  # the shared paper survives
     assert np.isclose(values[:25].sum(), 24.0, atol=1e-6)  # one solo paper drops
 
@@ -83,8 +82,10 @@ def test_solve_case_study_integral(cvpr26):
 def test_snap_binary(cvpr26):
     sol = solve_lp(build_group_relaxation(cvpr26))
     keep = snap_binary(sol)
-    assert keep.is_binary
-    assert sum(keep.values) == 25
+    assert keep.dtype.kind == "i" and set(keep.tolist()) == {0, 1}
+    assert keep.sum() == 25
+    with pytest.raises(ValueError):
+        snap_binary(solve_lp(build_group_relaxation(gen_triangle())))  # r = 1/2 everywhere
 
 
 def test_integrality_check_requires_optimal():
@@ -106,7 +107,7 @@ def test_fixed_bounds_steer_the_solution(triangle):
     forced = lp.with_bounds([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     sol = solve_lp(forced)
     assert sol.status is LpStatus.OPTIMAL
-    assert np.allclose(sol.r.values, [1.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(sol.r, [1.0, 0.0, 0.0], atol=1e-9)
     assert np.isclose(sol.objective_value, 1.0, atol=1e-9)
 
 
@@ -115,6 +116,8 @@ def test_fixed_bounds_can_be_infeasible(triangle):
     # keeping p1 and p2 gives a1 two papers under cap 1
     sol = solve_lp(lp.with_bounds([1.0, 1.0, 0.0], [1.0, 1.0, 1.0]))
     assert sol.status is LpStatus.INFEASIBLE
+    # the slack basis breaks a1's row and no column can lower it: no pivot
+    assert sol.iteration_count == 0 and sol.basis is None
 
 
 @given(instances(max_n=6, max_m=10),
@@ -138,7 +141,7 @@ def test_warm_start_matches_cold_solve(inst, fixings):
         if warm.status is not LpStatus.OPTIMAL:
             return
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=FEAS_TOL)
-        r = np.asarray(warm.r.values)
+        r = warm.r
         assert np.all(lp.A @ r <= lp.b + FEAS_TOL)
         assert np.all(r >= lo - FEAS_TOL) and np.all(r <= hi + FEAS_TOL)
         parent = warm
@@ -183,7 +186,7 @@ def test_determinism(triangle):
     a = solve_lp(lp)
     b = solve_lp(lp)
     assert a.iteration_count == b.iteration_count
-    assert a.r.values == b.r.values
+    assert np.array_equal(a.r, b.r)
     assert a.objective_value == b.objective_value
 
 
@@ -193,7 +196,7 @@ def test_solution_respects_constraints_on_randoms():
         lp = build_group_relaxation(inst)
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
-        r = np.asarray(sol.r.values)
+        r = sol.r
         assert np.all(lp.A @ r <= lp.b + 1e-9)
         assert np.all(r >= -1e-9) and np.all(r <= 1 + 1e-9)
 
@@ -230,7 +233,7 @@ def test_presolve_is_a_restriction_of_the_full_relaxation():
         assert np.array_equal(pre.lp.b, full.b[rows])
         fixed = [j for j in range(inst.m) if j not in pre.cols]
         assert pre.offset == pytest.approx(full.c[fixed].sum(), abs=1e-12)
-        assert pre.expand(KeepVector.binary([0] * len(cols))).kept_indices() == tuple(fixed)
+        assert pre.expand(np.zeros(len(cols), dtype=int)).kept_indices() == tuple(fixed)
 
 
 def test_mps_dump_layout(triangle):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from deskfair.generators import gen_case_study, gen_triangle
 from deskfair.instance import DimensionMismatch, KeepVector
 from deskfair.metrics import (
-    NonBinaryKeepVector,
     cost,
     evaluate,
     format_rational,
@@ -87,8 +86,9 @@ def test_ideal_trivially_when_under_cap():
 
 
 def test_rejects_fractional_and_mismatched(triangle):
-    with pytest.raises(NonBinaryKeepVector):
-        zeta_ind(triangle, KeepVector.fractional([0.5, 0.5, 0.5]))
+    # a fractional keep vector cannot be built, so metrics never see one
+    with pytest.raises(ValueError):
+        KeepVector.binary([0.5, 0.5, 0.5])
     with pytest.raises(DimensionMismatch):
         zeta_group(triangle, KeepVector.binary([1, 0]))
 

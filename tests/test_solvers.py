@@ -78,6 +78,17 @@ def test_individual_exact_under_cap_keeps_all():
     assert res.keep.values == (1,) * inst.m
 
 
+@pytest.mark.parametrize("inst, nodes", [
+    (gen_random(12, 24, 3, 0.2, 0), 69941),
+    (gen_random(12, 24, 3, 0.2, 1), 14293),
+    (gen_random(12, 24, 3, 0.2, 2), 83324),
+    (gen_leave_one_out(6), 34),
+], ids=["random0", "random1", "random2", "leave-one-out6"])
+def test_individual_search_path_is_pinned(inst, nodes):
+    # DFS node counts of the dense remaining-count table this search replaced
+    assert solve_individual_exact(inst).diagnostics.node_count == nodes
+
+
 def test_ideal_feasibility_hard_families(triangle):
     assert solve_ideal_feasibility(triangle) is None
     assert solve_ideal_feasibility(gen_leave_one_out(4)) is None
