@@ -109,7 +109,8 @@ def validate_instance(raw) -> Instance:
     """Build a well-formed Instance from a parsed JSON-shaped mapping.
 
     Expects ``{"x": int, "authors": [str...], "papers": [{"id": str,
-    "authors": [str...]}...]}``. Raises a specific :class:`InstanceError`
+    "authors": [str...]}...]}``; the arrays must be lists and every id a
+    string, nothing is coerced. Raises a specific :class:`InstanceError`
     on the first violation found; never repairs input.
     """
     if not isinstance(raw, dict):
@@ -126,7 +127,8 @@ def validate_instance(raw) -> Instance:
     if x < 1:
         raise NonPositiveCap(f"submission cap must be >= 1, got {x}")
 
-    author_ids = tuple(str(a) for a in authors)
+    author_ids = _id_list(authors, "'authors'", "author id")
+    _require_array(papers_raw, "'papers'")
     seen = set()
     for a in author_ids:
         if a in seen:
@@ -138,14 +140,16 @@ def validate_instance(raw) -> Instance:
     author_set = set(author_ids)
     for k, p in enumerate(papers_raw):
         try:
-            pid = str(p["id"])
+            pid = p["id"]
             plist = p["authors"]
         except (TypeError, KeyError):
             raise InstanceError(f"paper #{k} must be an object with 'id' and 'authors'") from None
+        if not isinstance(pid, str):
+            raise InstanceError(f"paper #{k} id must be a string, got {pid!r}")
         if pid in seen_papers:
             raise DuplicateId(f"duplicate paper id {pid!r}")
         seen_papers.add(pid)
-        names = tuple(str(a) for a in plist)
+        names = _id_list(plist, f"paper {pid!r} 'authors'", "author id")
         if not names:
             raise EmptyAuthorList(f"paper {pid!r} has no authors")
         if len(set(names)) != len(names):
@@ -161,6 +165,20 @@ def validate_instance(raw) -> Instance:
             raise AuthorWithNoPapers(f"author {a!r} appears on no paper")
 
     return Instance(author_ids, tuple(papers), x)
+
+
+def _require_array(value, field: str) -> None:
+    if not isinstance(value, list):
+        raise InstanceError(f"{field} must be an array, got {type(value).__name__}")
+
+
+def _id_list(value, field: str, what: str) -> tuple[str, ...]:
+    """The ids of a JSON array of strings, in order."""
+    _require_array(value, field)
+    for v in value:
+        if not isinstance(v, str):
+            raise InstanceError(f"{what} must be a string, got {v!r} in {field}")
+    return tuple(value)
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -5,21 +5,34 @@ solutions land on extreme points of the polytope, which is exactly what the
 per-instance integrality audit needs to see. Bland's smallest-index rule makes
 the pivot sequence deterministic and cycle-free.
 
-`solve_lp` is the one simplex for cold and warm solves. Pricing, the ratio
-test and the row elimination are numpy operations on a dense tableau that
-also carries the right-hand side B^-1 b, and every optimal solve returns its
+`solve_lp` is the one simplex for every start. Pricing, the ratio test and
+the row elimination are numpy operations on a dense tableau that also
+carries the right-hand side B^-1 b, and every optimal solve returns its
 final `Basis`. Every solve copies a start basis, recomputes its basic values
 under the LP's bounds and runs a dual simplex, then the primal simplex.
+`slack_basis` builds the two starts from scratch, [A | I | b] with the
+slacks basic:
 
-- Cold (`start=None`) starts from the slack basis: all constraint matrices
-  built here are nonnegative (incidence rows), so the all-lower-bound point
-  with slacks basic is feasible whenever the program is, and the dual loop
-  has nothing to do; when that point breaks a row, no column can lower it,
-  and the dual loop reports infeasibility after 0 pivots.
+- Slack start (`start=None`): every structural column at its lower bound.
+  All constraint matrices built here are nonnegative (incidence rows), so
+  that point is feasible whenever the program is, and the dual loop has
+  nothing to do; when that point breaks a row, no column can lower it, and
+  the dual loop reports infeasibility after 0 pivots.
+- All-kept start (`slack_basis(lp, at_upper=True)`, the root of
+  `solvers.solve_group_exact`): every structural column at its upper bound.
+  With c >= 0 it is dual feasible, so the dual loop only repairs the rows
+  it breaks, the over-cap authors' caps.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so a
   dual simplex restores primal feasibility, or proves there is none, in a few
   pivots, and the primal loop then confirms optimality.
+
+The dual ratio test takes long steps (bound flipping): the columns that can
+move the leaving row toward its bound are walked in order of their dual
+ratio, and each one whose whole range cannot close the row's gap flips to
+its other bound without a pivot. From the all-kept start, a row k papers
+over its cap then takes one pivot and k - 1 flips where a short step takes
+k pivots.
 
 Solutions are float arrays; `GroupPresolve.expand` turns an integral one
 into a binary `KeepVector`.
@@ -80,7 +93,8 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Final simplex state of an optimal solve, to warm-start a related LP.
+    """A simplex start: the final state of an optimal solve, to warm-start a
+    related LP, or one of the two `slack_basis` starts.
 
     `T` is the tableau B^-1 [A | I | b]: structural columns, slack columns and
     the right-hand-side column. `basic` holds the variable basic in each row,
@@ -99,8 +113,11 @@ class LpSolution:
     status: LpStatus
     r: np.ndarray | None  # clipped to [0, 1]
     objective_value: float
-    iteration_count: int
+    iteration_count: int        # pivots of both phases, primal bound flips included
     basis: Basis | None = None  # set on every optimal solve
+    dual_pivots: int = 0        # dual-phase pivots, part of iteration_count
+    bound_flips: int = 0        # long-step flips of the dual phase: no pivot,
+                                # not in iteration_count
 
 
 def _group_coefficients(inst: Instance) -> np.ndarray:
@@ -191,15 +208,35 @@ def _leaving_row(limit: np.ndarray, basic: np.ndarray, step: float) -> tuple[int
     return leave, step
 
 
-def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
-    """Bounded-variable simplex, deterministic; cold or warm.
+def slack_basis(lp: LinearProgram, at_upper: bool = False) -> Basis:
+    """The tableau [A | I | b] with the slacks basic and every structural
+    column nonbasic at its lower bound, or at its upper bound with
+    `at_upper`. The lower start is the cold start of `solve_lp`. The upper
+    start is dual feasible whenever c >= 0; for the group LP it keeps every
+    paper, so only the over-cap rows are left to repair."""
+    n_rows, n_struct = lp.A.shape
+    tableau = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
+    upper = np.zeros(n_struct + n_rows, dtype=bool)
+    upper[:n_struct] = at_upper
+    return Basis(tableau, np.arange(n_struct, n_struct + n_rows), upper)
 
-    `start` is an optimal basis of an LP with the same c, A and b, or None
-    for the slack basis ([A | I | b], slacks basic, nothing at its upper
-    bound). Its tableau and statuses are copied, the basic values are
-    recomputed under this LP's bounds, a dual simplex restores primal
-    feasibility and the primal simplex with Bland's rule runs to optimality.
-    The iteration cap, 50 * (variables + rows), covers both phases.
+
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+    """Bounded-variable simplex, deterministic, from any start basis.
+
+    `start` is a basis of an LP with the same c, A and b (an optimal one, or
+    `slack_basis(lp, at_upper=True)` when c >= 0), or None for the slack
+    basis ([A | I | b], slacks basic, nothing at its upper bound). Its
+    tableau and statuses are copied and the basic values are recomputed
+    under this LP's bounds. A dual simplex then restores primal feasibility:
+    the leaving row is the out-of-bounds row with the smallest basic index,
+    and its long-step ratio test walks the columns that move the row toward
+    its bound in (|d_j / alpha_j|, j) order, flipping each column whose
+    range leaves more than FEAS_TOL of the row's gap open and entering the
+    first that closes it; when all of them flip and the row is still out of
+    bounds, the LP is infeasible. The primal simplex with Bland's rule then
+    runs to optimality. The iteration cap, 50 * (variables + rows), counts
+    the pivots of both phases; flips are counted apart in `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -210,8 +247,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     if start is None:
-        tableau = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
-        start = Basis(tableau, np.arange(n_struct, n_all), np.zeros(n_all, dtype=bool))
+        start = slack_basis(lp)
     T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
     nonbasic = np.where(at_upper, hi, lo)
     nonbasic[basic] = 0.0
@@ -220,7 +256,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     max_iter = 50 * (n_struct + n_rows)
-    iteration = 0
+    iteration = dual_pivots = bound_flips = 0
 
     def reduced_costs():
         return c - c[basic] @ T[:, :n_all]
@@ -262,13 +298,26 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         gain = np.where(at_upper, alpha, -alpha)
         toward = gain > PIVOT_TOL if below else gain < -PIVOT_TOL
         candidates = np.flatnonzero(toward & movable & ~in_basis)
-        if candidates.size == 0:
-            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), iteration)
+        # Long step: a column whose whole range cannot close the row's gap
+        # flips to its other bound; the first that can enters. When none can,
+        # no point within the bounds fits the row.
         ratio = np.abs(reduced_costs()[candidates] / alpha[candidates])
-        entering = candidates[np.argmax(ratio <= ratio.min() + PIVOT_TOL)]
+        entering = -1
+        for j in candidates[np.argsort(ratio, kind="stable")]:
+            span = hi[j] - lo[j]
+            if abs(xB[row] - target) <= abs(alpha[j]) * span + FEAS_TOL:
+                entering = j
+                break
+            xB -= (-span if at_upper[j] else span) * T[:, j]
+            at_upper[j] = not at_upper[j]
+            bound_flips += 1
+        if entering < 0:
+            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), iteration,
+                              dual_pivots=dual_pivots, bound_flips=bound_flips)
         delta = (xB[row] - target) / alpha[entering]
         entering_value = (hi if at_upper[entering] else lo)[entering] + delta
         count_iteration()
+        dual_pivots += 1
         xB -= delta * T[:, entering]
         pivot(row, entering, entering_value, not below)
 
@@ -294,7 +343,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         limit[up] = (hi_b[up] - xB[up]) / rate[up]
         leave_row, step = _leaving_row(limit, basic, hi[entering] - lo[entering])
         if not np.isfinite(step):
-            return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration)
+            return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration,
+                              dual_pivots=dual_pivots, bound_flips=bound_flips)
 
         step = max(step, 0.0)
         xB -= sigma * step * y
@@ -313,6 +363,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
         basis=Basis(T, basic, at_upper),
+        dual_pivots=dual_pivots,
+        bound_flips=bound_flips,
     )
 
 

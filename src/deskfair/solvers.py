@@ -25,6 +25,7 @@ from .lp import (
     LpStatus,
     integrality_check,
     presolve_group,
+    slack_basis,
     snap_binary,
     solve_lp,
 )
@@ -50,14 +51,17 @@ class BranchNode:
     hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
     lp_bound: float  # inherited upper bound, valid for every completion
     depth: int
-    basis: Basis | None = None  # parent's optimal basis; None solves cold
+    basis: Basis     # start basis: all kept at the root, else the parent's optimum
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
     node_count: int = 0
+    nodes_pruned: int = 0              # nodes closed by the bound test
     lp_calls: int = 0
     lp_pivots: int = 0                 # simplex iterations over all LP calls
+    lp_dual_pivots: int = 0            # the dual-phase share of lp_pivots
+    lp_bound_flips: int = 0            # long-step flips, not in lp_pivots
     lp_objective: float | None = None  # root relaxation value of the full LP
     lp_integral: bool | None = None    # was the root relaxation already 0/1
     lp_rows: int | None = None         # size of the LP actually solved,
@@ -91,8 +95,11 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     relaxation optimum is expanded to a full keep vector, re-certified in
     exact rationals on the full instance and returned; otherwise branch and
     bound on the most fractional variable, pruning against the exact
-    incumbent with a 1e-9 safety margin on the float LP bound. The root LP is
-    solved cold; every child warm-starts from its parent's optimal basis.
+    incumbent with a 1e-9 safety margin on the float LP bound. The root LP
+    starts from the all-kept basis (`lp.slack_basis(lp, at_upper=True)`),
+    which is dual feasible because every c_j > 0, so the dual simplex only
+    repairs the over-cap rows; every child warm-starts from its parent's
+    optimal basis.
     """
     limit = _node_limit(node_limit)
     pre = presolve_group(inst)
@@ -104,23 +111,25 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     best_obj = metrics.group_objective(inst, seed)
     incumbents = [best_obj]
 
-    node_count = 0
-    lp_calls = 0
-    lp_pivots = 0
+    node_count = nodes_pruned = 0
+    lp_calls = lp_pivots = lp_dual_pivots = lp_bound_flips = 0
     root_objective = None
     root_integral = None
 
-    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0)]
+    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0, slack_basis(lp0, at_upper=True))]
     while stack:
         node = stack.pop()
         node_count += 1
         if node_count > limit:
             raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
         if node.lp_bound + FEAS_TOL <= float(best_obj):
+            nodes_pruned += 1
             continue
         sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
         lp_calls += 1
         lp_pivots += sol.iteration_count
+        lp_dual_pivots += sol.dual_pivots
+        lp_bound_flips += sol.bound_flips
         bound = sol.objective_value + offset
         integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
         if node.depth == 0:
@@ -128,6 +137,7 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
         if sol.status is not LpStatus.OPTIMAL:
             continue
         if bound + FEAS_TOL <= float(best_obj):
+            nodes_pruned += 1
             continue
         if integral:
             keep = pre.expand(snap_binary(sol))
@@ -161,8 +171,11 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
         objective=best_obj,
         diagnostics=SolverDiagnostics(
             node_count=node_count,
+            nodes_pruned=nodes_pruned,
             lp_calls=lp_calls,
             lp_pivots=lp_pivots,
+            lp_dual_pivots=lp_dual_pivots,
+            lp_bound_flips=lp_bound_flips,
             lp_objective=root_objective,
             lp_integral=root_integral,
             lp_rows=rows,

@@ -113,6 +113,14 @@ def test_input_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_string_ids_exit_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "int_authors.json"
+    path.write_text(json.dumps({"x": 1, "authors": [1, 2], "papers": [{"id": "p", "authors": [1, 2]}]}))
+    assert main(["solve", "--input", str(path), "--policy", "group-exact"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("deskfair: error: ") and err.count("\n") == 1
+
+
 def test_unknown_policy_exits_one(cvpr_file):
     assert main(["solve", "--input", cvpr_file, "--policy", "mystery"]) == 1
 
@@ -298,6 +306,8 @@ def test_solve_json_reports_pivots_incumbents_and_closed_bound(tmp_path, monkeyp
     diag = doc["diagnostics"]
     assert diag["node_count"] > 1 and len(pivots) == diag["lp_calls"]
     assert diag["lp_pivots"] == sum(pivots) > 0
+    assert diag["lp_dual_pivots"] <= diag["lp_pivots"] and diag["lp_bound_flips"] >= 0
+    assert 0 <= diag["nodes_pruned"] < diag["node_count"]
     objective = parse_rational(doc["objective"]["rational"])
     trace = [parse_rational(v["rational"]) for v in diag["incumbent_trace"]]
     assert len(trace) >= 2 and all(a < b for a, b in zip(trace, trace[1:]))

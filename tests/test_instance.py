@@ -10,6 +10,7 @@ from deskfair.instance import (
     DuplicateId,
     EmptyAuthorList,
     IndexOutOfRange,
+    InstanceError,
     KeepVector,
     NonPositiveCap,
     UnknownAuthorOnPaper,
@@ -75,6 +76,36 @@ def test_validate_author_with_no_papers():
     raw = {"x": 1, "authors": ["a1", "a2"], "papers": [{"id": "p1", "authors": ["a1"]}]}
     with pytest.raises(AuthorWithNoPapers):
         validate_instance(raw)
+
+
+def _raw(authors, paper_authors, paper_id="p", papers=None):
+    papers = [{"id": paper_id, "authors": paper_authors}] if papers is None else papers
+    return {"x": 1, "authors": authors, "papers": papers}
+
+
+# Each of these once escaped as a TypeError traceback or was coerced through
+# str() into another instance ("ab" became the authors a and b, 1 became "1").
+NOT_ARRAYS_OF_STRINGS = {
+    "authors-int": _raw(3, ["a"]),
+    "authors-string": _raw("ab", ["a", "b"]),
+    "author-id-int": _raw(["a", 1], ["a", "1"]),
+    "author-id-nested": _raw(["a", ["b"]], ["a", "['b']"]),
+    "papers-int": _raw(["a"], None, papers=1),
+    "papers-string": _raw(["a"], None, papers="p"),
+    "paper-id-int": _raw(["a"], ["a"], paper_id=1),
+    "paper-id-nested": _raw(["a"], ["a"], paper_id=["p"]),
+    "paper-authors-int": _raw(["a"], 2),
+    "paper-authors-string": _raw(["a", "b"], "ab"),
+    "paper-author-int": _raw(["a", "1"], ["a", 1]),
+    "paper-author-nested": _raw(["a", "['b']"], ["a", ["b"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ARRAYS_OF_STRINGS))
+def test_validate_requires_arrays_of_string_ids(name):
+    with pytest.raises(InstanceError) as err:
+        validate_instance(NOT_ARRAYS_OF_STRINGS[name])
+    assert "\n" not in str(err.value)
 
 
 def test_incidence_triangle(triangle):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from deskfair.generators import gen_case_study, gen_random, gen_triangle
+from deskfair.instance import validate_instance
 from deskfair.lp import (
     FEAS_TOL,
     LinearProgram,
@@ -13,6 +14,7 @@ from deskfair.lp import (
     build_group_relaxation,
     integrality_check,
     presolve_group,
+    slack_basis,
     snap_binary,
     solve_lp,
     to_mps,
@@ -34,8 +36,6 @@ def test_relaxation_triangle(triangle):
 
 
 def test_relaxation_single_author():
-    from deskfair.instance import validate_instance
-
     inst = validate_instance({
         "x": 2,
         "authors": ["a1"],
@@ -168,6 +168,54 @@ def test_warm_start_detects_infeasible_child(triangle):
 def test_cold_pivot_path_is_pinned(lp, pivots):
     # counts of the row-by-row loop this vectorized simplex replaced
     assert solve_lp(lp).iteration_count == pivots
+
+
+@given(instances(max_n=6, max_m=10),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_all_kept_start_matches_cold_solve(inst, fixings):
+    lp = build_group_relaxation(inst)
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    for j, value in fixings:
+        lo[j % inst.m] = hi[j % inst.m] = value
+    fixed = lp.with_bounds(lo, hi)
+    kept = solve_lp(fixed, start=slack_basis(fixed, at_upper=True))
+    cold = solve_lp(fixed)
+    assert kept.status is cold.status
+    if kept.status is not LpStatus.OPTIMAL:
+        return
+    assert kept.objective_value == pytest.approx(cold.objective_value, abs=FEAS_TOL)
+    r = kept.r
+    assert np.all(lp.A @ r <= lp.b + FEAS_TOL)
+    assert np.all(r >= lo - FEAS_TOL) and np.all(r <= hi + FEAS_TOL)
+
+
+def test_long_step_flips_every_candidate_then_reports_infeasible():
+    inst = validate_instance({"x": 1, "authors": ["a"],
+                              "papers": [{"id": f"p{k}", "authors": ["a"]} for k in range(3)]})
+    lp = build_group_relaxation(inst).with_bounds([1.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    sol = solve_lp(lp, start=slack_basis(lp, at_upper=True))
+    # all kept, the row is 2 over its cap; the one free paper flips to 0,
+    # which leaves it 1 over with no column to lower it
+    assert sol.status is LpStatus.INFEASIBLE and sol.basis is None
+    assert (sol.iteration_count, sol.dual_pivots, sol.bound_flips) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("inst, counts", [
+    (gen_triangle(), (3, 3, 0)),
+    (gen_case_study("cvpr26"), (1, 1, 0)),
+    (gen_random(20, 40, 3, 0.12, 0), (53, 53, 22)),
+    (gen_random(20, 40, 3, 0.12, 1), (38, 38, 28)),
+    (gen_random(20, 40, 3, 0.12, 2), (27, 27, 23)),
+], ids=["triangle", "cvpr26", "random0", "random1", "random2"])
+def test_all_kept_root_path_is_pinned(inst, counts):
+    # (pivots, dual pivots, long-step flips) of the root of solve_group_exact
+    lp = presolve_group(inst).lp
+    sol = solve_lp(lp, start=slack_basis(lp, at_upper=True))
+    assert (sol.iteration_count, sol.dual_pivots, sol.bound_flips) == counts
+    cold = solve_lp(lp)
+    assert cold.dual_pivots == cold.bound_flips == 0
+    assert sol.objective_value == pytest.approx(cold.objective_value, abs=FEAS_TOL)
 
 
 def test_bound_sanity():
