@@ -161,7 +161,7 @@ def cmd_check_ideal(args) -> int:
         method = "constructive (two-author case analysis)"
     else:
         witness = solvers.solve_ideal_feasibility(inst)
-        method = "search (depth-first feasibility)"
+        method = "search (LP branch and bound)"
     if witness is None:
         if args.output:
             _write_json(args.output, {"feasible": False, "method": method})

@@ -1,4 +1,4 @@
-"""Dense bounded-variable simplex and the mean-cost relaxation builder.
+"""Dense bounded-variable simplex, the mean-cost relaxation and the presolve.
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
@@ -14,14 +14,17 @@ under the LP's bounds and runs a dual simplex, then the primal simplex.
 slacks basic:
 
 - Slack start (`start=None`): every structural column at its lower bound.
-  All constraint matrices built here are nonnegative (incidence rows), so
-  that point is feasible whenever the program is, and the dual loop has
-  nothing to do; when that point breaks a row, no column can lower it, and
-  the dual loop reports infeasibility after 0 pivots.
-- All-kept start (`slack_basis(lp, at_upper=True)`, the root of
-  `solvers.solve_group_exact`): every structural column at its upper bound.
-  With c >= 0 it is dual feasible, so the dual loop only repairs the rows
-  it breaks, the over-cap authors' caps.
+  On a nonnegative matrix, such as the cap rows of `build_group_relaxation`
+  and of the floor-free presolve, that point is feasible whenever the
+  program is, and the dual loop has nothing to do; when that point breaks
+  a row, no column can lower it, and the dual loop reports infeasibility
+  after 0 pivots. The floor rows of `presolve_group` carry -1 entries, so
+  this argument does not cover them, and no solve path starts them here.
+- All-kept start (`slack_basis(lp, at_upper=True)`, the root of every
+  search in `solvers`): every structural column at its upper bound. With
+  c >= 0 it is dual feasible whatever the signs of A, so the dual loop only
+  repairs the rows it breaks: the over-cap authors' caps and the budget
+  row. Every floor row holds there unless no point in the bounds meets it.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so a
   dual simplex restores primal feasibility, or proves there is none, in a few
@@ -127,19 +130,20 @@ def _group_coefficients(inst: Instance) -> np.ndarray:
     return np.array([sum(inv_sizes[i] for i in authors) for authors in inst.paper_authors])
 
 
-def _cap_rows(inst: Instance, c: np.ndarray, authors, papers) -> LinearProgram:
-    """Cap rows of `authors` over the columns `papers`, which must hold every
-    paper of those authors; scattered straight from `inst.author_papers`."""
-    column = {j: k for k, j in enumerate(papers)}
-    A = np.zeros((len(authors), len(papers)))
-    for k, i in enumerate(authors):
-        A[k, [column[j] for j in inst.author_papers[i]]] = 1.0
+def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
+    """The LP maximizing c.r over the columns `cols` (paper indices) subject
+    to `rows`, each a (papers, sign, rhs) row sign * sum_{j in papers} r_j <=
+    rhs whose papers all lie in `cols`."""
+    column = {j: k for k, j in enumerate(cols)}
+    A = np.zeros((len(rows), len(cols)))
+    for k, (papers, sign, _) in enumerate(rows):
+        A[k, [column[j] for j in papers]] = sign
     return LinearProgram(
-        c=c[list(papers)],
+        c=c[list(cols)],
         A=A,
-        b=np.full(len(authors), float(inst.x)),
-        lo=np.zeros(len(papers)),
-        hi=np.ones(len(papers)),
+        b=np.array([rhs for _, _, rhs in rows], dtype=float),
+        lo=np.zeros(len(cols)),
+        hi=np.ones(len(cols)),
     )
 
 
@@ -147,23 +151,32 @@ def build_group_relaxation(inst: Instance) -> LinearProgram:
     """LP relaxation of mean-cost minimization, phrased as maximizing the
     total kept fraction: c_j sums 1/|papers of i| over paper j's authors,
     rows cap each author's kept papers at x, and 0 <= r <= 1."""
-    return _cap_rows(inst, _group_coefficients(inst), range(inst.n), range(inst.m))
+    rows = [(papers, 1.0, inst.x) for papers in inst.author_papers]
+    return _rows_lp(_group_coefficients(inst), range(inst.m), rows)
 
 
 @dataclass(frozen=True, eq=False)
 class GroupPresolve:
-    """The group relaxation reduced to the rows that can bind.
+    """The relaxation of one keep-vector question, reduced to the rows that
+    can bind.
 
-    A row whose author has at most x papers holds for every r in [0, 1]^m,
-    so only over-cap authors keep a row. A paper with no over-cap author then
-    sits in no row and has c_j > 0, so some optimum (of the LP and of the
-    binary problem alike) keeps it: it is fixed at r_j = 1 and dropped.
+    Every question caps each author at x papers. It may also ask author i
+    to keep at least `floors[i]` papers, and the keep set to hold at most
+    `max_kept` papers. A cap row holds for every r in [0, 1]^m when its
+    author has at most x papers, and so does the budget row when
+    max_kept >= m; neither is kept. A paper in no kept cap row then only
+    raises kept counts and c.r (c_j > 0), so some optimum, and some feasible
+    point if there is one, keeps it: it is fixed at r_j = 1 and dropped, and
+    each floor is taken net of the author's fixed papers. The group
+    relaxation is the question with no floors and no budget.
     """
 
-    lp: LinearProgram      # over-cap authors x the papers they touch
+    lp: LinearProgram      # cap rows, the budget row, floor rows (-1 entries)
     cols: tuple[int, ...]  # paper index of each reduced column
     offset: float          # c.r of the fixed papers, all kept
     m: int                 # paper count of the full instance
+    floors: tuple[int, ...] | None = None
+    max_kept: int | None = None  # None when the budget row was dropped
 
     def expand(self, reduced: np.ndarray) -> KeepVector:
         """Full-length binary keep vector: fixed papers kept, the rest from
@@ -173,14 +186,35 @@ class GroupPresolve:
         return KeepVector.binary(values.tolist())
 
 
-def presolve_group(inst: Instance) -> GroupPresolve:
-    """Reduced group relaxation; never allocates the full n x m matrix."""
-    rows = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
-    cols = sorted({j for i in rows for j in inst.author_papers[i]})
-    c = _group_coefficients(inst)
+def presolve_group(
+    inst: Instance, floors: list[int] | None = None, max_kept: int | None = None
+) -> GroupPresolve:
+    """Reduced relaxation (see `GroupPresolve`), built straight from the
+    paper lists without the full n x m matrix: a row kept count <= x for
+    each author with more than x papers, total kept <= `max_kept` when that
+    is below m, and -(kept count) <= -(net floor) for each author whose
+    floor net of the fixed papers stays positive."""
+    capped = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
+    rows = [(inst.author_papers[i], 1.0, inst.x) for i in capped]
+    if max_kept is not None and max_kept < inst.m:
+        cols = range(inst.m)
+        rows.append((cols, 1.0, max_kept))
+    else:
+        max_kept = None
+        cols = sorted({j for i in capped for j in inst.author_papers[i]})
     fixed = np.ones(inst.m, dtype=bool)
-    fixed[cols] = False
-    return GroupPresolve(_cap_rows(inst, c, rows, cols), tuple(cols), float(c[fixed].sum()), inst.m)
+    fixed[list(cols)] = False
+    is_fixed = fixed.tolist()
+    for i, floor in enumerate(floors or ()):
+        free = [j for j in inst.author_papers[i] if not is_fixed[j]]
+        net = floor - (inst.paper_count(i) - len(free))
+        if net > 0:
+            rows.append((free, -1.0, -net))
+    c = _group_coefficients(inst)
+    return GroupPresolve(
+        _rows_lp(c, cols, rows), tuple(cols), float(c[fixed].sum()), inst.m,
+        None if floors is None else tuple(floors), max_kept,
+    )
 
 
 def _leaving_row(limit: np.ndarray, basic: np.ndarray, step: float) -> tuple[int, float]:

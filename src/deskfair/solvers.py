@@ -1,16 +1,20 @@
 """Exact optimization of the fairness metrics and set-cover reduction tools.
 
-Mean-cost optimization runs LP relaxation first and falls back to depth-first
-branch and bound with float LP bounds and exact-rational incumbents, so no
-float value is ever reported as an optimum. Worst-case-cost optimization walks
-the finite set of achievable cost levels with a feasibility search per level;
-it is exponential in the worst case, which is expected: deciding small
-worst-case cost encodes set cover.
+Every exact question runs one depth-first LP branch and bound
+(`_branch_and_bound`) over a presolved LP (`lp.presolve_group`), with float
+LP bounds and keep vectors certified exactly, so no float value is ever
+reported as an optimum. Mean-cost optimization maximizes over it from the
+conventional keep set. Worst-case-cost optimization walks the finite set of
+achievable cost levels up from an exact lower bound and asks a feasibility
+question per level; collateral-free keep sets and set cover are one
+feasibility question each. The search is exponential in the worst case,
+which is expected: deciding small worst-case cost encodes set cover.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +26,7 @@ from .lp import (
     FEAS_TOL,
     INT_TOL,
     Basis,
+    GroupPresolve,
     LpStatus,
     integrality_check,
     presolve_group,
@@ -86,73 +91,82 @@ class SolveResult:
     diagnostics: SolverDiagnostics
 
 
-def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
-    """Binary keep vector maximizing the total kept fraction subject to the cap.
+def _admits(inst: Instance, pre: GroupPresolve, keep: KeepVector) -> bool:
+    """Exact, in integers: does `keep` meet the cap, the floors and the
+    budget of the question `pre` was built for?"""
+    counts = metrics.author_kept_counts(inst, keep)
+    floors = pre.floors or (0,) * inst.n
+    return all(f <= k <= inst.x for f, k in zip(floors, counts)) and (
+        pre.max_kept is None or sum(keep.values) <= pre.max_kept)
 
-    Equivalently minimizes the mean cost. The relaxation is first presolved
-    (`lp.presolve_group`) to the over-cap authors' rows and papers; the fixed
-    papers' objective is added to every float bound. LP-first: an integral
-    relaxation optimum is expanded to a full keep vector, re-certified in
-    exact rationals on the full instance and returned; otherwise branch and
-    bound on the most fractional variable, pruning against the exact
-    incumbent with a 1e-9 safety margin on the float LP bound. The root LP
-    starts from the all-kept basis (`lp.slack_basis(lp, at_upper=True)`),
-    which is dual feasible because every c_j > 0, so the dual simplex only
-    repairs the over-cap rows; every child warm-starts from its parent's
-    optimal basis.
+
+def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit: int,
+                      best: Fraction | None = None):
+    """Depth-first LP branch and bound over the presolved LP; the one search
+    loop of this module.
+
+    The root LP starts from the all-kept basis (`lp.slack_basis(lp,
+    at_upper=True)`), which is dual feasible because every c_j > 0, whatever
+    the signs of the rows; every child warm-starts from its parent's optimal
+    basis. A fractional node branches on its most fractional variable, first
+    on ties, and explores r_j = 1 first. An integral vertex is expanded to a
+    full keep vector and certified exactly: it must meet the question's cap,
+    floors and budget in integers (`_admits`). An uncertifiable vertex
+    (numerics went sour) splits on a free variable instead of being trusted
+    or dropped.
+
+    - `best` None asks for feasibility: the search stops at the first
+      certified vertex.
+    - `best` an exact incumbent objective asks for the maximum of the group
+      objective: a certified vertex's exact objective must also match its
+      float bound within 1e-6, and a node whose float bound plus 1e-9 does
+      not beat the incumbent is pruned, before its LP on the parent's bound
+      and after it on its own.
+
+    `tally` sums the node, pruning, LP and pivot counts (named as in
+    `SolverDiagnostics`) over every search of one solve, and `limit` caps
+    its node count. Returns the certified vertices, as (exact objective,
+    keep vector) pairs: the improvements in order, or the one witness with
+    objective None. Also returns the root LP's (bound, integral), None when
+    the root LP is infeasible.
     """
-    limit = _node_limit(node_limit)
-    pre = presolve_group(inst)
-    lp0, offset = pre.lp, pre.offset
-    rows, cols = lp0.A.shape
-
-    seed = conventional_desk_reject(inst).keep
-    best_keep = seed
-    best_obj = metrics.group_objective(inst, seed)
-    incumbents = [best_obj]
-
-    node_count = nodes_pruned = 0
-    lp_calls = lp_pivots = lp_dual_pivots = lp_bound_flips = 0
-    root_objective = None
-    root_integral = None
-
+    lp0 = pre.lp
+    cut = float("-inf") if best is None else float(best)  # a node must beat it
+    found = []
+    root = None
     stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0, slack_basis(lp0, at_upper=True))]
     while stack:
         node = stack.pop()
-        node_count += 1
-        if node_count > limit:
+        tally["node_count"] += 1
+        if tally["node_count"] > limit:
             raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
-        if node.lp_bound + FEAS_TOL <= float(best_obj):
-            nodes_pruned += 1
+        if node.lp_bound + FEAS_TOL <= cut:
+            tally["nodes_pruned"] += 1
             continue
         sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
-        lp_calls += 1
-        lp_pivots += sol.iteration_count
-        lp_dual_pivots += sol.dual_pivots
-        lp_bound_flips += sol.bound_flips
-        bound = sol.objective_value + offset
+        tally["lp_calls"] += 1
+        tally["lp_pivots"] += sol.iteration_count
+        tally["lp_dual_pivots"] += sol.dual_pivots
+        tally["lp_bound_flips"] += sol.bound_flips
+        bound = sol.objective_value + pre.offset
         integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
         if node.depth == 0:
-            root_objective, root_integral = bound, integral
+            root = (bound, integral)
         if sol.status is not LpStatus.OPTIMAL:
             continue
-        if bound + FEAS_TOL <= float(best_obj):
-            nodes_pruned += 1
+        if bound + FEAS_TOL <= cut:
+            tally["nodes_pruned"] += 1
             continue
         if integral:
             keep = pre.expand(snap_binary(sol))
-            exact = metrics.group_objective(inst, keep)
-            certified = (
-                metrics.is_feasible(inst, keep)
-                and abs(bound - float(exact)) <= INT_TOL
-            )
-            if certified:
-                if exact > best_obj:
-                    best_obj, best_keep = exact, keep
-                    incumbents.append(exact)
+            exact = None if best is None else metrics.group_objective(inst, keep)
+            if _admits(inst, pre, keep) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
+                if exact is None:
+                    return [(None, keep)], root
+                if exact > best:
+                    best, cut = exact, float(exact)
+                    found.append((exact, keep))
                 continue
-            # Uncertifiable vertex (numerics went sour): split on a free
-            # variable instead of trusting or discarding the node.
             free = np.flatnonzero(node.lo < node.hi)
             if free.size == 0:
                 continue
@@ -163,131 +177,76 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
         zero_hi[j], one_lo[j] = 0.0, 1.0
         stack.append(BranchNode(node.lo, zero_hi, bound, node.depth + 1, sol.basis))
         stack.append(BranchNode(one_lo, node.hi, bound, node.depth + 1, sol.basis))
+    return found, root
 
+
+def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
+    """Binary keep vector maximizing the total kept fraction subject to the cap.
+
+    Equivalently minimizes the mean cost. The relaxation is first presolved
+    (`lp.presolve_group`) to the over-cap authors' rows and papers; the fixed
+    papers' objective is added to every float bound. LP-first: an integral
+    relaxation optimum is expanded to a full keep vector, re-certified in
+    exact rationals on the full instance and returned; otherwise branch and
+    bound (`_branch_and_bound`) from the conventional policy's keep vector
+    as the first incumbent.
+    """
+    pre = presolve_group(inst)
+    seed = conventional_desk_reject(inst).keep
+    seed_obj = metrics.group_objective(inst, seed)
+    tally = Counter()
+    found, root = _branch_and_bound(inst, pre, tally, _node_limit(node_limit), seed_obj)
+    best_obj, best_keep = found[-1] if found else (seed_obj, seed)
+    rows, cols = pre.lp.A.shape
     return SolveResult(
         policy="group-exact",
         keep=best_keep,
         report=metrics.evaluate(inst, best_keep),
         objective=best_obj,
         diagnostics=SolverDiagnostics(
-            node_count=node_count,
-            nodes_pruned=nodes_pruned,
-            lp_calls=lp_calls,
-            lp_pivots=lp_pivots,
-            lp_dual_pivots=lp_dual_pivots,
-            lp_bound_flips=lp_bound_flips,
-            lp_objective=root_objective,
-            lp_integral=root_integral,
+            **tally,
+            lp_objective=root[0],
+            lp_integral=root[1],
             lp_rows=rows,
             lp_cols=cols,
             best_bound=float(best_obj),  # the search closed: no open node is left
-            incumbent_trace=tuple(incumbents),
+            incumbent_trace=(seed_obj,) + tuple(e for e, _ in found),
         ),
     )
-
-
-class _Budget:
-    """Shared node counter for the feasibility searches."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise NodeLimitExceeded(f"feasibility search exceeded {self.limit} nodes")
-
-
-def _search_keep(inst, lower, upper, budget_nodes, max_kept=None):
-    """Depth-first search for a binary keep vector with per-author kept counts
-    in [lower_i, upper_i] and optionally at most `max_kept` papers kept.
-
-    Papers are decided in submission order, keep tried before reject; prunes
-    on cap overshoot and on authors that can no longer reach their floor.
-    Returns the first witness found, or None.
-    """
-    n, m = inst.n, inst.m
-    if any(inst.paper_count(i) < lower[i] for i in range(n)):
-        return None
-    # need[j]: (author, kept count that author must already have once paper j
-    # is decided), one pair per author of j, so its later papers can still
-    # lift it to its floor
-    need = [()] * m
-    later = [0] * n
-    for j in range(m - 1, -1, -1):
-        authors = inst.paper_authors[j]
-        need[j] = tuple((i, lower[i] - later[i]) for i in authors)
-        for i in authors:
-            later[i] += 1
-
-    kept = [0] * n
-    choice = [0] * m
-
-    def dfs(j, total):
-        budget_nodes.tick()
-        if j == m:
-            return True
-        authors = inst.paper_authors[j]
-        can_keep = all(kept[i] < upper[i] for i in authors)
-        if max_kept is not None and total >= max_kept:
-            can_keep = False
-        if can_keep:
-            # no floor check: keeping j adds to kept[i] what it takes from
-            # i's papers still open, and every floor held on entering j
-            choice[j] = 1
-            for i in authors:
-                kept[i] += 1
-            if dfs(j + 1, total + 1):
-                return True
-            for i in authors:
-                kept[i] -= 1
-        choice[j] = 0
-        if all(kept[i] >= f for i, f in need[j]):
-            if dfs(j + 1, total):
-                return True
-        return False
-
-    if dfs(0, 0):
-        return KeepVector.binary(choice)
-    return None
 
 
 def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
     """Binary keep vector minimizing the worst-case cost subject to the cap.
 
-    The worst-case cost only takes values k/|papers of i|, so we binary-search
-    that finite grid, testing each level with a feasibility search over keep
-    vectors meeting the implied per-author floors.
+    The worst-case cost only takes values k/|papers of i|. A level t is met
+    by the keep vectors giving each author i at least s_i - floor(s_i t) of
+    their s_i papers, a feasibility question for `_branch_and_bound` over
+    `presolve_group` with those floors. No keep vector goes below
+    t_lb = max (s_i - x)/s_i over the over-cap authors, so the levels are
+    walked up from t_lb and the first feasible one is the optimum. Node and
+    LP counts are summed over the levels, and `DESKFAIR_NODE_LIMIT` caps
+    their sum.
     """
-    budget = _Budget(_node_limit(node_limit))
+    limit = _node_limit(node_limit)
     sizes = [inst.paper_count(i) for i in range(inst.n)]
-    levels = sorted({Fraction(k, s) for s in sizes for k in range(s + 1)})
-
-    def floors(t: Fraction):
-        # smallest kept count keeping author i's cost at most t
-        return [s - (s * t.numerator) // t.denominator for s in sizes]
-
-    upper = [inst.x] * inst.n
-    lo_idx, hi_idx = 0, len(levels) - 1
-    witness = _search_keep(inst, floors(levels[hi_idx]), upper, budget)
-    assert witness is not None  # the empty keep set meets level 1
-    # Invariant: `witness` meets levels[hi_idx]; the loop ends at lo_idx == hi_idx.
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        found = _search_keep(inst, floors(levels[mid]), upper, budget)
-        if found is not None:
-            witness, hi_idx = found, mid
-        else:
-            lo_idx = mid + 1
-
-    report = metrics.evaluate(inst, witness)
+    tally = Counter()
+    t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
+    while True:
+        floors = [s - (s * t.numerator) // t.denominator for s in sizes]
+        pre = presolve_group(inst, floors)
+        found, _ = _branch_and_bound(inst, pre, tally, limit)
+        if found:  # at the latest at t = 1, which sets no floor
+            break
+        # the next level: the smallest k/s above t
+        t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
+    witness = found[0][1]
+    rows, cols = pre.lp.A.shape
     return SolveResult(
         policy="individual-exact",
         keep=witness,
-        report=report,
-        objective=levels[lo_idx],
-        diagnostics=SolverDiagnostics(node_count=budget.nodes),
+        report=metrics.evaluate(inst, witness),
+        objective=t,
+        diagnostics=SolverDiagnostics(**tally, lp_rows=rows, lp_cols=cols),
     )
 
 
@@ -295,10 +254,12 @@ def solve_ideal_feasibility(
     inst: Instance, node_limit: int | None = None
 ) -> KeepVector | None:
     """Witness keep vector giving every author exactly min(x, own count)
-    papers, or None when no such vector exists."""
-    budget = _Budget(_node_limit(node_limit))
-    targets = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
-    return _search_keep(inst, targets, targets, budget)
+    papers, or None when no such vector exists: a feasibility question
+    for `_branch_and_bound` with floors min(x, own count) under the cap x."""
+    floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
+    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter(),
+                                 _node_limit(node_limit))
+    return found[0][1] if found else None
 
 
 @dataclass(frozen=True)
@@ -376,14 +337,8 @@ def decide_set_cover(
     if covered != set(range(1, sc.universe_size + 1)):
         return False, None
     inst = reduce_set_cover(sc)
-    budget = _Budget(_node_limit(node_limit))
-    witness = _search_keep(
-        inst,
-        lower=[1] * inst.n,
-        upper=[inst.x] * inst.n,
-        budget_nodes=budget,
-        max_kept=sc.budget,
-    )
-    if witness is None:
+    pre = presolve_group(inst, floors=[1] * inst.n, max_kept=sc.budget)
+    found, _ = _branch_and_bound(inst, pre, Counter(), _node_limit(node_limit))
+    if not found:
         return False, None
-    return True, witness.kept_indices()
+    return True, found[0][1].kept_indices()

@@ -284,6 +284,27 @@ def test_presolve_is_a_restriction_of_the_full_relaxation():
         assert pre.expand(np.zeros(len(cols), dtype=int)).kept_indices() == tuple(fixed)
 
 
+def test_presolve_floor_and_budget_rows():
+    # a1 is over the cap of 2; p4 has no over-cap author
+    inst = validate_instance({"x": 2, "authors": ["a1", "a2", "a3"], "papers": [
+        {"id": "p1", "authors": ["a1"]}, {"id": "p2", "authors": ["a1"]},
+        {"id": "p3", "authors": ["a1", "a2"]}, {"id": "p4", "authors": ["a2", "a3"]}]})
+    floors = [0, 2, 1]
+    # p4 is fixed as kept: a2's floor drops to 1 on p3, a3's to 0 (no row)
+    pre = presolve_group(inst, floors)
+    assert pre.cols == (0, 1, 2) and pre.max_kept is None
+    assert pre.lp.A.tolist() == [[1, 1, 1], [0, 0, -1]]
+    assert pre.lp.b.tolist() == [2, -1]
+    # a budget below m keeps every paper in play, so no floor is netted
+    pre = presolve_group(inst, floors, max_kept=2)
+    assert pre.cols == (0, 1, 2, 3) and pre.offset == 0
+    assert pre.lp.A.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1], [0, 0, -1, -1], [0, 0, 0, -1]]
+    assert pre.lp.b.tolist() == [2, 2, -2, -1]
+    # a budget of m or more cannot bind: dropped, as in the group presolve
+    assert presolve_group(inst, max_kept=4).lp.A.shape == presolve_group(inst).lp.A.shape
+    assert presolve_group(inst, max_kept=4).max_kept is None
+
+
 def test_mps_dump_layout(triangle):
     text = to_mps(build_group_relaxation(triangle))
     for section in ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):

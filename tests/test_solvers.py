@@ -2,10 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random
-from deskfair.instance import validate_instance
+from deskfair import solvers
+from deskfair.cli import main
+from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
+from deskfair.instance import dump_instance, validate_instance
 from deskfair.lp import FEAS_TOL, build_group_relaxation, solve_lp
 from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_ind
 from deskfair.oracle import enumerate_optimal
@@ -78,15 +81,50 @@ def test_individual_exact_under_cap_keeps_all():
     assert res.keep.values == (1,) * inst.m
 
 
-@pytest.mark.parametrize("inst, nodes", [
-    (gen_random(12, 24, 3, 0.2, 0), 69941),
-    (gen_random(12, 24, 3, 0.2, 1), 14293),
-    (gen_random(12, 24, 3, 0.2, 2), 83324),
-    (gen_leave_one_out(6), 34),
+@pytest.mark.parametrize("inst, counts", [
+    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 19)),
+    (gen_random(12, 24, 3, 0.2, 1), (1, 1, 19)),
+    (gen_random(12, 24, 3, 0.2, 2), (1, 1, 10)),
+    (gen_leave_one_out(6), (8, 8, 24)),
 ], ids=["random0", "random1", "random2", "leave-one-out6"])
-def test_individual_search_path_is_pinned(inst, nodes):
-    # DFS node counts of the dense remaining-count table this search replaced
-    assert solve_individual_exact(inst).diagnostics.node_count == nodes
+def test_individual_search_path_is_pinned(inst, counts):
+    # (node_count, lp_calls, lp_pivots) of the level walk, summed over levels
+    d = solve_individual_exact(inst).diagnostics
+    assert (d.node_count, d.lp_calls, d.lp_pivots) == counts
+
+
+def test_thousand_paper_author_solves_without_recursion(tmp_path):
+    # one level LP at t_lb = 1075/1100: a cap row and a floor row, no branching
+    inst = validate_instance({"x": 25, "authors": ["a1"],
+                              "papers": [{"id": f"p{j}", "authors": ["a1"]} for j in range(1100)]})
+    res = solve_individual_exact(inst)
+    assert res.objective == Fraction(43, 44) == res.report.zeta_ind
+    assert res.diagnostics.node_count == 1
+    witness = solve_ideal_feasibility(inst)
+    assert witness is not None and is_ideal(inst, witness)
+    path = tmp_path / "big.json"
+    dump_instance(inst, path)
+    assert main(["solve", "--input", str(path), "--policy", "individual-exact",
+                 "--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("solve", [solve_ideal_feasibility, solve_individual_exact],
+                         ids=["ideal", "individual"])
+def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve):
+    # the root's integral vertex comes back as all kept, which breaks the cap:
+    # the exact check must reject it and the search must branch on
+    real, snapped = solvers.snap_binary, []
+
+    def all_kept_first(sol):
+        snapped.append(sol)
+        r = real(sol)
+        return np.ones_like(r) if len(snapped) == 1 else r
+
+    monkeypatch.setattr(solvers, "snap_binary", all_kept_first)
+    result = solve(cvpr26)
+    keep = getattr(result, "keep", result)
+    assert len(snapped) > 1 and is_feasible(cvpr26, keep)
+    assert zeta_ind(cvpr26, keep) == Fraction(1, 26)
 
 
 def test_ideal_feasibility_hard_families(triangle):
@@ -208,9 +246,24 @@ def test_integrality_audit_slack_cap():
     assert audit.gap == pytest.approx(0.0, abs=1e-6)
 
 
-def test_node_limit_exceeded(triangle):
+# two disjoint triangles: the LP covers them with six halves within the
+# budget of 3, so the search branches before it proves no cover exists
+TWO_TRIANGLES = SetCoverInstance(
+    6, tuple(map(frozenset, ({1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}))), budget=3)
+
+
+@pytest.mark.parametrize("solve, problem, nodes", [
+    (solve_group_exact, gen_triangle(), 3),
+    (solve_individual_exact, gen_triangle(), 5),
+    (solve_ideal_feasibility, gen_triangle(), 3),
+    (decide_set_cover, TWO_TRIANGLES, 3),
+], ids=["group", "individual", "ideal", "set-cover"])
+def test_node_limit_exceeded(solve, problem, nodes):
+    # individual-exact spends 3 nodes on level 1/2 and 2 on level 1: the
+    # limit caps their sum, not each level
+    solve(problem, node_limit=nodes)
     with pytest.raises(NodeLimitExceeded):
-        solve_group_exact(triangle, node_limit=1)
+        solve(problem, node_limit=nodes - 1)
 
 
 def test_node_limit_env_override(monkeypatch, triangle):
