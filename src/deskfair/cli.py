@@ -2,8 +2,9 @@
 
 Subcommands: solve, compare, check-ideal, audit-integrality, gen,
 reduce-setcover. Exit codes: 0 success, 1 input error, 2 requested outcome
-infeasible. All commands are deterministic given input and --seed; roulette
-without --seed uses seed 0.
+infeasible, 3 solver stopped without a result (node limit, stall or
+numerical breakdown). All commands are deterministic given input and
+--seed; roulette without --seed uses seed 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .instance import (
     instance_to_dict,
     load_instance,
 )
-from .lp import build_group_relaxation, to_mps
+from .lp import NumericalBreakdown, SolverStalled, build_group_relaxation, to_mps
 from .metrics import rational_field
 from .reports import (
     RunRecord,
@@ -39,7 +40,7 @@ from .reports import (
     comparison_to_text,
     run_record_to_dict,
 )
-from .solvers import IntegralityAudit, SetCoverInstance
+from .solvers import IntegralityAudit, NodeLimitExceeded, SetCoverInstance
 
 POLICIES = ("conventional", "roulette", "group-lp", "group-exact", "individual-exact", "ideal")
 
@@ -352,6 +353,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         print(f"deskfair: error: {exc}", file=sys.stderr)
         return 1
+    except (NodeLimitExceeded, SolverStalled, NumericalBreakdown) as exc:
+        print(f"deskfair: error: solver stopped without a result: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

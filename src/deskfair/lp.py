@@ -1,41 +1,38 @@
-"""Dense bounded-variable simplex, the mean-cost relaxation and the presolve.
+"""Dense bounded-variable dual simplex, the mean-cost relaxation and the presolve.
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
-per-instance integrality audit needs to see. Bland's smallest-index rule makes
-the pivot sequence deterministic and cycle-free.
+per-instance integrality audit needs to see. The pivot rules (smallest
+basic index to leave, smallest column index on ratio ties) make the pivot
+sequence deterministic.
 
-`solve_lp` is the one simplex for every start. Pricing, the ratio test and
-the row elimination are numpy operations on a dense tableau that also
-carries the right-hand side B^-1 b, and every optimal solve returns its
-final `Basis`. Every solve copies a start basis, recomputes its basic values
-under the LP's bounds and runs a dual simplex, then the primal simplex.
-`slack_basis` builds the two starts from scratch, [A | I | b] with the
-slacks basic:
+`solve_lp` is one bounded dual simplex for every start. Pricing, the ratio
+test and the row elimination are numpy operations on a dense tableau that
+also carries the right-hand side B^-1 b, and every optimal solve returns its
+final `Basis`. Every structural column is boxed (finite `lo` and `hi`) and
+every slack has cost 0 and lower bound 0, so a basis that puts every
+nonbasic column at the bound its cost favours is dual feasible, and the
+dual loop alone reaches the optimum. There are two starts:
 
-- Slack start (`start=None`): every structural column at its lower bound.
-  On a nonnegative matrix, such as the cap rows of `build_group_relaxation`
-  and of the floor-free presolve, that point is feasible whenever the
-  program is, and the dual loop has nothing to do; when that point breaks
-  a row, no column can lower it, and the dual loop reports infeasibility
-  after 0 pivots. The floor rows of `presolve_group` carry -1 entries, so
-  this argument does not cover them, and no solve path starts them here.
-- All-kept start (`slack_basis(lp, at_upper=True)`, the root of every
-  search in `solvers`): every structural column at its upper bound. With
-  c >= 0 it is dual feasible whatever the signs of A, so the dual loop only
-  repairs the rows it breaks: the over-cap authors' caps and the budget
-  row. Every floor row holds there unless no point in the bounds meets it.
+- Cold (`start=None`): the tableau [A | I | b] with the slacks basic and each
+  structural column at `hi` where c_j >= 0 and at `lo` elsewhere. Its
+  reduced costs are d = c, so it is dual feasible whatever the signs of A.
+  For the package LPs (every c_j > 0) it keeps every paper, and the dual loop
+  repairs only the rows that point breaks: the over-cap authors' caps and
+  the budget row. Every floor row holds there unless no point in the bounds
+  meets it.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
-  in branch and bound the parent node's): the basis stays dual feasible, so a
-  dual simplex restores primal feasibility, or proves there is none, in a few
-  pivots, and the primal loop then confirms optimality.
+  in branch and bound the parent node's): the basis stays dual feasible, so
+  the dual loop restores primal feasibility, or proves there is none, in a
+  few pivots.
 
 The dual ratio test takes long steps (bound flipping): the columns that can
 move the leaving row toward its bound are walked in order of their dual
 ratio, and each one whose whole range cannot close the row's gap flips to
-its other bound without a pivot. From the all-kept start, a row k papers
-over its cap then takes one pivot and k - 1 flips where a short step takes
-k pivots.
+its other bound without a pivot. From the cold start, a row k papers over
+its cap then takes one pivot and k - 1 flips where a short step takes k
+pivots. A final check of the reduced costs makes sure no basis is reported
+optimal unless it is dual feasible.
 
 Solutions are float arrays; `GroupPresolve.expand` turns an integral one
 into a binary `KeepVector`.
@@ -70,12 +67,13 @@ class NotOptimal(ValueError):
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Maximize c.r subject to A r <= b and lo <= r <= hi (elementwise)."""
+    """Maximize c.r subject to A r <= b and lo <= r <= hi (elementwise).
+
+    The bounds must be finite, so every LP is bounded."""
 
     c: np.ndarray
     A: np.ndarray
@@ -85,8 +83,12 @@ class LinearProgram:
 
     def __post_init__(self):
         rows, cols = self.A.shape
-        assert self.c.shape == (cols,) and self.b.shape == (rows,)
-        assert self.lo.shape == (cols,) and self.hi.shape == (cols,)
+        if self.c.shape != (cols,) or self.b.shape != (rows,):
+            raise ValueError(f"c and b must have shapes ({cols},) and ({rows},)")
+        if self.lo.shape != (cols,) or self.hi.shape != (cols,):
+            raise ValueError(f"lo and hi must have shape ({cols},)")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("bounds must be finite")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -97,7 +99,7 @@ class LinearProgram:
 @dataclass(frozen=True, eq=False)
 class Basis:
     """A simplex start: the final state of an optimal solve, to warm-start a
-    related LP, or one of the two `slack_basis` starts.
+    related LP.
 
     `T` is the tableau B^-1 [A | I | b]: structural columns, slack columns and
     the right-hand-side column. `basic` holds the variable basic in each row,
@@ -116,11 +118,9 @@ class LpSolution:
     status: LpStatus
     r: np.ndarray | None  # clipped to [0, 1]
     objective_value: float
-    iteration_count: int        # pivots of both phases, primal bound flips included
+    iteration_count: int        # pivots
     basis: Basis | None = None  # set on every optimal solve
-    dual_pivots: int = 0        # dual-phase pivots, part of iteration_count
-    bound_flips: int = 0        # long-step flips of the dual phase: no pivot,
-                                # not in iteration_count
+    bound_flips: int = 0        # long-step flips: no pivot, not in iteration_count
 
 
 def _group_coefficients(inst: Instance) -> np.ndarray:
@@ -217,60 +217,26 @@ def presolve_group(
     )
 
 
-def _leaving_row(limit: np.ndarray, basic: np.ndarray, step: float) -> tuple[int, float]:
-    """Bland's ratio test as a scan in row order: a row takes over when its
-    limit undercuts the current step by PIVOT_TOL, or ties it within PIVOT_TOL
-    with a smaller basic index (the first row within reach of the initial
-    step always takes over). Returns (row, step); row -1 means a bound flip.
-
-    After the first row the step starts from (its limit if it takes over,
-    else the initial step), and each later take-over raises it by less than
-    PIVOT_TOL, so no row beyond that start plus (rows + 1) * PIVOT_TOL can
-    ever win: only the rows within that reach are scanned.
-    """
-    rows = np.flatnonzero(limit < np.inf)
-    if rows.size == 0:
-        return -1, step
-    first = limit[rows[0]]
-    reach = (first if first < step + PIVOT_TOL else step) + (rows.size + 1) * PIVOT_TOL
-    leave = -1
-    for i in rows[limit[rows] < reach]:
-        if limit[i] < step - PIVOT_TOL or (
-            limit[i] < step + PIVOT_TOL and (leave < 0 or basic[i] < basic[leave])
-        ):
-            leave, step = int(i), limit[i]
-    return leave, step
-
-
-def slack_basis(lp: LinearProgram, at_upper: bool = False) -> Basis:
-    """The tableau [A | I | b] with the slacks basic and every structural
-    column nonbasic at its lower bound, or at its upper bound with
-    `at_upper`. The lower start is the cold start of `solve_lp`. The upper
-    start is dual feasible whenever c >= 0; for the group LP it keeps every
-    paper, so only the over-cap rows are left to repair."""
-    n_rows, n_struct = lp.A.shape
-    tableau = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
-    upper = np.zeros(n_struct + n_rows, dtype=bool)
-    upper[:n_struct] = at_upper
-    return Basis(tableau, np.arange(n_struct, n_struct + n_rows), upper)
-
-
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
-    """Bounded-variable simplex, deterministic, from any start basis.
+    """Bounded dual simplex, deterministic, from the cold start or a warm one.
 
-    `start` is a basis of an LP with the same c, A and b (an optimal one, or
-    `slack_basis(lp, at_upper=True)` when c >= 0), or None for the slack
-    basis ([A | I | b], slacks basic, nothing at its upper bound). Its
-    tableau and statuses are copied and the basic values are recomputed
-    under this LP's bounds. A dual simplex then restores primal feasibility:
-    the leaving row is the out-of-bounds row with the smallest basic index,
-    and its long-step ratio test walks the columns that move the row toward
-    its bound in (|d_j / alpha_j|, j) order, flipping each column whose
-    range leaves more than FEAS_TOL of the row's gap open and entering the
-    first that closes it; when all of them flip and the row is still out of
-    bounds, the LP is infeasible. The primal simplex with Bland's rule then
-    runs to optimality. The iteration cap, 50 * (variables + rows), counts
-    the pivots of both phases; flips are counted apart in `bound_flips`.
+    `start` is a dual feasible basis of an LP with the same c, A and b, in
+    practice an optimal one of an LP differing only in its bounds, or None
+    for the cold start: [A | I | b] with the slacks basic and each structural
+    column at `hi` where c_j >= 0 and at `lo` elsewhere. A warm start's
+    tableau and statuses are copied and its basic values are recomputed
+    under this LP's bounds. The dual simplex then restores primal
+    feasibility: the leaving row is the out-of-bounds row with the smallest
+    basic index, and its long-step ratio test walks the columns that move
+    the row toward its bound in (|d_j / alpha_j|, j) order, flipping each
+    column whose range leaves more than FEAS_TOL of the row's gap open and
+    entering the first that closes it; when all of them flip and the row is
+    still out of bounds, the LP is infeasible. A primal feasible basis is
+    optimal if it is dual feasible, which the start must be; a movable
+    nonbasic column whose reduced cost has the wrong sign by more than
+    FEAS_TOL raises `NumericalBreakdown`. The iteration cap,
+    50 * (variables + rows), counts pivots; flips are counted apart in
+    `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -281,8 +247,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     if start is None:
-        start = slack_basis(lp)
-    T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
+        T = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
+        basic = np.arange(n_struct, n_all)
+        at_upper = np.concatenate([lp.c >= 0, np.zeros(n_rows, dtype=bool)])
+    else:
+        T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
     nonbasic = np.where(at_upper, hi, lo)
     nonbasic[basic] = 0.0
     xB = T[:, n_all] - T[:, :n_all] @ nonbasic
@@ -290,32 +259,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     max_iter = 50 * (n_struct + n_rows)
-    iteration = dual_pivots = bound_flips = 0
+    iteration = bound_flips = 0
 
     def reduced_costs():
         return c - c[basic] @ T[:, :n_all]
-
-    def count_iteration():
-        nonlocal iteration
-        iteration += 1
-        if iteration > max_iter:
-            raise SolverStalled(f"no optimum after {max_iter} pivots")
-
-    def pivot(row, entering, entering_value, leaving_to_upper):
-        p = T[row, entering]
-        if abs(p) < PIVOT_TOL:
-            raise NumericalBreakdown(f"pivot magnitude {abs(p):.3e} below tolerance")
-        leaving = basic[row]
-        in_basis[leaving] = False
-        at_upper[leaving] = leaving_to_upper
-        basic[row] = entering
-        in_basis[entering] = True
-        T[row] /= p
-        col = T[:, entering].copy()
-        col[row] = 0.0
-        others = np.flatnonzero(col)
-        T[others] -= np.outer(col[others], T[row])
-        xB[row] = entering_value
 
     # Dual simplex: pivot until every basic value is back within its bounds.
     while True:
@@ -347,46 +294,34 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             bound_flips += 1
         if entering < 0:
             return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), iteration,
-                              dual_pivots=dual_pivots, bound_flips=bound_flips)
-        delta = (xB[row] - target) / alpha[entering]
+                              bound_flips=bound_flips)
+        iteration += 1
+        if iteration > max_iter:
+            raise SolverStalled(f"no optimum after {max_iter} pivots")
+        p = T[row, entering]
+        if abs(p) < PIVOT_TOL:
+            raise NumericalBreakdown(f"pivot magnitude {abs(p):.3e} below tolerance")
+        delta = (xB[row] - target) / p
         entering_value = (hi if at_upper[entering] else lo)[entering] + delta
-        count_iteration()
-        dual_pivots += 1
         xB -= delta * T[:, entering]
-        pivot(row, entering, entering_value, not below)
+        leaving = basic[row]
+        in_basis[leaving] = False
+        at_upper[leaving] = not below
+        basic[row] = entering
+        in_basis[entering] = True
+        T[row] /= p
+        col = T[:, entering].copy()
+        col[row] = 0.0
+        others = np.flatnonzero(col)
+        T[others] -= np.outer(col[others], T[row])
+        xB[row] = entering_value
 
-    # Primal simplex, Bland's rule: the first improving column enters.
-    while True:
-        d = reduced_costs()
-        improving = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
-        if not improving.any():
-            break
-        entering = int(np.argmax(improving))
-        count_iteration()
-
-        sigma = -1.0 if at_upper[entering] else 1.0
-        y = T[:, entering]
-        # Each basic value moves at rate -sigma*y_i per unit step of the
-        # entering variable; the step is capped by the first bound hit.
-        rate = -sigma * y
-        lo_b, hi_b = lo[basic], hi[basic]
-        down = rate < -PIVOT_TOL
-        up = (rate > PIVOT_TOL) & np.isfinite(hi_b)
-        limit = np.full(n_rows, np.inf)
-        limit[down] = (xB[down] - lo_b[down]) / -rate[down]
-        limit[up] = (hi_b[up] - xB[up]) / rate[up]
-        leave_row, step = _leaving_row(limit, basic, hi[entering] - lo[entering])
-        if not np.isfinite(step):
-            return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), iteration,
-                              dual_pivots=dual_pivots, bound_flips=bound_flips)
-
-        step = max(step, 0.0)
-        xB -= sigma * step * y
-        if leave_row < 0:
-            at_upper[entering] = not at_upper[entering]  # bound flip
-            continue
-        entering_value = (hi if at_upper[entering] else lo)[entering] + sigma * step
-        pivot(leave_row, entering, entering_value, bool(up[leave_row]))
+    d = reduced_costs()
+    wrong = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
+    if wrong.any():
+        j = int(np.argmax(wrong))
+        raise NumericalBreakdown(
+            f"basis is not dual feasible: column {j} has reduced cost {d[j]:.3e}")
 
     x = np.where(at_upper, hi, lo)
     x[basic] = xB
@@ -397,7 +332,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
         basis=Basis(T, basic, at_upper),
-        dual_pivots=dual_pivots,
         bound_flips=bound_flips,
     )
 

@@ -30,7 +30,6 @@ from .lp import (
     LpStatus,
     integrality_check,
     presolve_group,
-    slack_basis,
     snap_binary,
     solve_lp,
 )
@@ -56,7 +55,7 @@ class BranchNode:
     hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
     lp_bound: float  # inherited upper bound, valid for every completion
     depth: int
-    basis: Basis     # start basis: all kept at the root, else the parent's optimum
+    basis: Basis | None  # the parent's optimum; None at the root: the cold start
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ class SolverDiagnostics:
     node_count: int = 0
     nodes_pruned: int = 0              # nodes closed by the bound test
     lp_calls: int = 0
-    lp_pivots: int = 0                 # simplex iterations over all LP calls
-    lp_dual_pivots: int = 0            # the dual-phase share of lp_pivots
+    lp_pivots: int = 0                 # dual simplex pivots over all LP calls
     lp_bound_flips: int = 0            # long-step flips, not in lp_pivots
     lp_objective: float | None = None  # root relaxation value of the full LP
     lp_integral: bool | None = None    # was the root relaxation already 0/1
@@ -105,11 +103,11 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
     """Depth-first LP branch and bound over the presolved LP; the one search
     loop of this module.
 
-    The root LP starts from the all-kept basis (`lp.slack_basis(lp,
-    at_upper=True)`), which is dual feasible because every c_j > 0, whatever
-    the signs of the rows; every child warm-starts from its parent's optimal
-    basis. A fractional node branches on its most fractional variable, first
-    on ties, and explores r_j = 1 first. An integral vertex is expanded to a
+    The root LP takes `solve_lp`'s cold start, which keeps every paper
+    because every c_j > 0 and is dual feasible whatever the signs of the
+    rows; every child warm-starts from its parent's optimal basis. A
+    fractional node branches on its most fractional variable, first on ties,
+    and explores r_j = 1 first. An integral vertex is expanded to a
     full keep vector and certified exactly: it must meet the question's cap,
     floors and budget in integers (`_admits`). An uncertifiable vertex
     (numerics went sour) splits on a free variable instead of being trusted
@@ -134,7 +132,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
     cut = float("-inf") if best is None else float(best)  # a node must beat it
     found = []
     root = None
-    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0, slack_basis(lp0, at_upper=True))]
+    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0, None)]
     while stack:
         node = stack.pop()
         tally["node_count"] += 1
@@ -146,7 +144,6 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
         sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
         tally["lp_calls"] += 1
         tally["lp_pivots"] += sol.iteration_count
-        tally["lp_dual_pivots"] += sol.dual_pivots
         tally["lp_bound_flips"] += sol.bound_flips
         bound = sol.objective_value + pre.offset
         integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)

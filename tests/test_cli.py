@@ -121,6 +121,15 @@ def test_non_string_ids_exit_one_with_one_line(tmp_path, capsys):
     assert err.startswith("deskfair: error: ") and err.count("\n") == 1
 
 
+def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys):
+    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", "1")  # the triangle's root is fractional
+    assert main(["solve", "--input", triangle_file, "--policy", "group-exact"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("deskfair: error: solver stopped without a result: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_policy_exits_one(cvpr_file):
     assert main(["solve", "--input", cvpr_file, "--policy", "mystery"]) == 1
 
@@ -306,7 +315,7 @@ def test_solve_json_reports_pivots_incumbents_and_closed_bound(tmp_path, monkeyp
     diag = doc["diagnostics"]
     assert diag["node_count"] > 1 and len(pivots) == diag["lp_calls"]
     assert diag["lp_pivots"] == sum(pivots) > 0
-    assert diag["lp_dual_pivots"] <= diag["lp_pivots"] and diag["lp_bound_flips"] >= 0
+    assert diag["lp_bound_flips"] >= 0
     assert 0 <= diag["nodes_pruned"] < diag["node_count"]
     objective = parse_rational(doc["objective"]["rational"])
     trace = [parse_rational(v["rational"]) for v in diag["incumbent_trace"]]
