@@ -163,6 +163,8 @@ def validate_instance(raw) -> Instance:
     for a in author_ids:
         if a not in on_some_paper:
             raise AuthorWithNoPapers(f"author {a!r} appears on no paper")
+    if not author_ids:  # and so no paper either: every cost and mean is undefined
+        raise InstanceError("instance has no authors and no papers")
 
     return Instance(author_ids, tuple(papers), x)
 
@@ -194,7 +196,11 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    return validate_instance(json.loads(text))
+    try:
+        raw = json.loads(text)
+    except RecursionError:  # the C parser recurses once per nested array or object
+        raise InstanceError("instance JSON is nested too deeply") from None
+    return validate_instance(raw)
 
 
 def load_instance(path) -> Instance:

@@ -116,7 +116,7 @@ class Basis:
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
-    r: np.ndarray | None  # clipped to [0, 1]
+    r: np.ndarray | None  # clipped to [lo, hi]
     objective_value: float
     iteration_count: int        # pivots
     basis: Basis | None = None  # set on every optimal solve
@@ -325,7 +325,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     x = np.where(at_upper, hi, lo)
     x[basic] = xB
-    r = np.clip(x[:n_struct], 0.0, 1.0)
+    r = np.clip(x[:n_struct], lp.lo, lp.hi)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         r=r,

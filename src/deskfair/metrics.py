@@ -3,7 +3,9 @@
 Per-author cost is the rejected fraction of that author's papers; the
 worst-case cost (max) and mean cost are the two headline metrics. All
 arithmetic is ``fractions.Fraction`` so reported values are exact; floats
-appear nowhere in this module.
+appear nowhere in this module. Every quantity starts from integer kept
+counts, and a rational is built once per distinct value, not once per
+author: many authors share a paper count and a rejected count.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ def _check_length(inst: Instance, keep: KeepVector) -> None:
 
 
 def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:
+    """Kept papers per author: each author's paper count, less one along the
+    author list of every rejected paper."""
     _check_length(inst, keep)
-    return tuple(sum(keep.values[j] for j in papers) for papers in inst.author_papers)
+    counts = [len(papers) for papers in inst.author_papers]
+    for j, v in enumerate(keep.values):
+        if not v:
+            for i in inst.paper_authors[j]:
+                counts[i] -= 1
+    return tuple(counts)
 
 
 def cost(inst: Instance, keep: KeepVector, author: int) -> Fraction:
@@ -33,23 +42,44 @@ def cost(inst: Instance, keep: KeepVector, author: int) -> Fraction:
     return Fraction(len(papers) - kept, len(papers))
 
 
+def _costs(inst: Instance, counts) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """Per-author costs from kept counts, and their distinct values: one
+    Fraction per distinct (rejected, papers) pair, shared by its authors."""
+    distinct = {}
+    costs = []
+    for papers, k in zip(inst.author_papers, counts):
+        key = (len(papers) - k, len(papers))
+        c = distinct.get(key)
+        if c is None:
+            c = distinct[key] = Fraction(*key)
+        costs.append(c)
+    return tuple(costs), list(distinct.values())
+
+
+def _rejected_share_sum(inst: Instance, counts) -> Fraction:
+    """Sum over authors of the rejected fraction (s_i - k_i)/s_i, as the
+    sum over distinct paper counts s of R_s/s, where the integer R_s totals
+    the rejected papers of the authors with s papers."""
+    rejected = {}
+    for papers, k in zip(inst.author_papers, counts):
+        s = len(papers)
+        if k < s:
+            rejected[s] = rejected.get(s, 0) + s - k
+    return sum((Fraction(r, s) for s, r in rejected.items()), start=Fraction(0))
+
+
 def per_author_costs(inst: Instance, keep: KeepVector) -> tuple[Fraction, ...]:
-    _check_length(inst, keep)
-    return tuple(
-        Fraction(len(papers) - sum(keep.values[j] for j in papers), len(papers))
-        for papers in inst.author_papers
-    )
+    return _costs(inst, author_kept_counts(inst, keep))[0]
 
 
 def zeta_ind(inst: Instance, keep: KeepVector) -> Fraction:
     """Worst-case (egalitarian) fairness: the maximum per-author cost."""
-    return max(per_author_costs(inst, keep))
+    return max(_costs(inst, author_kept_counts(inst, keep))[1])
 
 
 def zeta_group(inst: Instance, keep: KeepVector) -> Fraction:
     """Aggregate (utilitarian) fairness: the mean per-author cost."""
-    costs = per_author_costs(inst, keep)
-    return Fraction(sum(costs), inst.n)
+    return _rejected_share_sum(inst, author_kept_counts(inst, keep)) / inst.n
 
 
 def is_feasible(inst: Instance, keep: KeepVector) -> bool:
@@ -65,11 +95,7 @@ def is_ideal(inst: Instance, keep: KeepVector) -> bool:
 
 def group_objective(inst: Instance, keep: KeepVector) -> Fraction:
     """Sum over authors of kept fraction; maximizing it minimizes the mean cost."""
-    counts = author_kept_counts(inst, keep)
-    return sum(
-        (Fraction(counts[i], inst.paper_count(i)) for i in range(inst.n)),
-        start=Fraction(0),
-    )
+    return inst.n - _rejected_share_sum(inst, author_kept_counts(inst, keep))
 
 
 @dataclass(frozen=True)
@@ -84,14 +110,14 @@ class FairnessReport:
 
 def evaluate(inst: Instance, keep: KeepVector) -> FairnessReport:
     """Full report for a binary keep vector."""
-    costs = per_author_costs(inst, keep)
     counts = author_kept_counts(inst, keep)
+    costs, distinct = _costs(inst, counts)
     return FairnessReport(
         per_author_cost=costs,
-        zeta_ind=max(costs),
-        zeta_group=Fraction(sum(costs), inst.n),
+        zeta_ind=max(distinct),
+        zeta_group=_rejected_share_sum(inst, counts) / inst.n,
         feasible=all(k <= inst.x for k in counts),
-        ideal=all(counts[i] == min(inst.x, inst.paper_count(i)) for i in range(inst.n)),
+        ideal=all(k == min(inst.x, len(papers)) for k, papers in zip(counts, inst.author_papers)),
         kept_counts=counts,
     )
 
@@ -120,8 +146,15 @@ def rational_field(value: Fraction) -> dict:
 
 
 def report_to_dict(report: FairnessReport) -> dict:
+    fields = {}  # each distinct cost is rendered once
+    per_author = []
+    for c in report.per_author_cost:
+        field = fields.get(c)
+        if field is None:
+            field = fields[c] = rational_field(c)
+        per_author.append(dict(field))
     return {
-        "per_author_cost": [rational_field(c) for c in report.per_author_cost],
+        "per_author_cost": per_author,
         "zeta_ind": rational_field(report.zeta_ind),
         "zeta_group": rational_field(report.zeta_group),
         "feasible": report.feasible,

@@ -33,31 +33,46 @@ class PolicyOutcome:
     trace: tuple[tuple[str, str, str], ...]  # (paper id, decision, reason)
 
 
-def conventional_desk_reject(inst: Instance) -> PolicyOutcome:
-    """Order-based rejection: paper j is dropped iff, at its turn, some
-    coauthor already has x registered (kept) papers."""
+def _conventional(inst: Instance) -> tuple[KeepVector, tuple[int | None, ...]]:
+    """The conventional keep rule: paper j is dropped iff, at its turn, some
+    coauthor already has x registered (kept) papers. Also returns, per
+    paper, the first such coauthor, or None for a kept paper."""
     registered = [0] * inst.n
     keep = [1] * inst.m
-    trace = []
+    blockers = []
     for j, authors in enumerate(inst.paper_authors):
-        blocker = next((i for i in authors if registered[i] >= inst.x), None)
-        pid = inst.papers[j].id
-        if blocker is not None:
-            keep[j] = 0
-            trace.append((pid, "reject", f"author {inst.author_ids[blocker]} already at the cap"))
+        for i in authors:
+            if registered[i] >= inst.x:
+                keep[j] = 0
+                blockers.append(i)
+                break
         else:
             for i in authors:
                 registered[i] += 1
-            trace.append((pid, "keep", "no coauthor at the cap"))
-    kv = KeepVector.binary(keep)
-    return PolicyOutcome("conventional", kv, metrics.evaluate(inst, kv), tuple(trace))
+            blockers.append(None)
+    return KeepVector.binary(keep), tuple(blockers)
 
 
-def _victim(counts, x):
-    """Most over-cap author, lowest index on ties; None when all fit."""
+def conventional_desk_reject(inst: Instance) -> PolicyOutcome:
+    """Order-based rejection: paper j is dropped iff, at its turn, some
+    coauthor already has x registered (kept) papers."""
+    kv, blockers = _conventional(inst)
+    trace = tuple(
+        (paper.id, "keep", "no coauthor at the cap") if blocker is None
+        else (paper.id, "reject", f"author {inst.author_ids[blocker]} already at the cap")
+        for paper, blocker in zip(inst.papers, blockers)
+    )
+    return PolicyOutcome("conventional", kv, metrics.evaluate(inst, kv), trace)
+
+
+def _victim(counts, x, over):
+    """Most over-cap author, lowest index on ties; None when all fit. Only
+    `over`, the authors over the cap at the start in ascending order, is
+    scanned: counts only fall as papers are rejected, so no other author
+    can go over later."""
     best = None
-    for i, k in enumerate(counts):
-        if k > x and (best is None or k - x > counts[best] - x):
+    for i in over:
+        if counts[i] > x and (best is None or counts[i] > counts[best]):
             best = i
     return best
 
@@ -68,9 +83,10 @@ def roulette_reject(inst: Instance, seed: int = 0) -> PolicyOutcome:
     rng = random.Random(seed)
     keep = [1] * inst.m
     counts = [inst.paper_count(i) for i in range(inst.n)]
+    over = [i for i, k in enumerate(counts) if k > inst.x]
     trace = []
     while True:
-        victim = _victim(counts, inst.x)
+        victim = _victim(counts, inst.x, over)
         if victim is None:
             break
         candidates = [j for j in inst.author_papers[victim] if keep[j]]
@@ -97,10 +113,11 @@ def roulette_expectation(inst: Instance, max_outcomes: int = 100_000):
     e_group = Fraction(0)
     leaves = 0
     start_counts = tuple(inst.paper_count(i) for i in range(inst.n))
+    over = [i for i, k in enumerate(start_counts) if k > inst.x]
     stack = [((1,) * inst.m, start_counts, Fraction(1))]
     while stack:
         keep, counts, prob = stack.pop()
-        victim = _victim(counts, inst.x)
+        victim = _victim(counts, inst.x, over)
         if victim is None:
             leaves += 1
             if leaves > max_outcomes:

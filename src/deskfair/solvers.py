@@ -34,7 +34,7 @@ from .lp import (
     solve_lp,
 )
 from .metrics import FairnessReport
-from .policies import conventional_desk_reject
+from .policies import _conventional
 
 DEFAULT_NODE_LIMIT = 10**6
 
@@ -189,7 +189,7 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     as the first incumbent.
     """
     pre = presolve_group(inst)
-    seed = conventional_desk_reject(inst).keep
+    seed, _ = _conventional(inst)
     seed_obj = metrics.group_objective(inst, seed)
     tally = Counter()
     found, root = _branch_and_bound(inst, pre, tally, _node_limit(node_limit), seed_obj)

@@ -1,16 +1,20 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskfair import lp, solvers
-from deskfair.cli import main, run_policy
+from deskfair.cli import POLICIES, main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
-from deskfair.instance import dump_instance
+from deskfair.instance import dump_instance, instance_to_dict
 from deskfair.metrics import parse_rational
 from deskfair.reports import CSV_HEADER
 
-from conftest import spy_on
+from conftest import instances, spy_on
 
 
 @pytest.fixture
@@ -119,6 +123,96 @@ def test_non_string_ids_exit_one_with_one_line(tmp_path, capsys):
     assert main(["solve", "--input", str(path), "--policy", "group-exact"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("deskfair: error: ") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_instances(draw):
+    """A valid instance description with one defect: a wrong type, a missing
+    key, a nested array, a non-string id, or a duplicate or unknown author."""
+    raw = instance_to_dict(draw(instances()))
+    papers = raw["papers"]
+    paper = papers[draw(st.integers(0, len(papers) - 1))]
+    mutation = draw(st.sampled_from([
+        "not an object", "cap", "authors", "papers", "paper", "paper authors",
+        "missing key", "missing paper key", "nested", "non-string id",
+        "duplicate author", "duplicate author on paper", "duplicate paper",
+        "unknown author", "author on no paper", "empty",
+    ]))
+    ids = draw(st.sampled_from(["author", "paper author", "paper id"]))
+    where = {"author": (raw["authors"], draw(st.integers(0, len(raw["authors"]) - 1))),
+             "paper author": (paper["authors"], draw(st.integers(0, len(paper["authors"]) - 1))),
+             "paper id": (paper, "id")}
+    holder, key = where[ids]
+    if mutation == "not an object":
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if mutation == "cap":
+        raw["x"] = draw(JSON_VALUES.filter(lambda v: type(v) is not int or v < 1))
+    elif mutation in ("authors", "papers"):
+        raw[mutation] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+    elif mutation == "paper":
+        papers[papers.index(paper)] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    elif mutation == "paper authors":
+        paper["authors"] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+    elif mutation == "missing key":
+        del raw[draw(st.sampled_from(["x", "authors", "papers"]))]
+    elif mutation == "missing paper key":
+        del paper[draw(st.sampled_from(["id", "authors"]))]
+    elif mutation == "nested":
+        holder[key] = [holder[key]]
+    elif mutation == "non-string id":
+        holder[key] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+    elif mutation == "duplicate author":
+        raw["authors"].append(draw(st.sampled_from(raw["authors"])))
+    elif mutation == "duplicate author on paper":
+        paper["authors"].append(paper["authors"][0])
+    elif mutation == "duplicate paper":
+        papers.append(dict(paper))
+    elif mutation == "unknown author":
+        paper["authors"].append("".join(raw["authors"]) + "?")
+    elif mutation == "author on no paper":
+        raw["authors"].append("".join(raw["authors"]) + "?")
+    else:
+        raw["authors"], raw["papers"] = [], []
+    return raw
+
+
+def assert_input_error(path, policy):
+    """The solve exits 1, prints nothing to stdout and one error line to
+    stderr; returns that line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--input", str(path), "--policy", policy])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("deskfair: error: ") and err.getvalue().count("\n") == 1
+    return err.getvalue()
+
+
+@given(malformed_instances(), st.sampled_from(POLICIES))
+@settings(max_examples=150)
+def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, policy):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(json.dumps(raw))
+    assert_input_error(path, policy)
+
+
+@pytest.mark.parametrize("text, message", [
+    # valid shapes, but no author: every cost and the mean are 0/0
+    ('{"x": 1, "authors": [], "papers": []}', "no authors and no papers"),
+    # nested past the JSON parser's recursion limit
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+], ids=["empty", "deep"])
+def test_malformed_instance_cases(tmp_path, text, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    for policy in POLICIES:
+        assert message in assert_input_error(path, policy)
 
 
 def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys):

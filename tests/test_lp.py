@@ -210,6 +210,14 @@ def test_dual_infeasible_start_raises():
         solve_lp(lp, start=start)
 
 
+def test_solution_is_clipped_to_the_lp_bounds_not_the_unit_box():
+    lp = LinearProgram(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]),
+                       lo=np.array([0.0]), hi=np.array([2.0]))
+    sol = solve_lp(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.r.tolist() == [2.0] and sol.objective_value == 2.0
+
+
 @pytest.mark.parametrize("lp, counts", [
     (build_group_relaxation(gen_triangle()), (3, 0)),
     (build_group_relaxation(gen_case_study("cvpr26")), (1, 0)),

@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from deskfair.generators import gen_case_study, gen_triangle
 from deskfair.instance import DimensionMismatch, KeepVector
 from deskfair.metrics import (
+    FairnessReport,
+    author_kept_counts,
     cost,
     evaluate,
     format_rational,
+    group_objective,
     is_feasible,
     is_ideal,
     parse_rational,
+    per_author_costs,
     rational_decimal,
+    rational_field,
+    report_to_dict,
     zeta_group,
     zeta_ind,
 )
@@ -122,6 +128,33 @@ def test_ideal_implies_feasible(pair):
     inst, keep = pair
     if is_ideal(inst, keep):
         assert is_feasible(inst, keep)
+
+
+@given(instances_with_keep())
+@settings(max_examples=200)
+def test_metrics_match_the_per_author_reference(pair):
+    # the literal definitions: one Fraction per author, then max and mean
+    inst, keep = pair
+    kept = tuple(sum(keep.values[j] for j in papers) for papers in inst.author_papers)
+    costs = tuple(Fraction(len(papers) - k, len(papers))
+                  for papers, k in zip(inst.author_papers, kept))
+    assert author_kept_counts(inst, keep) == kept
+    assert per_author_costs(inst, keep) == costs
+    assert zeta_ind(inst, keep) == max(costs)
+    assert zeta_group(inst, keep) == sum(costs) / inst.n
+    assert group_objective(inst, keep) == sum(1 - c for c in costs)
+    report = evaluate(inst, keep)
+    assert report == FairnessReport(
+        per_author_cost=costs,
+        zeta_ind=max(costs),
+        zeta_group=sum(costs) / inst.n,
+        feasible=all(k <= inst.x for k in kept),
+        ideal=all(k == min(inst.x, len(p)) for k, p in zip(kept, inst.author_papers)),
+        kept_counts=kept,
+    )
+    assert all(type(v) is Fraction for v in (*report.per_author_cost, report.zeta_ind,
+                                              report.zeta_group, group_objective(inst, keep)))
+    assert report_to_dict(report)["per_author_cost"] == [rational_field(c) for c in costs]
 
 
 def test_metric_order_on_repaired_random_pairs():

@@ -6,11 +6,12 @@ import pytest
 from deskfair.generators import gen_random
 from deskfair.instance import (
     AuthorCategory,
+    KeepVector,
     classify_author,
     instance_to_dict,
     validate_instance,
 )
-from deskfair.metrics import is_feasible, is_ideal
+from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.policies import (
     OutcomeSpaceTooLarge,
@@ -20,6 +21,7 @@ from deskfair.policies import (
     roulette_expectation,
     roulette_reject,
 )
+from deskfair.solvers import solve_group_exact
 
 from conftest import random_instance
 
@@ -143,6 +145,70 @@ def test_roulette_expectation_matches_sampling(triangle):
     n = 4000
     mean_ind = sum(float(roulette_reject(inst, s).report.zeta_ind) for s in range(n)) / n
     assert abs(mean_ind - float(e_ind)) < 0.03
+
+
+def full_scan_victim(counts, x):
+    """The victim rule scanning every author: most over the cap, lowest
+    index on ties."""
+    best = None
+    for i, k in enumerate(counts):
+        if k > x and (best is None or k > counts[best]):
+            best = i
+    return best
+
+
+def reference_roulette(inst, seed):
+    rng = random.Random(seed)
+    keep = [1] * inst.m
+    counts = [inst.paper_count(i) for i in range(inst.n)]
+    trace = []
+    while (victim := full_scan_victim(counts, inst.x)) is not None:
+        candidates = [j for j in inst.author_papers[victim] if keep[j]]
+        j = candidates[rng.randrange(len(candidates))]
+        keep[j] = 0
+        for i in inst.paper_authors[j]:
+            counts[i] -= 1
+        trace.append((inst.papers[j].id, "reject",
+                      f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}"))
+    return tuple(keep), tuple(trace)
+
+
+def reference_expectation(inst, keep=None, counts=None, prob=Fraction(1)):
+    keep = keep or (1,) * inst.m
+    counts = counts or tuple(inst.paper_count(i) for i in range(inst.n))
+    victim = full_scan_victim(counts, inst.x)
+    if victim is None:
+        kv = KeepVector.binary(keep)
+        return prob * zeta_ind(inst, kv), prob * zeta_group(inst, kv)
+    candidates = [j for j in inst.author_papers[victim] if keep[j]]
+    e_ind = e_group = Fraction(0)
+    for j in candidates:
+        child = tuple(0 if k == j else v for k, v in enumerate(keep))
+        child_counts = tuple(c - (i in inst.paper_authors[j]) for i, c in enumerate(counts))
+        a, b = reference_expectation(inst, child, child_counts, prob / len(candidates))
+        e_ind, e_group = e_ind + a, e_group + b
+    return e_ind, e_group
+
+
+def test_roulette_matches_the_full_scan_victim_rule():
+    for seed in range(120):
+        inst = random_instance(seed, max_n=10, max_m=30, max_x=3)
+        for rng_seed in (0, 1, 7, 12345):
+            out = roulette_reject(inst, rng_seed)
+            assert (out.keep.values, out.trace) == reference_roulette(inst, rng_seed)
+
+
+def test_roulette_expectation_matches_the_full_scan_victim_rule():
+    for seed in range(100):
+        inst = random_instance(seed, max_n=5, max_m=6, max_x=2)
+        assert roulette_expectation(inst) == reference_expectation(inst)
+
+
+def test_group_exact_seeds_from_the_conventional_keep_set(triangle, cvpr26):
+    cases = [triangle, cvpr26] + [random_instance(seed, max_n=8, max_m=16) for seed in range(30)]
+    for inst in cases:
+        seed_obj = group_objective(inst, conventional_desk_reject(inst).keep)
+        assert solve_group_exact(inst).diagnostics.incumbent_trace[0] == seed_obj
 
 
 def test_ideal_construct_single_author():
