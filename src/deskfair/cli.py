@@ -10,6 +10,7 @@ numerical breakdown). All commands are deterministic given input and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,9 @@ from .instance import (
     InstanceError,
     instance_to_dict,
     load_instance,
+    load_json,
 )
+from .jsontext import dumps_indented
 from .lp import NumericalBreakdown, SolverStalled, build_group_relaxation, to_mps
 from .metrics import rational_field
 from .reports import (
@@ -40,7 +43,7 @@ from .reports import (
     comparison_to_text,
     run_record_to_dict,
 )
-from .solvers import IntegralityAudit, NodeLimitExceeded, SetCoverInstance
+from .solvers import IntegralityAudit, NodeLimitExceeded
 
 POLICIES = ("conventional", "roulette", "group-lp", "group-exact", "individual-exact", "ideal")
 
@@ -108,7 +111,7 @@ def _write_text(path: str | None, text: str):
 
 
 def _write_json(path: str | None, payload: dict):
-    _write_text(path, json.dumps(payload, indent=2))
+    _write_text(path, dumps_indented(payload))
 
 
 def _load_input(args) -> Instance:
@@ -257,16 +260,7 @@ def cmd_gen(args) -> int:
 def cmd_reduce_setcover(args) -> int:
     if not args.input:
         raise BadParameter("--input is required")
-    with open(args.input, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    budget = args.budget if args.budget is not None else raw.get("budget")
-    if budget is None:
-        raise BadParameter("budget missing: supply --budget or a 'budget' field")
-    sc = SetCoverInstance(
-        universe_size=int(raw["universe_size"]),
-        sets=tuple(frozenset(int(e) for e in s) for s in raw["sets"]),
-        budget=int(budget),
-    )
+    sc = solvers.set_cover_from_json(load_json(args.input), budget=args.budget)
     payload = {
         "instance": instance_to_dict(solvers.reduce_set_cover(sc)),
         "budget": sc.budget,
@@ -281,7 +275,10 @@ def cmd_reduce_setcover(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use; parsing leaves no
+    state in it."""
     parser = _Parser(prog="deskfair", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from .jsontext import dumps_indented
+
 
 class InstanceError(ValueError):
     """Base class for malformed instance descriptions."""
@@ -192,20 +194,29 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_to_json(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2)
+    return dumps_indented(instance_to_dict(inst))
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # the C parser recurses once per nested array or object
+        raise InstanceError("input JSON is nested too deeply") from None
+
+
+def load_json(path):
+    """The parsed contents of a JSON input file; nesting too deep for the
+    parser is an :class:`InstanceError`, like any other malformed input."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_json(fh.read())
 
 
 def instance_from_json(text: str) -> Instance:
-    try:
-        raw = json.loads(text)
-    except RecursionError:  # the C parser recurses once per nested array or object
-        raise InstanceError("instance JSON is nested too deeply") from None
-    return validate_instance(raw)
+    return validate_instance(_parse_json(text))
 
 
 def load_instance(path) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+    return validate_instance(load_json(path))
 
 
 def dump_instance(inst: Instance, path) -> None:

@@ -1,0 +1,73 @@
+"""JSON text in the layout of ``json.dumps(obj, indent=2)``, byte for byte.
+
+Every JSON file deskfair writes has that layout (see ``docs/formats.md``).
+The standard library serves ``indent=2`` with its pure-Python encoder, since
+its C encoder only handles ``indent=None``. This writer walks dicts and
+lists in Python, like that encoder, but hands every string and number to the
+C-level functions the encoder itself ends in, and encodes a list of only
+ints or only strings in one pass.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _string
+
+_INDENT = "  "
+_INF = float("inf")
+
+
+def dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists, tuples, str,
+    int, float, bool and None; anything else raises ``TypeError``."""
+    return _encode(obj, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as JSON text; ``newline`` is a line break plus the indent
+    of the line that opens ``value``. The checks run in ``json``'s order."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + _INDENT
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_string, value)
+        else:
+            items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + _INDENT
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            items.append(_string(key) + ": " + _encode(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    # json's spellings for the values JSON has no literal for
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import metrics
-from .instance import Instance, KeepVector, validate_instance
+from .instance import Instance, InstanceError, KeepVector, validate_instance
 from .lp import (
     FEAS_TOL,
     INT_TOL,
@@ -308,6 +308,41 @@ class SetCoverInstance:
                 raise ValueError(f"set #{k} is empty")
             if not s <= universe:
                 raise ValueError(f"set #{k} leaves the universe")
+
+
+def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
+    """Build a SetCoverInstance from a parsed JSON-shaped mapping.
+
+    Expects ``{"universe_size": int, "sets": [[int...]...], "budget": int}``;
+    a ``budget`` argument replaces the field. As in
+    :func:`~deskfair.instance.validate_instance`, nothing is coerced: a
+    bool, a float or a numeric string is not an integer. Raises
+    :class:`InstanceError` on the first wrong type found.
+    """
+    if not isinstance(raw, dict):
+        raise InstanceError(f"set-cover description must be an object, got {type(raw).__name__}")
+    try:
+        universe_size = raw["universe_size"]
+        sets = raw["sets"]
+    except KeyError as e:
+        raise InstanceError(f"missing required field {e.args[0]!r}") from None
+    if budget is None:
+        if "budget" not in raw:
+            raise InstanceError("budget missing: supply --budget or a 'budget' field")
+        budget = raw["budget"]
+    _require_int(universe_size, "'universe_size'")
+    _require_int(budget, "'budget'")
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise InstanceError("'sets' must be an array of arrays")
+    for k, s in enumerate(sets):
+        for e in s:
+            _require_int(e, f"an element of set #{k}")
+    return SetCoverInstance(universe_size, tuple(frozenset(s) for s in sets), budget)
+
+
+def _require_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
 def reduce_set_cover(sc: SetCoverInstance) -> Instance:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deskfair import lp, solvers
-from deskfair.cli import POLICIES, main, run_policy
+from deskfair.cli import POLICIES, build_parser, main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance, instance_to_dict
 from deskfair.metrics import parse_rational
@@ -371,6 +371,30 @@ def test_reduce_setcover(tmp_path):
     assert read_json(out)["decision"]["coverable"] is False
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "must be an object"),
+    ('{"universe_size": 2, "sets": [[1], 5], "budget": 1}', "array of arrays"),
+    ('{"universe_size": 2, "sets": "12", "budget": 1}', "array of arrays"),
+    ('{"universe_size": 1, "sets": [["1"]], "budget": 1}', "must be an integer"),
+    ('{"universe_size": 1, "sets": [[1.7]], "budget": 1}', "must be an integer"),
+    ('{"universe_size": 1, "sets": [[true]], "budget": 1}', "must be an integer"),
+    ('{"universe_size": true, "sets": [[1]], "budget": 1}', "'universe_size' must be an integer"),
+    ('{"universe_size": "1", "sets": [[1]], "budget": 1}', "'universe_size' must be an integer"),
+    ('{"universe_size": 1, "sets": [[1]], "budget": 1.5}', "'budget' must be an integer"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+], ids=["not an object", "set not an array", "sets a string", "string element", "float element",
+        "bool element", "bool universe", "string universe", "float budget", "deep"])
+def test_reduce_setcover_malformed_input_exits_one(tmp_path, text, message):
+    path = tmp_path / "sc.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce-setcover", "--input", str(path), "--decide"])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("deskfair: error: ") and err.getvalue().count("\n") == 1
+    assert message in err.getvalue()
+
+
 def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
     builds = spy_on(monkeypatch, lp.build_group_relaxation)
     mps = tmp_path / "relax.mps"
@@ -426,3 +450,38 @@ def test_group_lp_fallback_note(triangle_file, tmp_path):
     doc = read_json(out)
     assert "fell back" in doc["note"]
     assert doc["report"]["zeta_group"]["rational"] == "2/3"
+
+
+@pytest.mark.parametrize("argv", [
+    *[["solve", "--input", "{cvpr}", "--policy", p, "--output", "{out}.json"] for p in POLICIES],
+    ["compare", "--input", "{cvpr}", "--output", "{out}"],
+    ["check-ideal", "--input", "{cvpr}", "--output", "{out}.json"],
+    ["audit-integrality", "--input", "{cvpr}", "--output", "{out}.json"],
+    ["audit-integrality", "--family", "random", "--count", "3", "--n", "4", "--m", "6",
+     "--density", "0.5", "--limit", "2", "--output", "{out}.json"],
+    ["gen", "--family", "random", "--n", "4", "--m", "6", "--density", "0.4", "--limit", "2",
+     "--output", "{out}.json"],
+    ["reduce-setcover", "--input", "{setcover}", "--decide", "--output", "{out}.json"],
+], ids=[*(f"solve-{p}" for p in POLICIES), "compare", "check-ideal", "audit-input",
+        "audit-family", "gen", "reduce-setcover"])
+def test_json_files_have_the_indent_two_layout(argv, cvpr_file, tmp_path, capsys):
+    setcover = tmp_path / "sc.json"
+    setcover.write_text('{"universe_size": 3, "sets": [[1, 2], [2, 3], [3]], "budget": 2}')
+    out = tmp_path / "out"
+    assert main([a.format(cvpr=cvpr_file, setcover=setcover, out=out) for a in argv]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "out.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(cvpr_file, capsys):
+    assert build_parser() is build_parser()
+    assert main(["compare", "--input", cvpr_file, "--policy", "conventional"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["conventional"]
+    assert main(["compare", "--input", cvpr_file]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]] == [
+        "conventional", "roulette", "group-lp", "group-exact", "individual-exact"]
+    assert main(["solve", "--bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage:") == 1
+    assert err.endswith("deskfair: error: unrecognized arguments: --bogus\n")

@@ -1,0 +1,40 @@
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deskfair.jsontext import dumps_indented
+
+STRINGS = st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.sampled_from(["", '"\\/', " ", "\U0001F600"])
+INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64), min_value=-(2**200))
+FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324])
+LEAVES = STRINGS | INTS | FLOATS | st.booleans() | st.none()
+
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(STRINGS, inner, max_size=4)
+        | st.lists(INTS, max_size=5)
+        | st.lists(STRINGS, max_size=5)
+        | st.lists(st.one_of(INTS, STRINGS, st.booleans()), max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400)
+def test_matches_json_dumps_indent_two(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, {1: "a"}, [Fraction(1, 3)], {"k": {"x"}}, [1, b"x"],
+], ids=["fraction", "set", "int key", "fraction in list", "set in dict", "bytes in int list"])
+def test_unsupported_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dumps_indented(value)
