@@ -4,7 +4,7 @@ exact roulette expectations, on the shipped named instances."""
 
 import argparse
 
-from deskfair.cli import run_policy
+from deskfair.cli import POLICIES, run_policy
 from deskfair.generators import case_study_names, gen_case_study
 from deskfair.metrics import format_rational
 from deskfair.policies import roulette_expectation
@@ -32,9 +32,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     cases = args.case or list(case_study_names())
-    policies = ["conventional", "roulette", "group-lp", "group-exact", "individual-exact", "ideal"]
     for name in cases:
-        show(name, policies, args.seed)
+        show(name, POLICIES, args.seed)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .reports import (
     RunRecord,
     comparison_table,
     comparison_to_csv,
-    comparison_to_dict,
     comparison_to_text,
     run_record_to_dict,
 )
@@ -138,7 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = _load_input(args)
-    requested = args.policy or ["conventional", "roulette", "group-lp", "group-exact", "individual-exact"]
+    requested = args.policy or [p for p in POLICIES if p != "ideal"]
     names: list[str] = []
     for chunk in requested:
         names.extend(p.strip() for p in chunk.split(",") if p.strip())
@@ -152,7 +151,7 @@ def cmd_compare(args) -> int:
         for suffix in (".json", ".csv"):
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
-        _write_json(base + ".json", comparison_to_dict(table))
+        _write_json(base + ".json", table)
         _write_text(base + ".csv", comparison_to_csv(table))
     print(comparison_to_text(table))
     return 0
@@ -160,25 +159,19 @@ def cmd_compare(args) -> int:
 
 def cmd_check_ideal(args) -> int:
     inst = _load_input(args)
-    if inst.n <= 2:
-        witness = policies.ideal_construct_small(inst)
-        method = "constructive (two-author case analysis)"
-    else:
-        witness = solvers.solve_ideal_feasibility(inst)
-        method = "search (LP branch and bound)"
+    witness = solvers.solve_ideal_feasibility(inst)
     if witness is None:
         if args.output:
-            _write_json(args.output, {"feasible": False, "method": method})
+            _write_json(args.output, {"feasible": False})
         print("INFEASIBLE")
         return 2
     kept = [inst.papers[j].id for j in witness.kept_indices()]
     rejected = [inst.papers[j].id for j in witness.rejected_indices()]
     if args.output:
         _write_json(args.output, {
-            "feasible": True, "method": method,
-            "kept_papers": kept, "rejected_papers": rejected,
+            "feasible": True, "kept_papers": kept, "rejected_papers": rejected,
         })
-    print(f"IDEAL FEASIBLE [{method}]")
+    print("IDEAL FEASIBLE")
     print("keep:   " + (" ".join(kept) if kept else "(none)"))
     print("reject: " + (" ".join(rejected) if rejected else "(none)"))
     return 0
@@ -202,7 +195,7 @@ def cmd_audit_integrality(args) -> int:
         return 0
     if not args.family:
         raise BadParameter("audit-integrality needs --input or --family")
-    instances = _sweep_instances(args)
+    instances = _sweep_instances(args, args.count or 1)
     details = []
     counterexamples = 0
     for label, inst in instances:
@@ -221,7 +214,9 @@ def cmd_audit_integrality(args) -> int:
     return 0
 
 
-def _sweep_instances(args):
+def _sweep_instances(args, count: int):
+    """`count` instances of the family named by `--family`; only the random
+    family has more than one."""
     family = args.family
     if family == "triangle":
         return [("triangle", gen_triangle())]
@@ -238,7 +233,6 @@ def _sweep_instances(args):
         if missing:
             raise BadParameter(f"--family random needs --{', --'.join(missing)}")
         base = args.seed if args.seed is not None else 0
-        count = args.count or 1
         return [
             (f"random(n={args.n},m={args.m},x={args.limit},density={args.density},seed={base + i})",
              gen_random(args.n, args.m, args.limit, args.density, base + i))
@@ -250,10 +244,8 @@ def _sweep_instances(args):
 def cmd_gen(args) -> int:
     if not args.family:
         raise BadParameter("gen needs --family")
-    instances = _sweep_instances(args)
-    if len(instances) != 1:
-        raise BadParameter("gen emits one instance; drop --count")
-    _write_json(args.output, instance_to_dict(instances[0][1]))
+    [(_, inst)] = _sweep_instances(args, 1)
+    _write_json(args.output, instance_to_dict(inst))
     return 0
 
 
@@ -281,56 +273,50 @@ def build_parser() -> argparse.ArgumentParser:
     state in it."""
     parser = _Parser(prog="deskfair", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    shared = {
+        "--input": {"help": "instance JSON file"},
+        "--output": {"help": "write the result here instead of stdout"},
+        "--seed": {"type": int, "help": "seed for roulette or the random family (default 0)"},
+        "--limit": {"type": int, "help": "override the submission cap x"},
+        "--family": {"help": "instance family: triangle, leave-one-out, case-study, random"},
+        "--case": {"help": f"case-study name: {', '.join(case_study_names())}"},
+        "--n": {"type": int},
+        "--m": {"type": int},
+        "--density": {"type": float},
+    }
+    family = ("--family", "--case", "--n", "--m", "--density")
 
-    def common(p, policy=False, many_policies=False):
-        p.add_argument("--input", help="instance JSON file")
-        p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument("--seed", type=int, help="seed for randomized policies (default 0)")
-        p.add_argument("--limit", type=int, help="override the submission cap x")
-        if policy:
-            p.add_argument("--policy", help=f"one of: {', '.join(POLICIES)}")
-        if many_policies:
-            p.add_argument("--policy", action="append",
-                           help="policy to include (repeat or comma-separate); default: all but ideal")
+    def add(name, summary, func, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("solve", help="run one policy on an instance")
-    common(p, policy=True)
+    p = add("solve", "run one policy on an instance", cmd_solve,
+            "--input", "--output", "--seed", "--limit")
+    p.add_argument("--policy", help=f"one of: {', '.join(POLICIES)}")
     p.add_argument("--dump-lp", help="also write the relaxation in MPS layout (group policies)")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", help="run several policies and tabulate")
-    common(p, many_policies=True)
-    p.set_defaults(func=cmd_compare)
+    p = add("compare", "run several policies and tabulate", cmd_compare,
+            "--input", "--output", "--seed", "--limit")
+    p.add_argument("--policy", action="append",
+                   help="policy to include (repeat or comma-separate); default: all but ideal")
 
-    p = sub.add_parser("check-ideal", help="witness or refute a collateral-free rejection")
-    common(p)
-    p.set_defaults(func=cmd_check_ideal)
+    add("check-ideal", "witness or refute a collateral-free rejection", cmd_check_ideal,
+        "--input", "--output", "--limit")
 
-    p = sub.add_parser("audit-integrality", help="compare relaxation vs exact optimum")
-    common(p)
-    p.add_argument("--family", help="sweep family: triangle, leave-one-out, case-study, random")
-    p.add_argument("--case", help=f"case-study name: {', '.join(case_study_names())}")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--density", type=float)
+    p = add("audit-integrality", "compare relaxation vs exact optimum", cmd_audit_integrality,
+            "--input", "--output", "--seed", "--limit", *family)
     p.add_argument("--count", type=int, help="number of random instances to sweep")
-    p.set_defaults(func=cmd_audit_integrality)
 
-    p = sub.add_parser("gen", help="emit an instance from a named family")
-    common(p)
-    p.add_argument("--family", help="triangle, leave-one-out, case-study, random")
-    p.add_argument("--case", help=f"case-study name: {', '.join(case_study_names())}")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--count", type=int, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_gen)
+    add("gen", "emit an instance from a named family", cmd_gen,
+        "--output", "--seed", "--limit", *family)
 
-    p = sub.add_parser("reduce-setcover", help="encode a set-cover question as an instance")
-    common(p)
+    p = add("reduce-setcover", "encode a set-cover question as an instance", cmd_reduce_setcover,
+            "--input", "--output")
     p.add_argument("--budget", type=int, help="max number of sets in the cover (overrides input)")
     p.add_argument("--decide", action="store_true", help="also decide coverability")
-    p.set_defaults(func=cmd_reduce_setcover)
 
     return parser
 

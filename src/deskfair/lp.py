@@ -350,19 +350,24 @@ def snap_binary(sol: LpSolution) -> np.ndarray:
     return (sol.r > 0.5).astype(int)
 
 
-def to_mps(lp: LinearProgram, name: str = "DESKFAIR") -> str:
+MPS_NAME = "DESKFAIR"
+
+
+def to_mps(lp: LinearProgram) -> str:
     """Fixed-layout MPS dump (ROWS/COLUMNS/RHS/BOUNDS) for external solvers.
 
     Emits OBJSENSE MAX; tools that ignore it minimize by default, so negate
-    the objective there before comparing.
+    the objective there before comparing. Walks only the nonzeros of A.
     """
     rows, cols = lp.A.shape
-    lines = [f"NAME          {name}", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
+    lines = [f"NAME          {MPS_NAME}", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
     lines += [f" L  R{i + 1}" for i in range(rows)]
     lines.append("COLUMNS")
-    for j in range(cols):
-        entries = [("OBJ", lp.c[j])]
-        entries += [(f"R{i + 1}", lp.A[i, j]) for i in range(rows) if lp.A[i, j] != 0.0]
+    by_column = [[("OBJ", c)] for c in lp.c.tolist()]
+    row_of, col_of = np.nonzero(lp.A)  # row-major, so rows ascend within each column
+    for j, i, value in zip(col_of.tolist(), row_of.tolist(), lp.A[row_of, col_of].tolist()):
+        by_column[j].append((f"R{i + 1}", value))
+    for j, entries in enumerate(by_column):
         for k in range(0, len(entries), 2):
             pair = entries[k:k + 2]
             fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in pair)

@@ -17,6 +17,9 @@ from .instance import Instance, KeepVector
 from .metrics import FairnessReport
 
 
+MAX_ROULETTE_OUTCOMES = 100_000
+
+
 class TooManyAuthors(ValueError):
     pass
 
@@ -102,12 +105,12 @@ def roulette_reject(inst: Instance, seed: int = 0) -> PolicyOutcome:
     return PolicyOutcome("roulette", kv, metrics.evaluate(inst, kv), tuple(trace))
 
 
-def roulette_expectation(inst: Instance, max_outcomes: int = 100_000):
+def roulette_expectation(inst: Instance):
     """Exact expectations of both fairness metrics under the roulette policy.
 
     Enumerates the full randomness tree, weighting each leaf by its path
     probability. Raises :class:`OutcomeSpaceTooLarge` once more than
-    `max_outcomes` leaves are seen.
+    `MAX_ROULETTE_OUTCOMES` leaves are seen.
     """
     e_ind = Fraction(0)
     e_group = Fraction(0)
@@ -120,8 +123,8 @@ def roulette_expectation(inst: Instance, max_outcomes: int = 100_000):
         victim = _victim(counts, inst.x, over)
         if victim is None:
             leaves += 1
-            if leaves > max_outcomes:
-                raise OutcomeSpaceTooLarge(f"more than {max_outcomes} roulette outcomes")
+            if leaves > MAX_ROULETTE_OUTCOMES:
+                raise OutcomeSpaceTooLarge(f"more than {MAX_ROULETTE_OUTCOMES} roulette outcomes")
             kv = KeepVector.binary(keep)
             e_ind += prob * metrics.zeta_ind(inst, kv)
             e_group += prob * metrics.zeta_group(inst, kv)

@@ -12,7 +12,13 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .instance import Instance, KeepVector
-from .metrics import FairnessReport, rational_decimal, rational_field, report_to_dict
+from .metrics import (
+    FairnessReport,
+    format_rational,
+    rational_decimal,
+    rational_field,
+    report_to_dict,
+)
 from .solvers import SolverDiagnostics
 
 CSV_HEADER = (
@@ -62,79 +68,52 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Per-policy outcomes on one shared instance."""
-
-    instance_summary: dict
-    rows: tuple[dict, ...]
-
-
-def comparison_table(inst: Instance, records: list[RunRecord]) -> ComparisonTable:
+def comparison_table(inst: Instance, records: list[RunRecord]) -> dict:
+    """Per-policy outcomes on one shared instance: the instance summary and
+    one row per record, keyed and ordered by `CSV_HEADER`, every cell a
+    string. A record with no outcome has blank metric cells."""
     rows = []
     for rec in records:
-        if rec.keep is None:
-            rows.append(
-                {
-                    "policy": rec.policy,
-                    "kept_count": "",
-                    "rejected_papers": "",
-                    "zeta_ind": "",
-                    "zeta_ind_decimal": "",
-                    "zeta_group": "",
-                    "zeta_group_decimal": "",
-                    "ideal": "INFEASIBLE",
-                    "runtime_ms": f"{rec.runtime_ms:.3f}",
-                    "node_count": _diag_cell(rec, "node_count"),
-                    "lp_calls": _diag_cell(rec, "lp_calls"),
-                }
-            )
-            continue
-        rep = rec.report
-        rows.append(
-            {
-                "policy": rec.policy,
-                "kept_count": str(len(rec.keep.kept_indices())),
-                "rejected_papers": ";".join(
-                    inst.papers[j].id for j in rec.keep.rejected_indices()
-                ),
-                "zeta_ind": f"{rep.zeta_ind.numerator}/{rep.zeta_ind.denominator}",
-                "zeta_ind_decimal": rational_decimal(rep.zeta_ind),
-                "zeta_group": f"{rep.zeta_group.numerator}/{rep.zeta_group.denominator}",
-                "zeta_group_decimal": rational_decimal(rep.zeta_group),
-                "ideal": "yes" if rep.ideal else "no",
-                "runtime_ms": f"{rec.runtime_ms:.3f}",
-                "node_count": _diag_cell(rec, "node_count"),
-                "lp_calls": _diag_cell(rec, "lp_calls"),
-            }
+        row = dict.fromkeys(CSV_HEADER.split(","), "")
+        row.update(
+            policy=rec.policy,
+            ideal="INFEASIBLE",
+            runtime_ms=f"{rec.runtime_ms:.3f}",
+            node_count=_diag_cell(rec, "node_count"),
+            lp_calls=_diag_cell(rec, "lp_calls"),
         )
-    return ComparisonTable(
-        instance_summary={"authors": inst.n, "papers": inst.m, "x": inst.x},
-        rows=tuple(rows),
-    )
+        if rec.keep is not None:
+            rep = rec.report
+            row.update(
+                kept_count=str(len(rec.keep.kept_indices())),
+                rejected_papers=";".join(inst.papers[j].id for j in rec.keep.rejected_indices()),
+                zeta_ind=format_rational(rep.zeta_ind),
+                zeta_ind_decimal=rational_decimal(rep.zeta_ind),
+                zeta_group=format_rational(rep.zeta_group),
+                zeta_group_decimal=rational_decimal(rep.zeta_group),
+                ideal="yes" if rep.ideal else "no",
+            )
+        rows.append(row)
+    return {"instance": {"authors": inst.n, "papers": inst.m, "x": inst.x}, "rows": rows}
 
 
 def _diag_cell(rec: RunRecord, field: str) -> str:
     return str(getattr(rec.diagnostics, field)) if rec.diagnostics else ""
 
 
-def comparison_to_csv(table: ComparisonTable) -> str:
+def comparison_to_csv(table: dict) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     columns = CSV_HEADER.split(",")
-    for row in table.rows:
+    for row in table["rows"]:
         buf.write(",".join(row[col] for col in columns) + "\n")
     return buf.getvalue()
 
 
-def comparison_to_dict(table: ComparisonTable) -> dict:
-    return {"instance": table.instance_summary, "rows": [dict(r) for r in table.rows]}
-
-
-def comparison_to_text(table: ComparisonTable) -> str:
+def comparison_to_text(table: dict) -> str:
     """Fixed-width rendering for terminals."""
     cols = ["policy", "kept_count", "rejected_papers", "zeta_ind", "zeta_group", "ideal"]
-    rows = [[row[c] for c in cols] for row in table.rows]
+    rows = [[row[c] for c in cols] for row in table["rows"]]
     widths = [max(len(c), *(len(r[k]) for r in rows)) if rows else len(c)
               for k, c in enumerate(cols)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]

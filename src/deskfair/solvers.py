@@ -43,9 +43,7 @@ class NodeLimitExceeded(RuntimeError):
     pass
 
 
-def _node_limit(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+def _node_limit() -> int:
     return int(os.environ.get("DESKFAIR_NODE_LIMIT", DEFAULT_NODE_LIMIT))
 
 
@@ -53,15 +51,13 @@ def _node_limit(explicit: int | None) -> int:
 class BranchNode:
     lo: np.ndarray   # bounds of the reduced LP's columns: fixed at one where
     hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
-    lp_bound: float  # inherited upper bound, valid for every completion
-    depth: int
     basis: Basis | None  # the parent's optimum; None at the root: the cold start
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
     node_count: int = 0
-    nodes_pruned: int = 0              # nodes closed by the bound test
+    nodes_pruned: int = 0              # nodes closed by the bound test, after their LP
     lp_calls: int = 0
     lp_pivots: int = 0                 # dual simplex pivots over all LP calls
     lp_bound_flips: int = 0            # long-step flips, not in lp_pivots
@@ -118,36 +114,34 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
     - `best` an exact incumbent objective asks for the maximum of the group
       objective: a certified vertex's exact objective must also match its
       float bound within 1e-6, and a node whose float bound plus 1e-9 does
-      not beat the incumbent is pruned, before its LP on the parent's bound
-      and after it on its own.
+      not beat the incumbent is pruned after its own LP. A child's bound is
+      at most its parent's, so this one test also closes every node whose
+      parent's bound already fails it, at the cost of one warm LP.
 
     `tally` sums the node, pruning, LP and pivot counts (named as in
     `SolverDiagnostics`) over every search of one solve, and `limit` caps
     its node count. Returns the certified vertices, as (exact objective,
     keep vector) pairs: the improvements in order, or the one witness with
-    objective None. Also returns the root LP's (bound, integral), None when
-    the root LP is infeasible.
+    objective None. Also returns the root LP's (bound, integral); integral
+    is False when the root LP is infeasible.
     """
     lp0 = pre.lp
     cut = float("-inf") if best is None else float(best)  # a node must beat it
     found = []
     root = None
-    stack = [BranchNode(lp0.lo, lp0.hi, float("inf"), 0, None)]
+    stack = [BranchNode(lp0.lo, lp0.hi, None)]
     while stack:
         node = stack.pop()
         tally["node_count"] += 1
         if tally["node_count"] > limit:
             raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
-        if node.lp_bound + FEAS_TOL <= cut:
-            tally["nodes_pruned"] += 1
-            continue
         sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
         tally["lp_calls"] += 1
         tally["lp_pivots"] += sol.iteration_count
         tally["lp_bound_flips"] += sol.bound_flips
         bound = sol.objective_value + pre.offset
         integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
-        if node.depth == 0:
+        if node.basis is None:
             root = (bound, integral)
         if sol.status is not LpStatus.OPTIMAL:
             continue
@@ -172,12 +166,12 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
             j = int(np.argmax(np.minimum(sol.r, 1.0 - sol.r)))  # most fractional, first on ties
         zero_hi, one_lo = node.hi.copy(), node.lo.copy()
         zero_hi[j], one_lo[j] = 0.0, 1.0
-        stack.append(BranchNode(node.lo, zero_hi, bound, node.depth + 1, sol.basis))
-        stack.append(BranchNode(one_lo, node.hi, bound, node.depth + 1, sol.basis))
+        stack.append(BranchNode(node.lo, zero_hi, sol.basis))
+        stack.append(BranchNode(one_lo, node.hi, sol.basis))
     return found, root
 
 
-def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
+def solve_group_exact(inst: Instance) -> SolveResult:
     """Binary keep vector maximizing the total kept fraction subject to the cap.
 
     Equivalently minimizes the mean cost. The relaxation is first presolved
@@ -192,7 +186,7 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     seed, _ = _conventional(inst)
     seed_obj = metrics.group_objective(inst, seed)
     tally = Counter()
-    found, root = _branch_and_bound(inst, pre, tally, _node_limit(node_limit), seed_obj)
+    found, root = _branch_and_bound(inst, pre, tally, _node_limit(), seed_obj)
     best_obj, best_keep = found[-1] if found else (seed_obj, seed)
     rows, cols = pre.lp.A.shape
     return SolveResult(
@@ -212,7 +206,7 @@ def solve_group_exact(inst: Instance, node_limit: int | None = None) -> SolveRes
     )
 
 
-def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> SolveResult:
+def solve_individual_exact(inst: Instance) -> SolveResult:
     """Binary keep vector minimizing the worst-case cost subject to the cap.
 
     The worst-case cost only takes values k/|papers of i|. A level t is met
@@ -224,7 +218,7 @@ def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> Sol
     LP counts are summed over the levels, and `DESKFAIR_NODE_LIMIT` caps
     their sum.
     """
-    limit = _node_limit(node_limit)
+    limit = _node_limit()
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     tally = Counter()
     t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
@@ -247,15 +241,12 @@ def solve_individual_exact(inst: Instance, node_limit: int | None = None) -> Sol
     )
 
 
-def solve_ideal_feasibility(
-    inst: Instance, node_limit: int | None = None
-) -> KeepVector | None:
+def solve_ideal_feasibility(inst: Instance) -> KeepVector | None:
     """Witness keep vector giving every author exactly min(x, own count)
     papers, or None when no such vector exists: a feasibility question
     for `_branch_and_bound` with floors min(x, own count) under the cap x."""
     floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
-    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter(),
-                                 _node_limit(node_limit))
+    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter(), _node_limit())
     return found[0][1] if found else None
 
 
@@ -271,14 +262,14 @@ class IntegralityAudit:
         return self.gap > INT_TOL
 
 
-def integrality_audit(inst: Instance, node_limit: int | None = None) -> IntegralityAudit:
+def integrality_audit(inst: Instance) -> IntegralityAudit:
     """Compare the relaxation optimum against the exact binary optimum.
 
     A positive gap exhibits an instance where the relaxation is *not* exact,
     i.e. rounding the LP cannot be trusted on that instance. The relaxation
     figures are those of the exact solve's root LP.
     """
-    exact = solve_group_exact(inst, node_limit=node_limit)
+    exact = solve_group_exact(inst)
     diag = exact.diagnostics
     return IntegralityAudit(
         lp_objective=diag.lp_objective,
@@ -345,13 +336,23 @@ def _require_int(value, what: str) -> None:
         raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
+def _uncovered(sc: SetCoverInstance) -> int | None:
+    """The smallest element of the universe in no set, or None."""
+    covered = set().union(*sc.sets)
+    return next((e for e in range(1, sc.universe_size + 1) if e not in covered), None)
+
+
 def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     """Encode set cover as a submission-limit instance: universe elements
     become authors, sets become papers, and the cap x = number of sets never
     binds. Covering every element with at most K = `sc.budget` sets is exactly
     finding a keep vector with every author's kept count >= 1 and at most K
     papers kept; the budget stays with `sc`, plain instances carry none.
+    Raises :class:`InstanceError` when some element lies in no set.
     """
+    missing = _uncovered(sc)
+    if missing is not None:
+        raise InstanceError(f"element {missing} lies in no set")
     authors = [f"e{i}" for i in range(1, sc.universe_size + 1)]
     papers = [
         {"id": f"s{j + 1}", "authors": [f"e{i}" for i in sorted(s)]}
@@ -360,17 +361,14 @@ def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     return validate_instance({"x": len(sc.sets), "authors": authors, "papers": papers})
 
 
-def decide_set_cover(
-    sc: SetCoverInstance, node_limit: int | None = None
-) -> tuple[bool, tuple[int, ...] | None]:
+def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
     """Decide the covering question; on success also return the 0-based
     indices of a witness subfamily."""
-    covered = set().union(*sc.sets)
-    if covered != set(range(1, sc.universe_size + 1)):
+    if _uncovered(sc) is not None:
         return False, None
     inst = reduce_set_cover(sc)
     pre = presolve_group(inst, floors=[1] * inst.n, max_kept=sc.budget)
-    found, _ = _branch_and_bound(inst, pre, Counter(), _node_limit(node_limit))
+    found, _ = _branch_and_bound(inst, pre, Counter(), _node_limit())
     if not found:
         return False, None
     return True, found[0][1].kept_indices()

@@ -233,6 +233,23 @@ def test_bad_flag_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check-ideal", "--input", "{cvpr}", "--seed", "1"], "--seed"),
+    (["gen", "--family", "triangle", "--input", "{cvpr}"], "--input"),
+    (["gen", "--family", "triangle", "--count", "1"], "--count"),
+    (["reduce-setcover", "--input", "{setcover}", "--seed", "1"], "--seed"),
+    (["reduce-setcover", "--input", "{setcover}", "--limit", "2"], "--limit"),
+], ids=["check-ideal-seed", "gen-input", "gen-count", "reduce-setcover-seed", "reduce-setcover-limit"])
+def test_unread_flags_are_rejected(argv, flag, cvpr_file, tmp_path, capsys):
+    setcover = tmp_path / "sc.json"
+    setcover.write_text('{"universe_size": 3, "sets": [[1, 2], [2, 3], [3]], "budget": 2}')
+    argv = [a.format(cvpr=cvpr_file, setcover=setcover) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage:") == 1
+    assert err.endswith(f"deskfair: error: unrecognized arguments: {flag} {argv[-1]}\n")
+
+
 def test_compare_outputs(cvpr_file, tmp_path, capsys):
     base = tmp_path / "cmp"
     assert main(["compare", "--input", cvpr_file, "--output", str(base)]) == 0
@@ -286,13 +303,15 @@ def test_compare_no_overage_all_policies_agree(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_check_ideal_constructive_label(cvpr_file, tmp_path, capsys):
-    out = tmp_path / "w.json"
+def test_check_ideal_matches_solve_ideal(cvpr_file, tmp_path, capsys):
+    out, solved = tmp_path / "w.json", tmp_path / "s.json"
     assert main(["check-ideal", "--input", cvpr_file, "--output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "constructive (two-author case analysis)" in printed
-    doc = read_json(out)
-    assert doc["feasible"] and len(doc["rejected_papers"]) == 1
+    assert main(["solve", "--input", cvpr_file, "--policy", "ideal", "--output", str(solved)]) == 0
+    doc, witness = read_json(out), read_json(solved)
+    assert doc["rejected_papers"] == witness["rejected_papers"] and len(doc["rejected_papers"]) == 1
+    assert doc == {"feasible": True, "kept_papers": witness["kept_papers"],
+                   "rejected_papers": witness["rejected_papers"]}
+    assert capsys.readouterr().out.splitlines()[0] == "IDEAL FEASIBLE"
 
 
 def test_check_ideal_infeasible(tmp_path, capsys):
@@ -382,8 +401,9 @@ def test_reduce_setcover(tmp_path):
     ('{"universe_size": "1", "sets": [[1]], "budget": 1}', "'universe_size' must be an integer"),
     ('{"universe_size": 1, "sets": [[1]], "budget": 1.5}', "'budget' must be an integer"),
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ('{"universe_size": 3, "sets": [[1], [2]], "budget": 2}', "element 3 lies in no set"),
 ], ids=["not an object", "set not an array", "sets a string", "string element", "float element",
-        "bool element", "bool universe", "string universe", "float budget", "deep"])
+        "bool element", "bool universe", "string universe", "float budget", "deep", "uncovered"])
 def test_reduce_setcover_malformed_input_exits_one(tmp_path, text, message):
     path = tmp_path / "sc.json"
     path.write_text(text)

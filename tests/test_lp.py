@@ -338,3 +338,21 @@ def test_mps_dump_layout(triangle):
     assert " N  OBJ" in text and " L  R1" in text
     assert text.count("UP BND") == 3 and text.count("LO BND") == 3
     assert text.endswith("ENDATA\n")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mps_columns_list_every_nonzero_in_row_order(seed):
+    # floor rows put -1 entries next to the +1 cap and budget rows
+    inst = gen_random(5, 9, 2, 0.5, seed)
+    lp = presolve_group(inst, [1] * inst.n, max_kept=5).lp
+    text = to_mps(lp)
+    columns = text[text.index("COLUMNS\n") + len("COLUMNS\n"):text.index("RHS\n")].splitlines()
+    expected = []
+    for j in range(lp.A.shape[1]):  # a dense scan of every cell, column by column
+        entries = [("OBJ", lp.c[j])]
+        entries += [(f"R{i + 1}", lp.A[i, j]) for i in range(lp.A.shape[0]) if lp.A[i, j] != 0.0]
+        for k in range(0, len(entries), 2):
+            fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in entries[k:k + 2])
+            expected.append(f"    X{j + 1:<7}{fields}")
+    assert columns == expected
+    assert any("-1" in line for line in columns)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from deskfair import policies
 from deskfair.generators import gen_random
 from deskfair.instance import (
     AuthorCategory,
@@ -134,9 +135,10 @@ def test_roulette_expectation_no_overage():
     assert roulette_expectation(inst) == (0, 0)
 
 
-def test_roulette_expectation_outcome_cap(cvpr26):
+def test_roulette_expectation_outcome_cap(cvpr26, monkeypatch):
+    monkeypatch.setattr(policies, "MAX_ROULETTE_OUTCOMES", 10)
     with pytest.raises(OutcomeSpaceTooLarge):
-        roulette_expectation(cvpr26, max_outcomes=10)
+        roulette_expectation(cvpr26)
 
 
 def test_roulette_expectation_matches_sampling(triangle):

@@ -134,8 +134,8 @@ def test_ideal_feasibility_hard_families(triangle):
 
 
 def test_ideal_feasibility_two_authors():
-    for seed in range(40):
-        inst = gen_random(2, 1 + seed % 12, 1 + seed % 4, 0.5, seed)
+    for n, seed in itertools.product((1, 2), range(40)):
+        inst = gen_random(n, 1 + seed % 12, 1 + seed % 4, 0.5, seed)
         witness = solve_ideal_feasibility(inst)
         assert witness is not None
         assert is_ideal(inst, witness)
@@ -258,12 +258,14 @@ TWO_TRIANGLES = SetCoverInstance(
     (solve_ideal_feasibility, gen_triangle(), 3),
     (decide_set_cover, TWO_TRIANGLES, 3),
 ], ids=["group", "individual", "ideal", "set-cover"])
-def test_node_limit_exceeded(solve, problem, nodes):
+def test_node_limit_exceeded(solve, problem, nodes, monkeypatch):
     # individual-exact spends 3 nodes on level 1/2 and 2 on level 1: the
     # limit caps their sum, not each level
-    solve(problem, node_limit=nodes)
+    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes))
+    solve(problem)
+    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes - 1))
     with pytest.raises(NodeLimitExceeded):
-        solve(problem, node_limit=nodes - 1)
+        solve(problem)
 
 
 def test_node_limit_env_override(monkeypatch, triangle):
