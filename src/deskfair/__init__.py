@@ -29,7 +29,7 @@ from .metrics import (
     zeta_ind,
 )
 from .policies import (
-    PolicyOutcome,
+    RunRecord,
     conventional_desk_reject,
     ideal_construct_small,
     roulette_expectation,
@@ -39,7 +39,6 @@ from .lp import LinearProgram, LpSolution, LpStatus, build_group_relaxation, int
 from .solvers import (
     IntegralityAudit,
     SetCoverInstance,
-    SolveResult,
     decide_set_cover,
     integrality_audit,
     reduce_set_cover,

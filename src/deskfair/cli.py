@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import metrics, policies, solvers
 from .generators import (
@@ -35,16 +36,9 @@ from .instance import (
 from .jsontext import dumps_indented
 from .lp import NumericalBreakdown, SolverStalled, build_group_relaxation, to_mps
 from .metrics import rational_field
-from .reports import (
-    RunRecord,
-    comparison_table,
-    comparison_to_csv,
-    comparison_to_text,
-    run_record_to_dict,
-)
+from .policies import RunRecord
+from .reports import comparison_table, comparison_to_csv, comparison_to_text, run_record_to_dict
 from .solvers import IntegralityAudit, NodeLimitExceeded
-
-POLICIES = ("conventional", "roulette", "group-lp", "group-exact", "individual-exact", "ideal")
 
 
 class UnknownPolicy(ValueError):
@@ -59,42 +53,48 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+def _group_lp(inst: Instance, seed: int | None) -> RunRecord:
+    record = solvers.solve_group_exact(inst)
+    note = ("relaxation optimum integral; certified exactly" if record.diagnostics.lp_integral
+            else "relaxation optimum fractional; fell back to exact search")
+    return replace(record, policy="group-lp", note=note)
 
 
-def run_policy(inst: Instance, policy: str, seed: int | None = None,
-               dump_lp: str | None = None) -> RunRecord:
-    """Run one policy; a record with keep=None means the outcome does not exist."""
+def _ideal(inst: Instance, seed: int | None) -> RunRecord:
+    witness = solvers.solve_ideal_feasibility(inst)
+    if witness is None:
+        return RunRecord("ideal", None, None,
+                         note="no keep set leaves every author at exactly min(x, own count)")
+    return RunRecord("ideal", witness, metrics.evaluate(inst, witness))
+
+
+# Each runner looks its entry point up through the module at call time, so a
+# wrapper patched onto the module attribute (a tracer, a test spy) sees the call.
+_RUNNERS = {
+    "conventional": lambda inst, seed: policies.conventional_desk_reject(inst),
+    "roulette": lambda inst, seed: policies.roulette_reject(inst, 0 if seed is None else seed),
+    "group-lp": _group_lp,
+    "group-exact": lambda inst, seed: solvers.solve_group_exact(inst),
+    "individual-exact": lambda inst, seed: solvers.solve_individual_exact(inst),
+    "ideal": _ideal,
+}
+POLICIES = tuple(_RUNNERS)
+
+
+def _check_policy(policy: str) -> str:
+    """`policy`, if it names one; raises :class:`UnknownPolicy` otherwise."""
+    if policy not in _RUNNERS:
+        raise UnknownPolicy(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
+    return policy
+
+
+def run_policy(inst: Instance, policy: str, seed: int | None = None) -> RunRecord:
+    """Run one policy and time it; a record with keep=None means the outcome
+    does not exist."""
+    runner = _RUNNERS[_check_policy(policy)]
     t0 = time.perf_counter()
-    if policy == "conventional":
-        out = policies.conventional_desk_reject(inst)
-        return RunRecord(policy, out.keep, out.report, _ms(t0), trace=out.trace)
-    if policy == "roulette":
-        s = 0 if seed is None else seed
-        out = policies.roulette_reject(inst, s)
-        return RunRecord(policy, out.keep, out.report, _ms(t0), seed=s, trace=out.trace)
-    if policy in ("group-exact", "group-lp"):
-        if dump_lp:
-            _write_text(dump_lp, to_mps(build_group_relaxation(inst)))
-        res = solvers.solve_group_exact(inst)
-        note = None
-        if policy == "group-lp":
-            note = ("relaxation optimum integral; certified exactly" if res.diagnostics.lp_integral
-                    else "relaxation optimum fractional; fell back to exact search")
-        return RunRecord(policy, res.keep, res.report, _ms(t0),
-                         objective=res.objective, diagnostics=res.diagnostics, note=note)
-    if policy == "individual-exact":
-        res = solvers.solve_individual_exact(inst)
-        return RunRecord(policy, res.keep, res.report, _ms(t0),
-                         objective=res.objective, diagnostics=res.diagnostics)
-    if policy == "ideal":
-        witness = solvers.solve_ideal_feasibility(inst)
-        if witness is None:
-            return RunRecord(policy, None, None, _ms(t0),
-                             note="no keep set leaves every author at exactly min(x, own count)")
-        return RunRecord(policy, witness, metrics.evaluate(inst, witness), _ms(t0))
-    raise UnknownPolicy(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
+    record = runner(inst, seed)
+    return replace(record, runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _write_text(path: str | None, text: str):
@@ -124,10 +124,10 @@ def _load_input(args) -> Instance:
 
 def cmd_solve(args) -> int:
     inst = _load_input(args)
-    policy = args.policy or "group-exact"
-    if policy not in POLICIES:
-        raise UnknownPolicy(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
-    record = run_policy(inst, policy, seed=args.seed, dump_lp=args.dump_lp)
+    policy = _check_policy(args.policy or "group-exact")
+    if args.dump_lp:  # the relaxation depends on the instance only
+        _write_text(args.dump_lp, to_mps(build_group_relaxation(inst)))
+    record = run_policy(inst, policy, seed=args.seed)
     _write_json(args.output, run_record_to_dict(record, inst))
     if record.keep is None:
         print(f"INFEASIBLE: {record.note}", file=sys.stderr)
@@ -140,10 +140,7 @@ def cmd_compare(args) -> int:
     requested = args.policy or [p for p in POLICIES if p != "ideal"]
     names: list[str] = []
     for chunk in requested:
-        names.extend(p.strip() for p in chunk.split(",") if p.strip())
-    for p in names:
-        if p not in POLICIES:
-            raise UnknownPolicy(f"unknown policy {p!r}; choose from {', '.join(POLICIES)}")
+        names.extend(_check_policy(p.strip()) for p in chunk.split(",") if p.strip())
     records = [run_policy(inst, p, seed=args.seed) for p in names]
     table = comparison_table(inst, records)
     if args.output:
@@ -159,7 +156,7 @@ def cmd_compare(args) -> int:
 
 def cmd_check_ideal(args) -> int:
     inst = _load_input(args)
-    witness = solvers.solve_ideal_feasibility(inst)
+    witness = run_policy(inst, "ideal").keep
     if witness is None:
         if args.output:
             _write_json(args.output, {"feasible": False})
@@ -188,6 +185,8 @@ def _audit_to_dict(audit: IntegralityAudit) -> dict:
 
 
 def cmd_audit_integrality(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise BadParameter(f"--count must be at least 1, got {args.count}")
     if args.input:
         inst = _load_input(args)
         audit = solvers.integrality_audit(inst)
@@ -216,18 +215,8 @@ def cmd_audit_integrality(args) -> int:
 
 def _sweep_instances(args, count: int):
     """`count` instances of the family named by `--family`; only the random
-    family has more than one."""
+    family has more than one. `--limit` sets the cap of every family."""
     family = args.family
-    if family == "triangle":
-        return [("triangle", gen_triangle())]
-    if family == "leave-one-out":
-        if args.n is None:
-            raise BadParameter("--family leave-one-out needs --n")
-        return [(f"leave_one_out({args.n})", gen_leave_one_out(args.n))]
-    if family == "case-study":
-        if not args.case:
-            raise BadParameter("--family case-study needs --case")
-        return [(args.case, gen_case_study(args.case))]
     if family == "random":
         missing = [f for f in ("n", "m", "density", "limit") if getattr(args, f) is None]
         if missing:
@@ -238,7 +227,21 @@ def _sweep_instances(args, count: int):
              gen_random(args.n, args.m, args.limit, args.density, base + i))
             for i in range(count)
         ]
-    raise BadParameter(f"unknown family {family!r}")
+    if family == "triangle":
+        label, inst = "triangle", gen_triangle()
+    elif family == "leave-one-out":
+        if args.n is None:
+            raise BadParameter("--family leave-one-out needs --n")
+        label, inst = f"leave_one_out({args.n})", gen_leave_one_out(args.n)
+    elif family == "case-study":
+        if not args.case:
+            raise BadParameter("--family case-study needs --case")
+        label, inst = args.case, gen_case_study(args.case)
+    else:
+        raise BadParameter(f"unknown family {family!r}")
+    if args.limit is not None:
+        inst = inst.with_cap(args.limit)
+    return [(label, inst)]
 
 
 def cmd_gen(args) -> int:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", "run one policy on an instance", cmd_solve,
             "--input", "--output", "--seed", "--limit")
     p.add_argument("--policy", help=f"one of: {', '.join(POLICIES)}")
-    p.add_argument("--dump-lp", help="also write the relaxation in MPS layout (group policies)")
+    p.add_argument("--dump-lp", help="also write the full group relaxation in MPS layout (any policy)")
 
     p = add("compare", "run several policies and tabulate", cmd_compare,
             "--input", "--output", "--seed", "--limit")

@@ -4,6 +4,8 @@ The conventional policy walks papers in submission order and drops any paper
 whose coauthor already has the cap's worth of registered papers. The roulette
 policy repeatedly rejects a uniformly random kept paper of the most over-cap
 author. Both always terminate with a feasible keep set.
+
+`RunRecord` is what every policy run returns, here and in `solvers`.
 """
 
 from __future__ import annotations
@@ -11,10 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import metrics
 from .instance import Instance, KeepVector
 from .metrics import FairnessReport
+
+if TYPE_CHECKING:
+    from .solvers import SolverDiagnostics
 
 
 MAX_ROULETTE_OUTCOMES = 100_000
@@ -29,11 +35,22 @@ class OutcomeSpaceTooLarge(ValueError):
 
 
 @dataclass(frozen=True)
-class PolicyOutcome:
+class RunRecord:
+    """One policy run on one instance: the keep set and its exact per-author
+    costs, plus what the policy reports about how it got there."""
+
     policy: str
-    keep: KeepVector
-    report: FairnessReport
-    trace: tuple[tuple[str, str, str], ...]  # (paper id, decision, reason)
+    keep: KeepVector | None  # None: the requested outcome does not exist
+    report: FairnessReport | None
+    runtime_ms: float | None = None  # set by `cli.run_policy`, which times the run
+    seed: int | None = None
+    # The exact optimum of the solved criterion: total kept fraction
+    # (maximized) for `group-exact`, worst-case cost (minimized) for
+    # `individual-exact`.
+    objective: Fraction | None = None
+    diagnostics: SolverDiagnostics | None = None
+    trace: tuple[tuple[str, str, str], ...] | None = None  # (paper id, decision, reason)
+    note: str | None = None
 
 
 def _conventional(inst: Instance) -> tuple[KeepVector, tuple[int | None, ...]]:
@@ -56,7 +73,7 @@ def _conventional(inst: Instance) -> tuple[KeepVector, tuple[int | None, ...]]:
     return KeepVector.binary(keep), tuple(blockers)
 
 
-def conventional_desk_reject(inst: Instance) -> PolicyOutcome:
+def conventional_desk_reject(inst: Instance) -> RunRecord:
     """Order-based rejection: paper j is dropped iff, at its turn, some
     coauthor already has x registered (kept) papers."""
     kv, blockers = _conventional(inst)
@@ -65,7 +82,7 @@ def conventional_desk_reject(inst: Instance) -> PolicyOutcome:
         else (paper.id, "reject", f"author {inst.author_ids[blocker]} already at the cap")
         for paper, blocker in zip(inst.papers, blockers)
     )
-    return PolicyOutcome("conventional", kv, metrics.evaluate(inst, kv), trace)
+    return RunRecord("conventional", kv, metrics.evaluate(inst, kv), trace=trace)
 
 
 def _victim(counts, x, over):
@@ -80,7 +97,7 @@ def _victim(counts, x, over):
     return best
 
 
-def roulette_reject(inst: Instance, seed: int = 0) -> PolicyOutcome:
+def roulette_reject(inst: Instance, seed: int = 0) -> RunRecord:
     """Randomized rejection: while someone is over the cap, drop one of the
     worst offender's kept papers uniformly at random. Deterministic per seed."""
     rng = random.Random(seed)
@@ -102,7 +119,7 @@ def roulette_reject(inst: Instance, seed: int = 0) -> PolicyOutcome:
              f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}")
         )
     kv = KeepVector.binary(keep)
-    return PolicyOutcome("roulette", kv, metrics.evaluate(inst, kv), tuple(trace))
+    return RunRecord("roulette", kv, metrics.evaluate(inst, kv), seed=seed, trace=tuple(trace))
 
 
 def roulette_expectation(inst: Instance):

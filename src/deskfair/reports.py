@@ -8,38 +8,17 @@ decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import asdict
 
-from .instance import Instance, KeepVector
-from .metrics import (
-    FairnessReport,
-    format_rational,
-    rational_decimal,
-    rational_field,
-    report_to_dict,
-)
+from .instance import Instance
+from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
+from .policies import RunRecord
 from .solvers import SolverDiagnostics
 
 CSV_HEADER = (
     "policy,kept_count,rejected_papers,zeta_ind,zeta_ind_decimal,"
     "zeta_group,zeta_group_decimal,ideal,runtime_ms,node_count,lp_calls"
 )
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One policy run on one instance, ready to serialize."""
-
-    policy: str
-    keep: KeepVector | None  # None: the requested outcome does not exist
-    report: FairnessReport | None
-    runtime_ms: float
-    seed: int | None = None
-    objective: Fraction | None = None
-    diagnostics: SolverDiagnostics | None = None
-    trace: tuple | None = None
-    note: str | None = None
 
 
 def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:

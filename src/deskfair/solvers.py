@@ -33,8 +33,7 @@ from .lp import (
     snap_binary,
     solve_lp,
 )
-from .metrics import FairnessReport
-from .policies import _conventional
+from .policies import RunRecord, _conventional
 
 DEFAULT_NODE_LIMIT = 10**6
 
@@ -67,22 +66,6 @@ class SolverDiagnostics:
     lp_cols: int | None = None         # after presolve
     best_bound: float | None = None    # proven upper bound on the optimum
     incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of one exact solve.
-
-    `objective` is the exact optimum of the solved criterion: total kept
-    fraction (maximized) for the group solver, worst-case cost (minimized)
-    for the individual solver.
-    """
-
-    policy: str
-    keep: KeepVector
-    report: FairnessReport
-    objective: Fraction | None
-    diagnostics: SolverDiagnostics
 
 
 def _admits(inst: Instance, pre: GroupPresolve, keep: KeepVector) -> bool:
@@ -171,7 +154,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
     return found, root
 
 
-def solve_group_exact(inst: Instance) -> SolveResult:
+def solve_group_exact(inst: Instance) -> RunRecord:
     """Binary keep vector maximizing the total kept fraction subject to the cap.
 
     Equivalently minimizes the mean cost. The relaxation is first presolved
@@ -189,7 +172,7 @@ def solve_group_exact(inst: Instance) -> SolveResult:
     found, root = _branch_and_bound(inst, pre, tally, _node_limit(), seed_obj)
     best_obj, best_keep = found[-1] if found else (seed_obj, seed)
     rows, cols = pre.lp.A.shape
-    return SolveResult(
+    return RunRecord(
         policy="group-exact",
         keep=best_keep,
         report=metrics.evaluate(inst, best_keep),
@@ -206,7 +189,7 @@ def solve_group_exact(inst: Instance) -> SolveResult:
     )
 
 
-def solve_individual_exact(inst: Instance) -> SolveResult:
+def solve_individual_exact(inst: Instance) -> RunRecord:
     """Binary keep vector minimizing the worst-case cost subject to the cap.
 
     The worst-case cost only takes values k/|papers of i|. A level t is met
@@ -232,7 +215,7 @@ def solve_individual_exact(inst: Instance) -> SolveResult:
         t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
     witness = found[0][1]
     rows, cols = pre.lp.A.shape
-    return SolveResult(
+    return RunRecord(
         policy="individual-exact",
         keep=witness,
         report=metrics.evaluate(inst, witness),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deskfair import lp, solvers
+from deskfair import lp, policies, solvers
 from deskfair.cli import POLICIES, build_parser, main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance, instance_to_dict
 from deskfair.metrics import parse_rational
+from deskfair.policies import RunRecord
 from deskfair.reports import CSV_HEADER
 
 from conftest import instances, spy_on
@@ -224,8 +225,34 @@ def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys
     assert err.count("\n") == 1
 
 
-def test_unknown_policy_exits_one(cvpr_file):
-    assert main(["solve", "--input", cvpr_file, "--policy", "mystery"]) == 1
+def test_unknown_policy_exits_one(cvpr_file, monkeypatch, capsys):
+    runs = spy_on(monkeypatch, policies.conventional_desk_reject)
+    for argv in (["solve", "--policy", "bogus"], ["compare", "--policy", "conventional,bogus"]):
+        assert main(argv + ["--input", cvpr_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("deskfair: error: unknown policy 'bogus'; choose from ")
+    assert runs == []  # compare checks every name before it runs any
+
+
+ENTRY_POINTS = {
+    "conventional": (policies, "conventional_desk_reject"),
+    "roulette": (policies, "roulette_reject"),
+    "group-lp": (solvers, "solve_group_exact"),
+    "group-exact": (solvers, "solve_group_exact"),
+    "individual-exact": (solvers, "solve_individual_exact"),
+    "ideal": (solvers, "solve_ideal_feasibility"),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_run_policy_reaches_its_entry_point_once(policy, cvpr26, monkeypatch):
+    module, attr = ENTRY_POINTS[policy]
+    calls = spy_on(monkeypatch, getattr(module, attr))
+    record = run_policy(cvpr26, policy)
+    assert len(calls) == 1
+    assert isinstance(record, RunRecord) and record.policy == policy
+    assert record.runtime_ms > 0
 
 
 def test_bad_flag_exits_one(capsys):
@@ -343,6 +370,19 @@ def test_audit_single_instances(triangle_file, cvpr_file, tmp_path):
     assert abs(doc["gap"]) < 1e-6
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_audit_count_below_one_exits_one(count, tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["audit-integrality", "--family", "random", "--count", count, "--n", "4",
+                 "--m", "6", "--density", "0.5", "--limit", "2", "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"deskfair: error: --count must be at least 1, got {count}\n"
+    assert main(["audit-integrality", "--family", "random", "--n", "4", "--m", "6",
+                 "--density", "0.5", "--limit", "2", "--output", str(out)]) == 0
+    assert read_json(out)["instances"] == 1
+
+
 def test_audit_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["audit-integrality", "--family", "random", "--count", "6", "--n", "4",
@@ -374,6 +414,22 @@ def test_gen_families(tmp_path):
     assert main(["gen", "--family", "case-study", "--case", "zzz", "--output", str(out)]) == 1
     assert main(["gen", "--family", "leave-one-out", "--output", str(out)]) == 1
     assert main(["gen", "--family", "mystery", "--output", str(out)]) == 1
+
+
+@pytest.mark.parametrize("family", [
+    ["triangle"], ["leave-one-out", "--n", "5"], ["case-study", "--case", "cvpr26"],
+], ids=["triangle", "leave-one-out", "case-study"])
+def test_limit_sets_the_cap_of_every_family(family, tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--family", *family, "--limit", "5", "--output", str(out)]) == 0
+    assert read_json(out)["x"] == 5
+
+
+def test_audit_triangle_under_a_raised_cap(tmp_path):
+    out = tmp_path / "audit.json"
+    assert main(["audit-integrality", "--family", "triangle", "--limit", "5",
+                 "--output", str(out)]) == 0
+    assert read_json(out)["counterexamples"] == 0  # 0 rejections: LP and exact optimum agree
 
 
 def test_reduce_setcover(tmp_path):
@@ -427,6 +483,15 @@ def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
     assert " L  R2" in text  # the full LP: the under-cap author keeps its row
     doc = read_json(out)
     assert doc["note"].startswith("relaxation optimum integral")
+
+
+def test_dump_lp_for_any_policy(cvpr_file, tmp_path):
+    dumps = {}
+    for policy in ("conventional", "group-exact"):
+        dumps[policy] = tmp_path / f"{policy}.mps"
+        assert main(["solve", "--input", cvpr_file, "--policy", policy,
+                     "--dump-lp", str(dumps[policy]), "--output", str(tmp_path / "out.json")]) == 0
+    assert dumps["conventional"].read_bytes() == dumps["group-exact"].read_bytes()
 
 
 @pytest.mark.parametrize("inst", [gen_triangle(), gen_case_study("cvpr26")], ids=["triangle", "cvpr26"])
