@@ -35,7 +35,7 @@ from .policies import (
     roulette_expectation,
     roulette_reject,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, build_group_relaxation, integrality_check, solve_lp, to_mps
+from .lp import LinearProgram, LpSolution, build_group_relaxation, solve_lp, to_mps
 from .solvers import (
     IntegralityAudit,
     SetCoverInstance,

@@ -188,6 +188,7 @@ def cmd_audit_integrality(args) -> int:
     if args.count is not None and args.count < 1:
         raise BadParameter(f"--count must be at least 1, got {args.count}")
     if args.input:
+        _reject_unread(args, "--input", ())
         inst = _load_input(args)
         audit = solvers.integrality_audit(inst)
         _write_json(args.output, _audit_to_dict(audit))
@@ -213,10 +214,26 @@ def cmd_audit_integrality(args) -> int:
     return 0
 
 
+# The family flags each family reads besides --limit, which every family reads.
+_FAMILY_READS = {"random": ("seed", "n", "m", "density", "count"), "triangle": (),
+                 "leave-one-out": ("n",), "case-study": ("case",)}
+
+
+def _reject_unread(args, source: str, reads) -> None:
+    """Raise :class:`BadParameter` naming every family flag given that `source` does not read."""
+    unread = [f for f in ("family", "case", "seed", "n", "m", "density", "count")
+              if f not in reads and getattr(args, f, None) is not None]
+    if unread:
+        raise BadParameter(f"{source} does not read --{', --'.join(unread)}")
+
+
 def _sweep_instances(args, count: int):
-    """`count` instances of the family named by `--family`; only the random
-    family has more than one. `--limit` sets the cap of every family."""
+    """`count` instances of the `--family` family, each labelled with its cap
+    (`--limit`, if given); only the random family has more than one."""
     family = args.family
+    if family not in _FAMILY_READS:
+        raise BadParameter(f"unknown family {family!r}")
+    _reject_unread(args, f"--family {family}", ("family", *_FAMILY_READS[family]))
     if family == "random":
         missing = [f for f in ("n", "m", "density", "limit") if getattr(args, f) is None]
         if missing:
@@ -227,21 +244,20 @@ def _sweep_instances(args, count: int):
              gen_random(args.n, args.m, args.limit, args.density, base + i))
             for i in range(count)
         ]
+    params = ""
     if family == "triangle":
-        label, inst = "triangle", gen_triangle()
+        name, inst = "triangle", gen_triangle()
     elif family == "leave-one-out":
         if args.n is None:
             raise BadParameter("--family leave-one-out needs --n")
-        label, inst = f"leave_one_out({args.n})", gen_leave_one_out(args.n)
-    elif family == "case-study":
+        name, inst, params = "leave_one_out", gen_leave_one_out(args.n), f"n={args.n},"
+    else:
         if not args.case:
             raise BadParameter("--family case-study needs --case")
-        label, inst = args.case, gen_case_study(args.case)
-    else:
-        raise BadParameter(f"unknown family {family!r}")
+        name, inst = args.case, gen_case_study(args.case)
     if args.limit is not None:
         inst = inst.with_cap(args.limit)
-    return [(label, inst)]
+    return [(f"{name}({params}x={inst.x})", inst)]
 
 
 def cmd_gen(args) -> int:

@@ -8,11 +8,12 @@ sequence deterministic.
 
 `solve_lp` is one bounded dual simplex for every start. Pricing, the ratio
 test and the row elimination are numpy operations on a dense tableau that
-also carries the right-hand side B^-1 b, and every optimal solve returns its
-final `Basis`. Every structural column is boxed (finite `lo` and `hi`) and
-every slack has cost 0 and lower bound 0, so a basis that puts every
-nonbasic column at the bound its cost favours is dual feasible, and the
-dual loop alone reaches the optimum. There are two starts:
+also carries the right-hand side B^-1 b. An optimal solve returns `r` and
+its final `Basis`; an infeasible one returns `r` None. Every structural
+column is boxed (finite `lo` and `hi`) and every slack has cost 0 and lower
+bound 0, so a basis that puts every nonbasic column at the bound its cost
+favours is dual feasible, and the dual loop alone reaches the optimum.
+There are two starts:
 
 - Cold (`start=None`): the tableau [A | I | b] with the slacks basic and each
   structural column at `hi` where c_j >= 0 and at `lo` elsewhere. Its
@@ -34,13 +35,12 @@ its cap then takes one pivot and k - 1 flips where a short step takes k
 pivots. A final check of the reduced costs makes sure no basis is reported
 optimal unless it is dual feasible.
 
-Solutions are float arrays; `GroupPresolve.expand` turns an integral one
-into a binary `KeepVector`.
+Solutions are float arrays; `snap_binary`, the one integrality test, rounds
+an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,15 +58,6 @@ class SolverStalled(RuntimeError):
 
 class NumericalBreakdown(RuntimeError):
     pass
-
-
-class NotOptimal(ValueError):
-    pass
-
-
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +106,9 @@ class Basis:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: LpStatus
-    r: np.ndarray | None  # clipped to [lo, hi]
-    objective_value: float
-    iteration_count: int        # pivots
+    r: np.ndarray | None        # clipped to [lo, hi]; None iff the LP is infeasible
+    objective_value: float      # nan when infeasible
+    iteration_count: int        # pivots, infeasible solves included
     basis: Basis | None = None  # set on every optimal solve
     bound_flips: int = 0        # long-step flips: no pivot, not in iteration_count
 
@@ -293,8 +283,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             at_upper[j] = not at_upper[j]
             bound_flips += 1
         if entering < 0:
-            return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), iteration,
-                              bound_flips=bound_flips)
+            return LpSolution(None, float("nan"), iteration, bound_flips=bound_flips)
         iteration += 1
         if iteration > max_iter:
             raise SolverStalled(f"no optimum after {max_iter} pivots")
@@ -327,7 +316,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     x[basic] = xB
     r = np.clip(x[:n_struct], lp.lo, lp.hi)
     return LpSolution(
-        status=LpStatus.OPTIMAL,
         r=r,
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
@@ -336,17 +324,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     )
 
 
-def integrality_check(sol: LpSolution) -> bool:
-    """True iff every variable of an optimal solution is within 1e-6 of 0 or 1."""
-    if sol.status is not LpStatus.OPTIMAL:
-        raise NotOptimal(f"integrality is only defined for optimal solutions, got {sol.status}")
-    return bool(np.all(np.minimum(sol.r, 1.0 - sol.r) <= INT_TOL))
-
-
-def snap_binary(sol: LpSolution) -> np.ndarray:
-    """Round an integral LP solution to a 0/1 int array."""
-    if not integrality_check(sol):
-        raise ValueError("solution is fractional; nothing to snap")
+def snap_binary(sol: LpSolution) -> np.ndarray | None:
+    """The one integrality test: the 0/1 int array of a solution whose every
+    variable is within INT_TOL of 0 or 1, or None for a fractional or
+    infeasible one."""
+    if sol.r is None or not np.all(np.minimum(sol.r, 1.0 - sol.r) <= INT_TOL):
+        return None
     return (sol.r > 0.5).astype(int)
 
 

@@ -27,8 +27,6 @@ from .lp import (
     INT_TOL,
     Basis,
     GroupPresolve,
-    LpStatus,
-    integrality_check,
     presolve_group,
     snap_binary,
     solve_lp,
@@ -84,13 +82,14 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
 
     The root LP takes `solve_lp`'s cold start, which keeps every paper
     because every c_j > 0 and is dual feasible whatever the signs of the
-    rows; every child warm-starts from its parent's optimal basis. A
-    fractional node branches on its most fractional variable, first on ties,
-    and explores r_j = 1 first. An integral vertex is expanded to a
-    full keep vector and certified exactly: it must meet the question's cap,
-    floors and budget in integers (`_admits`). An uncertifiable vertex
-    (numerics went sour) splits on a free variable instead of being trusted
-    or dropped.
+    rows; every child warm-starts from its parent's optimal basis. Each
+    node's solution is snapped once (`snap_binary`); an infeasible node
+    closes. A fractional node branches on its most fractional variable,
+    first on ties, and explores r_j = 1 first. An integral vertex is
+    expanded to a full keep vector and certified exactly: it must meet the
+    question's cap, floors and budget in integers (`_admits`). An
+    uncertifiable vertex (numerics went sour) splits on a free variable
+    instead of being trusted or dropped.
 
     - `best` None asks for feasibility: the search stops at the first
       certified vertex.
@@ -123,16 +122,16 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
         tally["lp_pivots"] += sol.iteration_count
         tally["lp_bound_flips"] += sol.bound_flips
         bound = sol.objective_value + pre.offset
-        integral = sol.status is LpStatus.OPTIMAL and integrality_check(sol)
+        point = snap_binary(sol)
         if node.basis is None:
-            root = (bound, integral)
-        if sol.status is not LpStatus.OPTIMAL:
+            root = (bound, point is not None)
+        if sol.r is None:
             continue
         if bound + FEAS_TOL <= cut:
             tally["nodes_pruned"] += 1
             continue
-        if integral:
-            keep = pre.expand(snap_binary(sol))
+        if point is not None:
+            keep = pre.expand(point)
             exact = None if best is None else metrics.group_objective(inst, keep)
             if _admits(inst, pre, keep) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
                 if exact is None:

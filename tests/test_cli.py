@@ -277,6 +277,30 @@ def test_unread_flags_are_rejected(argv, flag, cvpr_file, tmp_path, capsys):
     assert err.endswith(f"deskfair: error: unrecognized arguments: {flag} {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["gen", "--family", "triangle", "--n", "7", "--m", "3", "--density", "0.5", "--seed", "9"],
+     "--seed, --n, --m, --density"),
+    (["gen", "--family", "case-study", "--case", "cvpr26", "--n", "3"], "--n"),
+    (["gen", "--family", "random", "--n", "3", "--m", "4", "--density", "0.5", "--limit", "1",
+      "--case", "cvpr26"], "--case"),
+    (["audit-integrality", "--family", "leave-one-out", "--n", "5", "--m", "9", "--count", "4"],
+     "--m, --count"),
+    (["audit-integrality", "--input", "{cvpr}", "--family", "triangle"], "--family"),
+    (["audit-integrality", "--input", "{cvpr}", "--count", "2"], "--count"),
+    (["audit-integrality", "--input", "{cvpr}", "--n", "4"], "--n"),
+], ids=["gen-triangle", "gen-case-study", "gen-random", "audit-leave-one-out",
+        "audit-input-family", "audit-input-count", "audit-input-n"])
+def test_family_flags_the_family_does_not_read_are_rejected(argv, flags, cvpr_file, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out.json"
+    argv = [a.format(cvpr=cvpr_file) for a in argv] + ["--output", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    source = "--input" if "--input" in argv else f"--family {argv[2]}"
+    assert stdout == "" and err == f"deskfair: error: {source} does not read {flags}\n"
+
+
 def test_compare_outputs(cvpr_file, tmp_path, capsys):
     base = tmp_path / "cmp"
     assert main(["compare", "--input", cvpr_file, "--output", str(base)]) == 0
@@ -430,6 +454,19 @@ def test_audit_triangle_under_a_raised_cap(tmp_path):
     assert main(["audit-integrality", "--family", "triangle", "--limit", "5",
                  "--output", str(out)]) == 0
     assert read_json(out)["counterexamples"] == 0  # 0 rejections: LP and exact optimum agree
+
+
+@pytest.mark.parametrize("family, label", [
+    (["triangle"], "triangle(x=1)"),
+    (["triangle", "--limit", "5"], "triangle(x=5)"),
+    (["leave-one-out", "--n", "5"], "leave_one_out(n=5,x=3)"),
+    (["leave-one-out", "--n", "5", "--limit", "2"], "leave_one_out(n=5,x=2)"),
+    (["case-study", "--case", "cvpr26", "--limit", "3"], "cvpr26(x=3)"),
+], ids=["triangle", "triangle-limit", "leave-one-out", "leave-one-out-limit", "case-study-limit"])
+def test_audit_labels_carry_the_cap(family, label, tmp_path):
+    out = tmp_path / "audit.json"
+    assert main(["audit-integrality", "--family", *family, "--output", str(out)]) == 0
+    assert [d["instance"] for d in read_json(out)["details"]] == [label]
 
 
 def test_reduce_setcover(tmp_path):

@@ -111,13 +111,15 @@ def test_thousand_paper_author_solves_without_recursion(tmp_path):
 @pytest.mark.parametrize("solve", [solve_ideal_feasibility, solve_individual_exact],
                          ids=["ideal", "individual"])
 def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve):
-    # the root's integral vertex comes back as all kept, which breaks the cap:
+    # the first integral vertex comes back as all kept, which breaks the cap:
     # the exact check must reject it and the search must branch on
     real, snapped = solvers.snap_binary, []
 
     def all_kept_first(sol):
-        snapped.append(sol)
         r = real(sol)
+        if r is None:
+            return None
+        snapped.append(sol)
         return np.ones_like(r) if len(snapped) == 1 else r
 
     monkeypatch.setattr(solvers, "snap_binary", all_kept_first)
