@@ -6,8 +6,9 @@ import argparse
 
 from deskfair.cli import POLICIES, run_policy
 from deskfair.generators import case_study_names, gen_case_study
+from deskfair.instance import SolverStopped
 from deskfair.metrics import format_rational
-from deskfair.policies import OutcomeSpaceTooLarge, roulette_expectation
+from deskfair.policies import roulette_expectation
 from deskfair.reports import comparison_table, comparison_to_text
 
 
@@ -20,7 +21,7 @@ def show(name, policies, seed):
         e_ind, e_group = roulette_expectation(inst)
         print(f"roulette expectation: E[worst-case cost] = {format_rational(e_ind)}, "
               f"E[mean cost] = {format_rational(e_group)}")
-    except OutcomeSpaceTooLarge as exc:
+    except SolverStopped as exc:
         print(f"roulette expectation skipped: {exc}")
     print()
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from dataclasses import replace
 
 from . import metrics, policies, solvers
 from .generators import (
-    BadParameter,
-    UnknownCase,
     case_study_names,
     gen_case_study,
     gen_leave_one_out,
@@ -29,20 +26,17 @@ from .generators import (
 from .instance import (
     Instance,
     InstanceError,
+    SolverStopped,
     instance_to_dict,
     load_instance,
     load_json,
 )
 from .jsontext import dumps_indented
-from .lp import NumericalBreakdown, SolverStalled, build_group_relaxation, to_mps
+from .lp import build_group_relaxation, to_mps
 from .metrics import rational_field
 from .policies import RunRecord
 from .reports import comparison_table, comparison_to_csv, comparison_to_text, run_record_to_dict
-from .solvers import IntegralityAudit, NodeLimitExceeded
-
-
-class UnknownPolicy(ValueError):
-    pass
+from .solvers import IntegralityAudit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +76,9 @@ POLICIES = tuple(_RUNNERS)
 
 
 def _check_policy(policy: str) -> str:
-    """`policy`, if it names one; raises :class:`UnknownPolicy` otherwise."""
+    """`policy`, if it names one; raises :class:`InstanceError` otherwise."""
     if policy not in _RUNNERS:
-        raise UnknownPolicy(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
+        raise InstanceError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
     return policy
 
 
@@ -115,7 +109,7 @@ def _write_json(path: str | None, payload: dict):
 
 def _load_input(args) -> Instance:
     if not args.input:
-        raise BadParameter("--input is required")
+        raise InstanceError("--input is required")
     inst = load_instance(args.input)
     if args.limit is not None:
         inst = inst.with_cap(args.limit)
@@ -186,7 +180,7 @@ def _audit_to_dict(audit: IntegralityAudit) -> dict:
 
 def cmd_audit_integrality(args) -> int:
     if args.count is not None and args.count < 1:
-        raise BadParameter(f"--count must be at least 1, got {args.count}")
+        raise InstanceError(f"--count must be at least 1, got {args.count}")
     if args.input:
         _reject_unread(args, "--input", ())
         inst = _load_input(args)
@@ -194,7 +188,7 @@ def cmd_audit_integrality(args) -> int:
         _write_json(args.output, _audit_to_dict(audit))
         return 0
     if not args.family:
-        raise BadParameter("audit-integrality needs --input or --family")
+        raise InstanceError("audit-integrality needs --input or --family")
     instances = _sweep_instances(args, args.count or 1)
     details = []
     counterexamples = 0
@@ -220,11 +214,11 @@ _FAMILY_READS = {"random": ("seed", "n", "m", "density", "count"), "triangle": (
 
 
 def _reject_unread(args, source: str, reads) -> None:
-    """Raise :class:`BadParameter` naming every family flag given that `source` does not read."""
+    """Raise :class:`InstanceError` naming every family flag given that `source` does not read."""
     unread = [f for f in ("family", "case", "seed", "n", "m", "density", "count")
               if f not in reads and getattr(args, f, None) is not None]
     if unread:
-        raise BadParameter(f"{source} does not read --{', --'.join(unread)}")
+        raise InstanceError(f"{source} does not read --{', --'.join(unread)}")
 
 
 def _sweep_instances(args, count: int):
@@ -232,12 +226,12 @@ def _sweep_instances(args, count: int):
     (`--limit`, if given); only the random family has more than one."""
     family = args.family
     if family not in _FAMILY_READS:
-        raise BadParameter(f"unknown family {family!r}")
+        raise InstanceError(f"unknown family {family!r}")
     _reject_unread(args, f"--family {family}", ("family", *_FAMILY_READS[family]))
     if family == "random":
         missing = [f for f in ("n", "m", "density", "limit") if getattr(args, f) is None]
         if missing:
-            raise BadParameter(f"--family random needs --{', --'.join(missing)}")
+            raise InstanceError(f"--family random needs --{', --'.join(missing)}")
         base = args.seed if args.seed is not None else 0
         return [
             (f"random(n={args.n},m={args.m},x={args.limit},density={args.density},seed={base + i})",
@@ -249,11 +243,11 @@ def _sweep_instances(args, count: int):
         name, inst = "triangle", gen_triangle()
     elif family == "leave-one-out":
         if args.n is None:
-            raise BadParameter("--family leave-one-out needs --n")
+            raise InstanceError("--family leave-one-out needs --n")
         name, inst, params = "leave_one_out", gen_leave_one_out(args.n), f"n={args.n},"
     else:
         if not args.case:
-            raise BadParameter("--family case-study needs --case")
+            raise InstanceError("--family case-study needs --case")
         name, inst = args.case, gen_case_study(args.case)
     if args.limit is not None:
         inst = inst.with_cap(args.limit)
@@ -262,7 +256,7 @@ def _sweep_instances(args, count: int):
 
 def cmd_gen(args) -> int:
     if not args.family:
-        raise BadParameter("gen needs --family")
+        raise InstanceError("gen needs --family")
     [(_, inst)] = _sweep_instances(args, 1)
     _write_json(args.output, instance_to_dict(inst))
     return 0
@@ -270,7 +264,7 @@ def cmd_gen(args) -> int:
 
 def cmd_reduce_setcover(args) -> int:
     if not args.input:
-        raise BadParameter("--input is required")
+        raise InstanceError("--input is required")
     sc = solvers.set_cover_from_json(load_json(args.input), budget=args.budget)
     payload = {
         "instance": instance_to_dict(solvers.reduce_set_cover(sc)),
@@ -351,11 +345,10 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (InstanceError, BadParameter, UnknownCase, UnknownPolicy,
-            json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (InstanceError, OSError) as exc:
         print(f"deskfair: error: {exc}", file=sys.stderr)
         return 1
-    except (NodeLimitExceeded, SolverStalled, NumericalBreakdown) as exc:
+    except SolverStopped as exc:
         print(f"deskfair: error: solver stopped without a result: {exc}", file=sys.stderr)
         return 3
 

@@ -8,15 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .instance import Instance, validate_instance
-
-
-class BadParameter(ValueError):
-    pass
-
-
-class UnknownCase(ValueError):
-    pass
+from .instance import Instance, InstanceError, validate_instance
 
 
 def _make(authors, papers, x) -> Instance:
@@ -42,7 +34,7 @@ def gen_leave_one_out(n: int) -> Instance:
     of them exactly at it.
     """
     if n < 3:
-        raise BadParameter(f"leave-one-out needs n >= 3, got {n}")
+        raise InstanceError(f"leave-one-out needs n >= 3, got {n}")
     authors = [f"a{i}" for i in range(1, n + 1)]
     papers = [
         (f"p{j}", [a for k, a in enumerate(authors, start=1) if k != j])
@@ -98,7 +90,7 @@ def gen_case_study(name: str) -> Instance:
     try:
         build = _CASES[name]
     except KeyError:
-        raise UnknownCase(f"unknown case {name!r}; choose from {sorted(_CASES)}") from None
+        raise InstanceError(f"unknown case {name!r}; choose from {sorted(_CASES)}") from None
     return build()
 
 
@@ -114,11 +106,11 @@ def gen_random(n: int, m: int, x: int, density: float, seed: int) -> Instance:
     parameters and seed give an identical instance.
     """
     if n < 1 or m < 1:
-        raise BadParameter(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        raise InstanceError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not 0 < density <= 1:
-        raise BadParameter(f"density must be in (0, 1], got {density}")
+        raise InstanceError(f"density must be in (0, 1], got {density}")
     if x < 1:
-        raise BadParameter(f"cap must be >= 1, got {x}")
+        raise InstanceError(f"cap must be >= 1, got {x}")
     rng = random.Random(seed)
     links = [[rng.random() < density for _ in range(m)] for _ in range(n)]
     for j in range(m):

@@ -16,35 +16,21 @@ from .jsontext import dumps_indented
 
 
 class InstanceError(ValueError):
-    """Base class for malformed instance descriptions."""
+    """Malformed input: an instance or set-cover description, a command-line
+    argument or an environment setting. `deskfair` prints it on one line
+    and exits 1."""
 
 
-class DuplicateId(InstanceError):
-    pass
+class SolverStopped(RuntimeError):
+    """A search or an LP stopped without a result: the node limit, the
+    simplex pivot cap or a numerical check; the message names which.
+    `deskfair` prints it on one line and exits 3."""
 
 
-class UnknownAuthorOnPaper(InstanceError):
-    pass
-
-
-class EmptyAuthorList(InstanceError):
-    pass
-
-
-class NonPositiveCap(InstanceError):
-    pass
-
-
-class AuthorWithNoPapers(InstanceError):
-    pass
-
-
-class IndexOutOfRange(IndexError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
+def require_int(value, what: str) -> None:
+    """Raise :class:`InstanceError` unless `value` is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
 class AuthorCategory(enum.Enum):
@@ -103,7 +89,7 @@ class Instance:
 
     def with_cap(self, x: int) -> "Instance":
         if x < 1:
-            raise NonPositiveCap(f"submission cap must be >= 1, got {x}")
+            raise InstanceError(f"submission cap must be >= 1, got {x}")
         return Instance(self.author_ids, self.papers, x)
 
 
@@ -112,8 +98,8 @@ def validate_instance(raw) -> Instance:
 
     Expects ``{"x": int, "authors": [str...], "papers": [{"id": str,
     "authors": [str...]}...]}``; the arrays must be lists and every id a
-    string, nothing is coerced. Raises a specific :class:`InstanceError`
-    on the first violation found; never repairs input.
+    string, nothing is coerced. Raises :class:`InstanceError` on the
+    first violation found; never repairs input.
     """
     if not isinstance(raw, dict):
         raise InstanceError(f"instance description must be an object, got {type(raw).__name__}")
@@ -124,17 +110,16 @@ def validate_instance(raw) -> Instance:
     except KeyError as e:
         raise InstanceError(f"missing required field {e.args[0]!r}") from None
 
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise NonPositiveCap(f"submission cap must be an integer, got {x!r}")
+    require_int(x, "submission cap")
     if x < 1:
-        raise NonPositiveCap(f"submission cap must be >= 1, got {x}")
+        raise InstanceError(f"submission cap must be >= 1, got {x}")
 
     author_ids = _id_list(authors, "'authors'", "author id")
     _require_array(papers_raw, "'papers'")
     seen = set()
     for a in author_ids:
         if a in seen:
-            raise DuplicateId(f"duplicate author id {a!r}")
+            raise InstanceError(f"duplicate author id {a!r}")
         seen.add(a)
 
     papers = []
@@ -149,22 +134,22 @@ def validate_instance(raw) -> Instance:
         if not isinstance(pid, str):
             raise InstanceError(f"paper #{k} id must be a string, got {pid!r}")
         if pid in seen_papers:
-            raise DuplicateId(f"duplicate paper id {pid!r}")
+            raise InstanceError(f"duplicate paper id {pid!r}")
         seen_papers.add(pid)
         names = _id_list(plist, f"paper {pid!r} 'authors'", "author id")
         if not names:
-            raise EmptyAuthorList(f"paper {pid!r} has no authors")
+            raise InstanceError(f"paper {pid!r} has no authors")
         if len(set(names)) != len(names):
-            raise DuplicateId(f"paper {pid!r} lists an author more than once")
+            raise InstanceError(f"paper {pid!r} lists an author more than once")
         for a in names:
             if a not in author_set:
-                raise UnknownAuthorOnPaper(f"paper {pid!r} lists undeclared author {a!r}")
+                raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}")
         papers.append(Paper(pid, names))
 
     on_some_paper = {a for p in papers for a in p.authors}
     for a in author_ids:
         if a not in on_some_paper:
-            raise AuthorWithNoPapers(f"author {a!r} appears on no paper")
+            raise InstanceError(f"author {a!r} appears on no paper")
     if not author_ids:  # and so no paper either: every cost and mean is undefined
         raise InstanceError("instance has no authors and no papers")
 
@@ -202,13 +187,20 @@ def _parse_json(text: str):
         return json.loads(text)
     except RecursionError:  # the C parser recurses once per nested array or object
         raise InstanceError("input JSON is nested too deeply") from None
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+        raise InstanceError(str(exc)) from None
 
 
 def load_json(path):
-    """The parsed contents of a JSON input file; nesting too deep for the
-    parser is an :class:`InstanceError`, like any other malformed input."""
+    """The parsed contents of a UTF-8 JSON input file; text that is not
+    UTF-8, not JSON or nested too deeply for the parser is an
+    :class:`InstanceError`, like any other malformed input."""
     with open(path, encoding="utf-8") as fh:
-        return _parse_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(str(exc)) from None
+    return _parse_json(text)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -256,7 +248,7 @@ class KeepVector:
 def coauthors(inst: Instance, author: int) -> frozenset[int]:
     """All authors sharing at least one paper with the given author."""
     if not 0 <= author < inst.n:
-        raise IndexOutOfRange(f"author index {author} out of range [0, {inst.n})")
+        raise IndexError(f"author index {author} out of range [0, {inst.n})")
     out: set[int] = set()
     for j in inst.author_papers[author]:
         out.update(inst.paper_authors[j])
@@ -267,7 +259,7 @@ def coauthors(inst: Instance, author: int) -> frozenset[int]:
 def classify_author(inst: Instance, author: int) -> AuthorCategory:
     """Non-compliant above the cap; vulnerable if a coauthor is; safe otherwise."""
     if not 0 <= author < inst.n:
-        raise IndexOutOfRange(f"author index {author} out of range [0, {inst.n})")
+        raise IndexError(f"author index {author} out of range [0, {inst.n})")
     if inst.paper_count(author) > inst.x:
         return AuthorCategory.NON_COMPLIANT
     if any(inst.paper_count(k) > inst.x for k in coauthors(inst, author)):

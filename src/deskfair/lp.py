@@ -45,19 +45,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .instance import Instance, KeepVector
+from .instance import Instance, KeepVector, SolverStopped
 
 FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
 PIVOT_TOL = 1e-12   # pivot degeneracy
-
-
-class SolverStalled(RuntimeError):
-    pass
-
-
-class NumericalBreakdown(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +216,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     still out of bounds, the LP is infeasible. A primal feasible basis is
     optimal if it is dual feasible, which the start must be; a movable
     nonbasic column whose reduced cost has the wrong sign by more than
-    FEAS_TOL raises `NumericalBreakdown`. The iteration cap,
-    50 * (variables + rows), counts pivots; flips are counted apart in
-    `bound_flips`.
+    FEAS_TOL raises `SolverStopped`. So does a pivot past the iteration
+    cap, 50 * (variables + rows), which counts pivots; flips are counted
+    apart in `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -286,10 +278,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             return LpSolution(None, float("nan"), iteration, bound_flips=bound_flips)
         iteration += 1
         if iteration > max_iter:
-            raise SolverStalled(f"no optimum after {max_iter} pivots")
+            raise SolverStopped(f"no optimum after {max_iter} pivots")
         p = T[row, entering]
         if abs(p) < PIVOT_TOL:
-            raise NumericalBreakdown(f"pivot magnitude {abs(p):.3e} below tolerance")
+            raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
         delta = (xB[row] - target) / p
         entering_value = (hi if at_upper[entering] else lo)[entering] + delta
         xB -= delta * T[:, entering]
@@ -309,7 +301,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     wrong = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
     if wrong.any():
         j = int(np.argmax(wrong))
-        raise NumericalBreakdown(
+        raise SolverStopped(
             f"basis is not dual feasible: column {j} has reduced cost {d[j]:.3e}")
 
     x = np.where(at_upper, hi, lo)

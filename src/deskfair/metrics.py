@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .instance import DimensionMismatch, Instance, KeepVector
+from .instance import Instance, KeepVector
 
 
 def _check_length(inst: Instance, keep: KeepVector) -> None:
     if len(keep) != inst.m:
-        raise DimensionMismatch(f"keep vector length {len(keep)} != paper count {inst.m}")
+        raise ValueError(f"keep vector length {len(keep)} != paper count {inst.m}")
 
 
 def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:

@@ -16,10 +16,6 @@ from itertools import combinations
 from .instance import Instance, KeepVector
 
 
-class InstanceTooLarge(ValueError):
-    pass
-
-
 MAX_PAPERS = 20
 MAX_TABLE_PAPERS = 12
 
@@ -50,7 +46,7 @@ def enumerate_optimal(inst: Instance) -> OracleResult:
     (papers ordered by submission index, paper 0 in the lowest bit).
     """
     if inst.m > MAX_PAPERS:
-        raise InstanceTooLarge(f"enumeration capped at {MAX_PAPERS} papers, got {inst.m}")
+        raise ValueError(f"enumeration capped at {MAX_PAPERS} papers, got {inst.m}")
     masks = _author_masks(inst)
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     scale = math.lcm(*sizes)
@@ -102,7 +98,7 @@ def remaining_counts_table(inst: Instance):
     each row is (rejected paper ids, remaining count per author).
     """
     if inst.m > MAX_TABLE_PAPERS:
-        raise InstanceTooLarge(f"table enumeration capped at {MAX_TABLE_PAPERS} papers, got {inst.m}")
+        raise ValueError(f"table enumeration capped at {MAX_TABLE_PAPERS} papers, got {inst.m}")
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     rows = []
     for k in range(inst.m + 1):

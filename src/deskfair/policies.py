@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import metrics
-from .instance import Instance, KeepVector
+from .instance import Instance, KeepVector, SolverStopped
 from .metrics import FairnessReport
 
 if TYPE_CHECKING:
@@ -24,14 +24,6 @@ if TYPE_CHECKING:
 
 
 MAX_ROULETTE_OUTCOMES = 100_000
-
-
-class TooManyAuthors(ValueError):
-    pass
-
-
-class OutcomeSpaceTooLarge(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ def roulette_expectation(inst: Instance):
     """Exact expectations of both fairness metrics under the roulette policy.
 
     Enumerates the full randomness tree, weighting each leaf by its path
-    probability. Raises :class:`OutcomeSpaceTooLarge` once more than
+    probability. Raises :class:`SolverStopped` once more than
     `MAX_ROULETTE_OUTCOMES` leaves are seen.
     """
     e_ind = Fraction(0)
@@ -141,7 +133,7 @@ def roulette_expectation(inst: Instance):
         if victim is None:
             leaves += 1
             if leaves > MAX_ROULETTE_OUTCOMES:
-                raise OutcomeSpaceTooLarge(f"more than {MAX_ROULETTE_OUTCOMES} roulette outcomes")
+                raise SolverStopped(f"more than {MAX_ROULETTE_OUTCOMES} roulette outcomes")
             kv = KeepVector.binary(keep)
             e_ind += prob * metrics.zeta_ind(inst, kv)
             e_group += prob * metrics.zeta_group(inst, kv)
@@ -165,7 +157,7 @@ def ideal_construct_small(inst: Instance) -> KeepVector:
     Ties break toward rejecting the latest-submitted paper first.
     """
     if inst.n > 2:
-        raise TooManyAuthors(f"constructive path covers n <= 2, got n = {inst.n}")
+        raise ValueError(f"constructive path covers n <= 2, got n = {inst.n}")
     keep = [1] * inst.m
 
     def reject_latest(papers, count):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import metrics
-from .instance import Instance, InstanceError, KeepVector, validate_instance
+from .instance import Instance, InstanceError, KeepVector, SolverStopped, require_int, validate_instance
 from .lp import (
     FEAS_TOL,
     INT_TOL,
@@ -36,12 +36,13 @@ from .policies import RunRecord, _conventional
 DEFAULT_NODE_LIMIT = 10**6
 
 
-class NodeLimitExceeded(RuntimeError):
-    pass
-
-
 def _node_limit() -> int:
-    return int(os.environ.get("DESKFAIR_NODE_LIMIT", DEFAULT_NODE_LIMIT))
+    """The node cap of one solve: `DESKFAIR_NODE_LIMIT`, if set."""
+    raw = os.environ.get("DESKFAIR_NODE_LIMIT", str(DEFAULT_NODE_LIMIT))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InstanceError(f"DESKFAIR_NODE_LIMIT must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +76,7 @@ def _admits(inst: Instance, pre: GroupPresolve, keep: KeepVector) -> bool:
         pre.max_kept is None or sum(keep.values) <= pre.max_kept)
 
 
-def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit: int,
+def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
                       best: Fraction | None = None):
     """Depth-first LP branch and bound over the presolved LP; the one search
     loop of this module.
@@ -101,12 +102,13 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
       parent's bound already fails it, at the cost of one warm LP.
 
     `tally` sums the node, pruning, LP and pivot counts (named as in
-    `SolverDiagnostics`) over every search of one solve, and `limit` caps
-    its node count. Returns the certified vertices, as (exact objective,
+    `SolverDiagnostics`) over every search of one solve, and `_node_limit()`
+    caps its node count. Returns the certified vertices, as (exact objective,
     keep vector) pairs: the improvements in order, or the one witness with
     objective None. Also returns the root LP's (bound, integral); integral
     is False when the root LP is infeasible.
     """
+    limit = _node_limit()
     lp0 = pre.lp
     cut = float("-inf") if best is None else float(best)  # a node must beat it
     found = []
@@ -116,7 +118,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter, limit:
         node = stack.pop()
         tally["node_count"] += 1
         if tally["node_count"] > limit:
-            raise NodeLimitExceeded(f"branch and bound exceeded {limit} nodes")
+            raise SolverStopped(f"branch and bound exceeded {limit} nodes")
         sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
         tally["lp_calls"] += 1
         tally["lp_pivots"] += sol.iteration_count
@@ -168,7 +170,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     seed, _ = _conventional(inst)
     seed_obj = metrics.group_objective(inst, seed)
     tally = Counter()
-    found, root = _branch_and_bound(inst, pre, tally, _node_limit(), seed_obj)
+    found, root = _branch_and_bound(inst, pre, tally, seed_obj)
     best_obj, best_keep = found[-1] if found else (seed_obj, seed)
     rows, cols = pre.lp.A.shape
     return RunRecord(
@@ -200,14 +202,13 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
     LP counts are summed over the levels, and `DESKFAIR_NODE_LIMIT` caps
     their sum.
     """
-    limit = _node_limit()
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     tally = Counter()
     t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
     while True:
         floors = [s - (s * t.numerator) // t.denominator for s in sizes]
         pre = presolve_group(inst, floors)
-        found, _ = _branch_and_bound(inst, pre, tally, limit)
+        found, _ = _branch_and_bound(inst, pre, tally)
         if found:  # at the latest at t = 1, which sets no floor
             break
         # the next level: the smallest k/s above t
@@ -228,7 +229,7 @@ def solve_ideal_feasibility(inst: Instance) -> KeepVector | None:
     papers, or None when no such vector exists: a feasibility question
     for `_branch_and_bound` with floors min(x, own count) under the cap x."""
     floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
-    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter(), _node_limit())
+    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter())
     return found[0][1] if found else None
 
 
@@ -272,15 +273,15 @@ class SetCoverInstance:
 
     def __post_init__(self):
         if self.universe_size < 1:
-            raise ValueError("universe must be non-empty")
+            raise InstanceError("universe must be non-empty")
         if self.budget < 1:
-            raise ValueError("budget must be positive")
+            raise InstanceError("budget must be positive")
         universe = set(range(1, self.universe_size + 1))
         for k, s in enumerate(self.sets):
             if not s:
-                raise ValueError(f"set #{k} is empty")
+                raise InstanceError(f"set #{k} is empty")
             if not s <= universe:
-                raise ValueError(f"set #{k} leaves the universe")
+                raise InstanceError(f"set #{k} leaves the universe")
 
 
 def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
@@ -290,7 +291,7 @@ def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
     a ``budget`` argument replaces the field. As in
     :func:`~deskfair.instance.validate_instance`, nothing is coerced: a
     bool, a float or a numeric string is not an integer. Raises
-    :class:`InstanceError` on the first wrong type found.
+    :class:`InstanceError` on the first wrong type or value found.
     """
     if not isinstance(raw, dict):
         raise InstanceError(f"set-cover description must be an object, got {type(raw).__name__}")
@@ -303,19 +304,14 @@ def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
         if "budget" not in raw:
             raise InstanceError("budget missing: supply --budget or a 'budget' field")
         budget = raw["budget"]
-    _require_int(universe_size, "'universe_size'")
-    _require_int(budget, "'budget'")
+    require_int(universe_size, "'universe_size'")
+    require_int(budget, "'budget'")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise InstanceError("'sets' must be an array of arrays")
     for k, s in enumerate(sets):
         for e in s:
-            _require_int(e, f"an element of set #{k}")
+            require_int(e, f"an element of set #{k}")
     return SetCoverInstance(universe_size, tuple(frozenset(s) for s in sets), budget)
-
-
-def _require_int(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
 def _uncovered(sc: SetCoverInstance) -> int | None:
@@ -350,7 +346,7 @@ def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None
         return False, None
     inst = reduce_set_cover(sc)
     pre = presolve_group(inst, floors=[1] * inst.n, max_kept=sc.budget)
-    found, _ = _branch_and_bound(inst, pre, Counter(), _node_limit())
+    found, _ = _branch_and_bound(inst, pre, Counter())
     if not found:
         return False, None
     return True, found[0][1].kept_indices()

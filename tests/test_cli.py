@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,12 +209,23 @@ def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, polic
     ('{"x": 1, "authors": [], "papers": []}', "no authors and no papers"),
     # nested past the JSON parser's recursion limit
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
-], ids=["empty", "deep"])
+    # an integer literal past Python's digit limit for int parsing
+    pytest.param('{"x": ' + "1" * 5000 + ', "authors": ["a"], "papers": [{"id": "p", "authors": ["a"]}]}',
+                 "Exceeds the limit", marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+], ids=["empty", "deep", "long int"])
 def test_malformed_instance_cases(tmp_path, text, message):
     path = tmp_path / "malformed.json"
     path.write_text(text)
     for policy in POLICIES:
         assert message in assert_input_error(path, policy)
+
+
+def test_non_utf8_instance_exits_one(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"x": 1}'.encode("utf-16-le"))
+    for policy in POLICIES:
+        assert "'utf-8' codec can't decode byte 0xff" in assert_input_error(path, policy)
 
 
 def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys):
@@ -223,6 +235,25 @@ def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys
     assert out == ""
     assert err.startswith("deskfair: error: solver stopped without a result: ")
     assert err.count("\n") == 1
+
+
+def test_bad_node_limit_names_the_variable(triangle_file, monkeypatch, capsys):
+    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", "abc")
+    assert main(["solve", "--input", triangle_file, "--policy", "group-exact"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "deskfair: error: DESKFAIR_NODE_LIMIT must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("bug", [KeyError(7), ValueError("keep vector must contain only 0/1")],
+                         ids=["KeyError", "ValueError"])
+def test_a_bug_is_not_reported_as_an_input_error(bug, triangle_file, monkeypatch, capsys):
+    def broken(inst):
+        raise bug
+
+    monkeypatch.setattr(solvers, "solve_group_exact", broken)
+    with pytest.raises(type(bug)):
+        main(["solve", "--input", triangle_file, "--policy", "group-exact"])
+    assert "deskfair: error:" not in capsys.readouterr().err
 
 
 def test_unknown_policy_exits_one(cvpr_file, monkeypatch, capsys):
@@ -495,8 +526,13 @@ def test_reduce_setcover(tmp_path):
     ('{"universe_size": 1, "sets": [[1]], "budget": 1.5}', "'budget' must be an integer"),
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
     ('{"universe_size": 3, "sets": [[1], [2]], "budget": 2}', "element 3 lies in no set"),
+    ('{"universe_size": 0, "sets": [[1]], "budget": 1}', "universe must be non-empty"),
+    ('{"universe_size": 1, "sets": [[1]], "budget": 0}', "budget must be positive"),
+    ('{"universe_size": 2, "sets": [[1], [2], []], "budget": 1}', "set #2 is empty"),
+    ('{"universe_size": 2, "sets": [[1], [3]], "budget": 1}', "set #1 leaves the universe"),
 ], ids=["not an object", "set not an array", "sets a string", "string element", "float element",
-        "bool element", "bool universe", "string universe", "float budget", "deep", "uncovered"])
+        "bool element", "bool universe", "string universe", "float budget", "deep", "uncovered",
+        "empty universe", "zero budget", "empty set", "element outside"])
 def test_reduce_setcover_malformed_input_exits_one(tmp_path, text, message):
     path = tmp_path / "sc.json"
     path.write_text(text)

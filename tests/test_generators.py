@@ -1,8 +1,6 @@
 import pytest
 
 from deskfair.generators import (
-    BadParameter,
-    UnknownCase,
     gen_case_study,
     gen_leave_one_out,
     gen_random,
@@ -10,6 +8,7 @@ from deskfair.generators import (
 )
 from deskfair.instance import (
     AuthorCategory,
+    InstanceError,
     classify_author,
     instance_to_dict,
     validate_instance,
@@ -41,7 +40,7 @@ def test_leave_one_out_matches_triangle_up_to_relabeling():
 
 
 def test_leave_one_out_rejects_small_n():
-    with pytest.raises(BadParameter):
+    with pytest.raises(InstanceError, match="leave-one-out needs n >= 3, got 2"):
         gen_leave_one_out(2)
 
 
@@ -55,7 +54,7 @@ def test_case_studies():
     assert [ex52.paper_count(i) for i in range(ex52.n)] == [11, 1] and ex52.x == 10
     appc2 = gen_case_study("appc2")
     assert appc2.n == 5 and appc2.m == 4 and appc2.x == 2
-    with pytest.raises(UnknownCase):
+    with pytest.raises(InstanceError, match="unknown case 'nope'"):
         gen_case_study("nope")
 
 
@@ -92,13 +91,13 @@ def test_random_golden_instance_frozen():
 
 
 def test_random_parameter_validation():
-    with pytest.raises(BadParameter):
+    with pytest.raises(InstanceError, match="need n >= 1 and m >= 1, got n=0, m=3"):
         gen_random(0, 3, 1, 0.5, 0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InstanceError, match="density must be in .*, got 0.0"):
         gen_random(3, 3, 1, 0.0, 0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InstanceError, match="density must be in .*, got 1.5"):
         gen_random(3, 3, 1, 1.5, 0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InstanceError, match="cap must be >= 1, got 0"):
         gen_random(3, 3, 0, 0.5, 0)
 
 

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from deskfair.generators import gen_case_study, gen_random, gen_triangle
-from deskfair.instance import validate_instance
+from deskfair.instance import SolverStopped, validate_instance
 from deskfair.lp import (
     FEAS_TOL,
     Basis,
     LinearProgram,
-    NumericalBreakdown,
     build_group_relaxation,
     presolve_group,
     snap_binary,
@@ -201,7 +200,7 @@ def test_dual_infeasible_start_raises():
     lp = LinearProgram(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]),
                        lo=np.array([0.0]), hi=np.array([1.0]))
     start = Basis(np.array([[1.0, 1.0, 5.0]]), np.array([1]), np.array([False, False]))
-    with pytest.raises(NumericalBreakdown):
+    with pytest.raises(SolverStopped, match="basis is not dual feasible"):
         solve_lp(lp, start=start)
 
 

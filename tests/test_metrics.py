@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from deskfair.generators import gen_case_study, gen_triangle
-from deskfair.instance import DimensionMismatch, KeepVector
+from deskfair.instance import KeepVector
 from deskfair.metrics import (
     FairnessReport,
     author_kept_counts,
@@ -95,7 +95,7 @@ def test_rejects_fractional_and_mismatched(triangle):
     # a fractional keep vector cannot be built, so metrics never see one
     with pytest.raises(ValueError):
         KeepVector.binary([0.5, 0.5, 0.5])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="keep vector length 2 != paper count 3"):
         zeta_group(triangle, KeepVector.binary([1, 0]))
 
 

@@ -5,7 +5,7 @@ import pytest
 from deskfair.generators import gen_case_study, gen_random
 from deskfair.instance import validate_instance
 from deskfair.metrics import is_feasible, is_ideal, zeta_group, zeta_ind
-from deskfair.oracle import InstanceTooLarge, enumerate_optimal, remaining_counts_table
+from deskfair.oracle import enumerate_optimal, remaining_counts_table
 from deskfair.policies import conventional_desk_reject, roulette_reject
 
 from conftest import random_instance
@@ -60,9 +60,9 @@ def test_oracle_witnesses_are_feasible():
 
 def test_oracle_size_cap():
     inst = gen_random(2, 21, 3, 0.5, 0)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(ValueError, match="^enumeration capped at 20 papers, got 21"):
         enumerate_optimal(inst)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(ValueError, match="^table enumeration capped at 12 papers, got 13"):
         remaining_counts_table(gen_random(2, 13, 3, 0.5, 0))
 
 

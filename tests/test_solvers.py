@@ -8,12 +8,11 @@ import pytest
 from deskfair import solvers
 from deskfair.cli import main
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
-from deskfair.instance import dump_instance, validate_instance
+from deskfair.instance import SolverStopped, dump_instance, validate_instance
 from deskfair.lp import FEAS_TOL, build_group_relaxation, solve_lp
 from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.solvers import (
-    NodeLimitExceeded,
     SetCoverInstance,
     decide_set_cover,
     integrality_audit,
@@ -266,13 +265,13 @@ def test_node_limit_exceeded(solve, problem, nodes, monkeypatch):
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes))
     solve(problem)
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes - 1))
-    with pytest.raises(NodeLimitExceeded):
+    with pytest.raises(SolverStopped, match=f"branch and bound exceeded {nodes - 1} nodes"):
         solve(problem)
 
 
 def test_node_limit_env_override(monkeypatch, triangle):
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", "1")
-    with pytest.raises(NodeLimitExceeded):
+    with pytest.raises(SolverStopped, match="branch and bound exceeded 1 nodes"):
         solve_group_exact(triangle)
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", "100000")
     assert solve_group_exact(triangle).objective == 1
