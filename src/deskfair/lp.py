@@ -238,40 +238,44 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     nonbasic[basic] = 0.0
     xB = T[:, n_all] - T[:, :n_all] @ nonbasic
 
-    in_basis = np.zeros(n_all, dtype=bool)
-    in_basis[basic] = True
+    # Per-row and per-column state, written in place on each pivot: the basic
+    # rows' bounds, their FEAS_TOL-shifted copies, c_B and the movable
+    # nonbasic columns.
+    lo_b, hi_b, c_b = lo[basic], hi[basic], c[basic]
+    lo_tol, hi_tol = lo_b - FEAS_TOL, hi_b + FEAS_TOL
+    free = movable.copy()
+    free[basic] = False
+    span = hi - lo
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
 
-    def reduced_costs():
-        return c - c[basic] @ T[:, :n_all]
-
     # Dual simplex: pivot until every basic value is back within its bounds.
     while True:
-        lo_b, hi_b = lo[basic], hi[basic]
-        out = np.flatnonzero((xB < lo_b - FEAS_TOL) | (xB > hi_b + FEAS_TOL))
+        out = ((xB < lo_tol) | (xB > hi_tol)).nonzero()[0]
         if out.size == 0:
             break
-        row = out[np.argmin(basic[out])]
-        below = xB[row] < lo_b[row]
+        row = out[basic[out].argmin()]
+        x_row = xB[row]
+        below = x_row < lo_b[row]
         target = lo_b[row] if below else hi_b[row]
         # x_B[row] moves by -alpha_j per unit step of nonbasic j in its own
         # feasible direction (up from lower, down from upper).
         alpha = T[row, :n_all]
         gain = np.where(at_upper, alpha, -alpha)
         toward = gain > PIVOT_TOL if below else gain < -PIVOT_TOL
-        candidates = np.flatnonzero(toward & movable & ~in_basis)
+        candidates = (toward & free).nonzero()[0]
         # Long step: a column whose whole range cannot close the row's gap
         # flips to its other bound; the first that can enters. When none can,
         # no point within the bounds fits the row.
-        ratio = np.abs(reduced_costs()[candidates] / alpha[candidates])
+        ratio = abs((c - c_b @ T[:, :n_all])[candidates] / alpha[candidates])
         entering = -1
-        for j in candidates[np.argsort(ratio, kind="stable")]:
-            span = hi[j] - lo[j]
-            if abs(xB[row] - target) <= abs(alpha[j]) * span + FEAS_TOL:
+        for j in candidates[ratio.argsort(kind="stable")]:
+            if abs(x_row - target) <= abs(alpha[j]) * span[j] + FEAS_TOL:
                 entering = j
                 break
-            xB -= (-span if at_upper[j] else span) * T[:, j]
+            step = -span[j] if at_upper[j] else span[j]
+            xB -= step * T[:, j]
+            x_row -= step * alpha[j]
             at_upper[j] = not at_upper[j]
             bound_flips += 1
         if entering < 0:
@@ -282,22 +286,26 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         p = T[row, entering]
         if abs(p) < PIVOT_TOL:
             raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
-        delta = (xB[row] - target) / p
+        delta = (x_row - target) / p
         entering_value = (hi if at_upper[entering] else lo)[entering] + delta
         xB -= delta * T[:, entering]
         leaving = basic[row]
-        in_basis[leaving] = False
+        free[leaving] = movable[leaving]
+        free[entering] = False
         at_upper[leaving] = not below
         basic[row] = entering
-        in_basis[entering] = True
+        lo_b[row], hi_b[row], c_b[row] = lo[entering], hi[entering], c[entering]
+        lo_tol[row], hi_tol[row] = lo_b[row] - FEAS_TOL, hi_b[row] + FEAS_TOL
         T[row] /= p
         col = T[:, entering].copy()
         col[row] = 0.0
-        others = np.flatnonzero(col)
+        others = col.nonzero()[0]
         T[others] -= np.outer(col[others], T[row])
         xB[row] = entering_value
 
-    d = reduced_costs()
+    in_basis = np.zeros(n_all, dtype=bool)
+    in_basis[basic] = True
+    d = c - c[basic] @ T[:, :n_all]
     wrong = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
     if wrong.any():
         j = int(np.argmax(wrong))
