@@ -239,13 +239,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     xB = T[:, n_all] - T[:, :n_all] @ nonbasic
 
     # Per-row and per-column state, written in place on each pivot: the basic
-    # rows' bounds, their FEAS_TOL-shifted copies, c_B and the movable
-    # nonbasic columns.
-    lo_b, hi_b, c_b = lo[basic], hi[basic], c[basic]
+    # rows' bounds, their FEAS_TOL-shifted copies, the movable nonbasic
+    # columns and the reduced costs d = c - c_B T.
+    lo_b, hi_b = lo[basic], hi[basic]
     lo_tol, hi_tol = lo_b - FEAS_TOL, hi_b + FEAS_TOL
     free = movable.copy()
     free[basic] = False
     span = hi - lo
+    d = c - c[basic] @ T[:, :n_all]
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
 
@@ -267,7 +268,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         # Long step: a column whose whole range cannot close the row's gap
         # flips to its other bound; the first that can enters. When none can,
         # no point within the bounds fits the row.
-        ratio = abs((c - c_b @ T[:, :n_all])[candidates] / alpha[candidates])
+        ratio = abs(d[candidates] / alpha[candidates])
         entering = -1
         for j in candidates[ratio.argsort(kind="stable")]:
             if abs(x_row - target) <= abs(alpha[j]) * span[j] + FEAS_TOL:
@@ -294,15 +295,17 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         free[entering] = False
         at_upper[leaving] = not below
         basic[row] = entering
-        lo_b[row], hi_b[row], c_b[row] = lo[entering], hi[entering], c[entering]
+        lo_b[row], hi_b[row] = lo[entering], hi[entering]
         lo_tol[row], hi_tol[row] = lo_b[row] - FEAS_TOL, hi_b[row] + FEAS_TOL
         T[row] /= p
+        d -= d[entering] * T[row, :n_all]
         col = T[:, entering].copy()
         col[row] = 0.0
         others = col.nonzero()[0]
-        T[others] -= np.outer(col[others], T[row])
+        T[others] -= col[others, None] * T[row]
         xB[row] = entering_value
 
+    # d drifts by rounding across pivots, so the optimality check recomputes it.
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     d = c - c[basic] @ T[:, :n_all]

@@ -81,8 +81,8 @@ def test_individual_exact_under_cap_keeps_all():
 
 
 @pytest.mark.parametrize("inst, counts", [
-    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 19)),
-    (gen_random(12, 24, 3, 0.2, 1), (1, 1, 19)),
+    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 20)),
+    (gen_random(12, 24, 3, 0.2, 1), (1, 1, 18)),
     (gen_random(12, 24, 3, 0.2, 2), (1, 1, 10)),
     (gen_leave_one_out(6), (8, 8, 24)),
 ], ids=["random0", "random1", "random2", "leave-one-out6"])
@@ -348,8 +348,8 @@ def test_decide_set_cover_matches_brute_force():
 
 def test_search_counts_pruned_nodes_and_dual_pivots():
     d = solve_group_exact(gen_random(12, 24, 2, 0.2, 22)).diagnostics
-    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (43, 19, 43)
-    assert (d.lp_pivots, d.lp_bound_flips) == (169, 41)
+    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (55, 23, 55)
+    assert (d.lp_pivots, d.lp_bound_flips) == (156, 26)
 
 
 def test_incumbent_trace_strictly_improves():
