@@ -32,7 +32,7 @@ from .instance import (
     load_json,
 )
 from .jsontext import dumps_indented
-from .lp import build_group_relaxation, to_mps
+from .lp import relaxation_mps
 from .metrics import rational_field
 from .policies import RunRecord
 from .reports import comparison_table, comparison_to_csv, comparison_to_text, run_record_to_dict
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
     inst = _load_input(args)
     policy = _check_policy(args.policy or "group-exact")
     if args.dump_lp:  # the relaxation depends on the instance only
-        _write_text(args.dump_lp, to_mps(build_group_relaxation(inst)))
+        _write_text(args.dump_lp, relaxation_mps(inst))
     record = run_policy(inst, policy, seed=args.seed)
     _write_json(args.output, run_record_to_dict(record, inst))
     if record.keep is None:

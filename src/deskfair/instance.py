@@ -146,6 +146,9 @@ def validate_instance(raw) -> Instance:
                 raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}")
         papers.append(Paper(pid, names))
 
+    _require_utf8(author_ids, "author id")
+    _require_utf8([p.id for p in papers], "paper id")
+
     on_some_paper = {a for p in papers for a in p.authors}
     for a in author_ids:
         if a not in on_some_paper:
@@ -159,6 +162,17 @@ def validate_instance(raw) -> Instance:
 def _require_array(value, field: str) -> None:
     if not isinstance(value, list):
         raise InstanceError(f"{field} must be an array, got {type(value).__name__}")
+
+
+def _require_utf8(ids, what: str) -> None:
+    """Ids reach text output (the `check-ideal` listing, the `compare` CSV)
+    as UTF-8, which cannot encode a lone surrogate such as the JSON string
+    "\\ud800"."""
+    for i in ids:
+        try:
+            i.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InstanceError(f"{what} {i!r} is not encodable as UTF-8") from None
 
 
 def _id_list(value, field: str, what: str) -> tuple[str, ...]:

@@ -33,7 +33,10 @@ ratio, and each one whose whole range cannot close the row's gap flips to
 its other bound without a pivot. From the cold start, a row k papers over
 its cap then takes one pivot and k - 1 flips where a short step takes k
 pivots. A final check of the reduced costs makes sure no basis is reported
-optimal unless it is dual feasible.
+optimal unless it is dual feasible. The reduced costs d = c - c_B B^-1 A
+are computed once per solve and carried across pivots by the pivot row;
+that final check recomputes them in full, so rounding in the carried d can
+reorder tied ratios but never pass a basis that is not dual feasible.
 
 Solutions are float arrays; `snap_binary`, the one integrality test, rounds
 an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
@@ -41,6 +44,7 @@ an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,12 +217,13 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     the row toward its bound in (|d_j / alpha_j|, j) order, flipping each
     column whose range leaves more than FEAS_TOL of the row's gap open and
     entering the first that closes it; when all of them flip and the row is
-    still out of bounds, the LP is infeasible. A primal feasible basis is
-    optimal if it is dual feasible, which the start must be; a movable
-    nonbasic column whose reduced cost has the wrong sign by more than
-    FEAS_TOL raises `SolverStopped`. So does a pivot past the iteration
-    cap, 50 * (variables + rows), which counts pivots; flips are counted
-    apart in `bound_flips`.
+    still out of bounds, the LP is infeasible. The reduced costs d are
+    computed once and updated by the pivot row after each pivot. A primal
+    feasible basis is optimal if it is dual feasible, which the start must
+    be; the check recomputes d in full, and a movable nonbasic column whose
+    reduced cost has the wrong sign by more than FEAS_TOL raises
+    `SolverStopped`. So does a pivot past the iteration cap, 50 * (variables
+    + rows), which counts pivots; flips are counted apart in `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -345,25 +350,42 @@ def to_mps(lp: LinearProgram) -> str:
     Emits OBJSENSE MAX; tools that ignore it minimize by default, so negate
     the objective there before comparing. Walks only the nonzeros of A.
     """
-    rows, cols = lp.A.shape
-    lines = [f"NAME          {MPS_NAME}", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
-    lines += [f" L  R{i + 1}" for i in range(rows)]
-    lines.append("COLUMNS")
-    by_column = [[("OBJ", c)] for c in lp.c.tolist()]
+    columns = [[] for _ in range(lp.A.shape[1])]
     row_of, col_of = np.nonzero(lp.A)  # row-major, so rows ascend within each column
     for j, i, value in zip(col_of.tolist(), row_of.tolist(), lp.A[row_of, col_of].tolist()):
-        by_column[j].append((f"R{i + 1}", value))
-    for j, entries in enumerate(by_column):
+        columns[j].append((i, value))
+    return _mps_text(lp.c.tolist(), lp.b.tolist(), lp.lo.tolist(), lp.hi.tolist(), columns)
+
+
+def relaxation_mps(inst: Instance) -> str:
+    """`to_mps(build_group_relaxation(inst))`, written from the paper lists
+    without the dense n x m matrix: column j holds a 1 in the row of each
+    of paper j's authors."""
+    columns = ([(i, 1.0) for i in sorted(authors)] for authors in inst.paper_authors)
+    return _mps_text(_group_coefficients(inst).tolist(), [float(inst.x)] * inst.n,
+                     [0.0] * inst.m, [1.0] * inst.m, columns)
+
+
+def _mps_text(c: list[float], b: list[float], lo: list[float], hi: list[float],
+              columns: Iterable[list[tuple[int, float]]]) -> str:
+    """The MPS text of max c.r s.t. A r <= b, lo <= r <= hi, where the j-th
+    item of `columns` lists the (row, value) nonzeros of column j, rows
+    ascending."""
+    lines = [f"NAME          {MPS_NAME}", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
+    lines += [f" L  R{i + 1}" for i in range(len(b))]
+    lines.append("COLUMNS")
+    for j, (cj, nonzeros) in enumerate(zip(c, columns)):
+        entries = [("OBJ", cj)] + [(f"R{i + 1}", value) for i, value in nonzeros]
         for k in range(0, len(entries), 2):
             pair = entries[k:k + 2]
             fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in pair)
             lines.append(f"    X{j + 1:<7}{fields}")
     lines.append("RHS")
-    for i in range(rows):
-        lines.append(f"    RHS       R{i + 1:<7}  {lp.b[i]:.12g}")
+    for i, bi in enumerate(b):
+        lines.append(f"    RHS       R{i + 1:<7}  {bi:.12g}")
     lines.append("BOUNDS")
-    for j in range(cols):
-        lines.append(f" LO BND       X{j + 1:<7}  {lp.lo[j]:.12g}")
-        lines.append(f" UP BND       X{j + 1:<7}  {lp.hi[j]:.12g}")
+    for j, (lo_j, hi_j) in enumerate(zip(lo, hi)):
+        lines.append(f" LO BND       X{j + 1:<7}  {lo_j:.12g}")
+        lines.append(f" UP BND       X{j + 1:<7}  {hi_j:.12g}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -213,7 +213,12 @@ def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, polic
     pytest.param('{"x": ' + "1" * 5000 + ', "authors": ["a"], "papers": [{"id": "p", "authors": ["a"]}]}',
                  "Exceeds the limit", marks=pytest.mark.skipif(
                      not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
-], ids=["empty", "deep", "long int"])
+    # valid JSON strings, but lone surrogates that no UTF-8 output can encode
+    (r'{"x": 1, "authors": ["a"], "papers": [{"id": "\ud800", "authors": ["a"]}]}',
+     "paper id '\\ud800' is not encodable as UTF-8"),
+    (r'{"x": 1, "authors": ["\udc00"], "papers": [{"id": "p", "authors": ["\udc00"]}]}',
+     "author id '\\udc00' is not encodable as UTF-8"),
+], ids=["empty", "deep", "long int", "surrogate paper id", "surrogate author id"])
 def test_malformed_instance_cases(tmp_path, text, message):
     path = tmp_path / "malformed.json"
     path.write_text(text)
@@ -550,7 +555,7 @@ def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     assert main(["solve", "--input", cvpr_file, "--policy", "group-lp",
                  "--dump-lp", str(mps), "--output", str(out)]) == 0
-    assert len(builds) == 1  # the dump's; the solve builds only its presolved LP
+    assert not builds  # the dump walks the paper lists; the solve builds only its presolved LP
     text = mps.read_text()
     assert "OBJSENSE" in text and "ENDATA" in text
     assert " L  R2" in text  # the full LP: the under-cap author keeps its row

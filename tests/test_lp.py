@@ -14,6 +14,7 @@ from deskfair.lp import (
     LinearProgram,
     build_group_relaxation,
     presolve_group,
+    relaxation_mps,
     snap_binary,
     solve_lp,
     to_mps,
@@ -332,6 +333,19 @@ def test_mps_dump_layout(triangle):
     assert " N  OBJ" in text and " L  R1" in text
     assert text.count("UP BND") == 3 and text.count("LO BND") == 3
     assert text.endswith("ENDATA\n")
+
+
+REVERSED_AUTHORS = validate_instance({"x": 1, "authors": ["a1", "a2", "a3"], "papers": [
+    {"id": "p1", "authors": ["a3", "a1"]}, {"id": "p2", "authors": ["a2", "a1"]},
+    {"id": "p3", "authors": ["a3", "a2"]}]})
+
+
+@pytest.mark.parametrize("inst", [gen_triangle(), gen_case_study("cvpr26"), gen_random(20, 40, 3, 0.12, 0),
+                                  REVERSED_AUTHORS], ids=["triangle", "cvpr26", "random0", "reversed"])
+def test_relaxation_mps_is_the_dense_relaxation_dump(inst):
+    # the --dump-lp text, built from the paper lists without the n x m matrix;
+    # a paper may list its authors in any order, and its rows still ascend
+    assert relaxation_mps(inst) == to_mps(build_group_relaxation(inst))
 
 
 @pytest.mark.parametrize("seed", range(3))
