@@ -19,9 +19,8 @@ There are two starts:
   structural column at `hi` where c_j >= 0 and at `lo` elsewhere. Its
   reduced costs are d = c, so it is dual feasible whatever the signs of A.
   For the package LPs (every c_j > 0) it keeps every paper, and the dual loop
-  repairs only the rows that point breaks: the over-cap authors' caps and
-  the budget row. Every floor row holds there unless no point in the bounds
-  meets it.
+  repairs only the rows that point breaks: the over-cap authors' caps. Every
+  floor row holds there unless no point in the bounds meets it.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so
   the dual loop restores primal feasibility, or proves there is none, in a
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -120,12 +120,16 @@ def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
     """The LP maximizing c.r over the columns `cols` (paper indices) subject
     to `rows`, each a (papers, sign, rhs) row sign * sum_{j in papers} r_j <=
     rhs whose papers all lie in `cols`."""
-    column = {j: k for k, j in enumerate(cols)}
+    cols = list(cols)
+    column = np.zeros(len(c), dtype=np.intp)
+    column[cols] = np.arange(len(cols))
+    sizes = [len(papers) for papers, _, _ in rows]
+    papers = np.fromiter(chain.from_iterable(p for p, _, _ in rows), np.intp, sum(sizes))
     A = np.zeros((len(rows), len(cols)))
-    for k, (papers, sign, _) in enumerate(rows):
-        A[k, [column[j] for j in papers]] = sign
+    A[np.repeat(np.arange(len(rows)), sizes), column[papers]] = np.repeat(
+        [sign for _, sign, _ in rows], sizes)
     return LinearProgram(
-        c=c[list(cols)],
+        c=c[cols],
         A=A,
         b=np.array([rhs for _, _, rhs in rows], dtype=float),
         lo=np.zeros(len(cols)),
@@ -146,23 +150,21 @@ class GroupPresolve:
     """The relaxation of one keep-vector question, reduced to the rows that
     can bind.
 
-    Every question caps each author at x papers. It may also ask author i
-    to keep at least `floors[i]` papers, and the keep set to hold at most
-    `max_kept` papers. A cap row holds for every r in [0, 1]^m when its
-    author has at most x papers, and so does the budget row when
-    max_kept >= m; neither is kept. A paper in no kept cap row then only
-    raises kept counts and c.r (c_j > 0), so some optimum, and some feasible
-    point if there is one, keeps it: it is fixed at r_j = 1 and dropped, and
-    each floor is taken net of the author's fixed papers. The group
-    relaxation is the question with no floors and no budget.
+    Every question caps each author at x papers, and may also ask author i
+    to keep at least `floors[i]` papers. A cap row holds for every r in
+    [0, 1]^m when its author has at most x papers, so it is not kept. A
+    paper in no kept cap row then only raises kept counts and c.r
+    (c_j > 0), so some optimum, and some feasible point if there is one,
+    keeps it: it is fixed at r_j = 1 and dropped, and each floor is taken
+    net of the author's fixed papers. The group relaxation is the question
+    with no floors.
     """
 
-    lp: LinearProgram      # cap rows, the budget row, floor rows (-1 entries)
+    lp: LinearProgram      # cap rows, then floor rows (-1 entries)
     cols: tuple[int, ...]  # paper index of each reduced column
     offset: float          # c.r of the fixed papers, all kept
     m: int                 # paper count of the full instance
     floors: tuple[int, ...] | None = None
-    max_kept: int | None = None  # None when the budget row was dropped
 
     def expand(self, reduced: np.ndarray) -> KeepVector:
         """Full-length binary keep vector: fixed papers kept, the rest from
@@ -172,24 +174,17 @@ class GroupPresolve:
         return KeepVector.binary(values.tolist())
 
 
-def presolve_group(
-    inst: Instance, floors: list[int] | None = None, max_kept: int | None = None
-) -> GroupPresolve:
+def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPresolve:
     """Reduced relaxation (see `GroupPresolve`), built straight from the
     paper lists without the full n x m matrix: a row kept count <= x for
-    each author with more than x papers, total kept <= `max_kept` when that
-    is below m, and -(kept count) <= -(net floor) for each author whose
-    floor net of the fixed papers stays positive."""
+    each author with more than x papers, whose papers are the columns, and
+    -(kept count) <= -(net floor) for each author whose floor net of the
+    fixed papers stays positive."""
     capped = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
     rows = [(inst.author_papers[i], 1.0, inst.x) for i in capped]
-    if max_kept is not None and max_kept < inst.m:
-        cols = range(inst.m)
-        rows.append((cols, 1.0, max_kept))
-    else:
-        max_kept = None
-        cols = sorted({j for i in capped for j in inst.author_papers[i]})
+    cols = sorted({j for i in capped for j in inst.author_papers[i]})
     fixed = np.ones(inst.m, dtype=bool)
-    fixed[list(cols)] = False
+    fixed[cols] = False
     is_fixed = fixed.tolist()
     for i, floor in enumerate(floors or ()):
         free = [j for j in inst.author_papers[i] if not is_fixed[j]]
@@ -199,7 +194,7 @@ def presolve_group(
     c = _group_coefficients(inst)
     return GroupPresolve(
         _rows_lp(c, cols, rows), tuple(cols), float(c[fixed].sum()), inst.m,
-        None if floors is None else tuple(floors), max_kept,
+        None if floors is None else tuple(floors),
     )
 
 
@@ -234,7 +229,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     if start is None:
-        T = np.hstack([lp.A.astype(float), np.eye(n_rows), lp.b.reshape(-1, 1)])
+        T = np.hstack([lp.A, np.eye(n_rows), lp.b.reshape(-1, 1)])
         basic = np.arange(n_struct, n_all)
         at_upper = np.concatenate([lp.c >= 0, np.zeros(n_rows, dtype=bool)])
     else:

@@ -68,12 +68,11 @@ class SolverDiagnostics:
 
 
 def _admits(inst: Instance, pre: GroupPresolve, keep: KeepVector) -> bool:
-    """Exact, in integers: does `keep` meet the cap, the floors and the
-    budget of the question `pre` was built for?"""
+    """Exact, in integers: does `keep` meet the cap and the floors of the
+    question `pre` was built for?"""
     counts = metrics.author_kept_counts(inst, keep)
     floors = pre.floors or (0,) * inst.n
-    return all(f <= k <= inst.x for f, k in zip(floors, counts)) and (
-        pre.max_kept is None or sum(keep.values) <= pre.max_kept)
+    return all(f <= k <= inst.x for f, k in zip(floors, counts))
 
 
 def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
@@ -88,7 +87,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
     closes. A fractional node branches on its most fractional variable,
     first on ties, and explores r_j = 1 first. An integral vertex is
     expanded to a full keep vector and certified exactly: it must meet the
-    question's cap, floors and budget in integers (`_admits`). An
+    question's cap and floors in integers (`_admits`). An
     uncertifiable vertex (numerics went sour) splits on a free variable
     instead of being trusted or dropped.
 
@@ -276,11 +275,10 @@ class SetCoverInstance:
             raise InstanceError("universe must be non-empty")
         if self.budget < 1:
             raise InstanceError("budget must be positive")
-        universe = set(range(1, self.universe_size + 1))
         for k, s in enumerate(self.sets):
             if not s:
                 raise InstanceError(f"set #{k} is empty")
-            if not s <= universe:
+            if min(s) < 1 or max(s) > self.universe_size:
                 raise InstanceError(f"set #{k} leaves the universe")
 
 
@@ -322,30 +320,33 @@ def _uncovered(sc: SetCoverInstance) -> int | None:
 
 def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     """Encode set cover as a submission-limit instance: universe elements
-    become authors, sets become papers, and the cap x = number of sets never
-    binds. Covering every element with at most K = `sc.budget` sets is exactly
-    finding a keep vector with every author's kept count >= 1 and at most K
-    papers kept; the budget stays with `sc`, plain instances carry none.
-    Raises :class:`InstanceError` when some element lies in no set.
+    become authors `e1..en`, sets become papers `s1..sm`, one more author
+    `budget` writes every paper, and the cap is x = K = `sc.budget`. The
+    budget author's cap is then the budget, at most K papers kept, and an
+    element author's cap never binds before it. So at most K sets cover the
+    universe exactly when some keep vector leaves every author a paper,
+    that is, when the least worst-case cost is below 1. Raises
+    :class:`InstanceError` when some element lies in no set.
     """
     missing = _uncovered(sc)
     if missing is not None:
         raise InstanceError(f"element {missing} lies in no set")
-    authors = [f"e{i}" for i in range(1, sc.universe_size + 1)]
+    authors = [f"e{i}" for i in range(1, sc.universe_size + 1)] + ["budget"]
     papers = [
-        {"id": f"s{j + 1}", "authors": [f"e{i}" for i in sorted(s)]}
+        {"id": f"s{j + 1}", "authors": [f"e{i}" for i in sorted(s)] + ["budget"]}
         for j, s in enumerate(sc.sets)
     ]
-    return validate_instance({"x": len(sc.sets), "authors": authors, "papers": papers})
+    return validate_instance({"x": sc.budget, "authors": authors, "papers": papers})
 
 
 def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide the covering question; on success also return the 0-based
-    indices of a witness subfamily."""
+    """Decide the covering question, as the feasibility of floors 1 under
+    the reduced instance's cap; on success also return the 0-based indices
+    of a witness subfamily."""
     if _uncovered(sc) is not None:
         return False, None
     inst = reduce_set_cover(sc)
-    pre = presolve_group(inst, floors=[1] * inst.n, max_kept=sc.budget)
+    pre = presolve_group(inst, floors=[1] * inst.n)
     found, _ = _branch_and_bound(inst, pre, Counter())
     if not found:
         return False, None

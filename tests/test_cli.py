@@ -511,8 +511,9 @@ def test_reduce_setcover(tmp_path):
     out = tmp_path / "red.json"
     assert main(["reduce-setcover", "--input", str(sc), "--decide", "--output", str(out)]) == 0
     doc = read_json(out)
-    assert doc["budget"] == 2
-    assert doc["instance"]["x"] == 3
+    assert doc["budget"] == doc["instance"]["x"] == 2
+    assert doc["instance"]["authors"] == ["e1", "e2", "e3", "budget"]
+    assert [p["authors"][-1] for p in doc["instance"]["papers"]] == ["budget"] * 3
     assert doc["decision"] == {"coverable": True, "witness_sets": ["s1", "s2"]}
     assert main(["reduce-setcover", "--input", str(sc), "--budget", "1", "--decide",
                  "--output", str(out)]) == 0
@@ -535,9 +536,10 @@ def test_reduce_setcover(tmp_path):
     ('{"universe_size": 1, "sets": [[1]], "budget": 0}', "budget must be positive"),
     ('{"universe_size": 2, "sets": [[1], [2], []], "budget": 1}', "set #2 is empty"),
     ('{"universe_size": 2, "sets": [[1], [3]], "budget": 1}', "set #1 leaves the universe"),
+    ('{"universe_size": 1000000000000, "sets": [[1]], "budget": 1}', "element 2 lies in no set"),
 ], ids=["not an object", "set not an array", "sets a string", "string element", "float element",
         "bool element", "bool universe", "string universe", "float budget", "deep", "uncovered",
-        "empty universe", "zero budget", "empty set", "element outside"])
+        "empty universe", "zero budget", "empty set", "element outside", "huge universe"])
 def test_reduce_setcover_malformed_input_exits_one(tmp_path, text, message):
     path = tmp_path / "sc.json"
     path.write_text(text)

@@ -305,7 +305,7 @@ def test_presolve_is_a_restriction_of_the_full_relaxation():
         assert pre.expand(np.zeros(len(cols), dtype=int)).kept_indices() == tuple(fixed)
 
 
-def test_presolve_floor_and_budget_rows():
+def test_presolve_floor_rows():
     # a1 is over the cap of 2; p4 has no over-cap author
     inst = validate_instance({"x": 2, "authors": ["a1", "a2", "a3"], "papers": [
         {"id": "p1", "authors": ["a1"]}, {"id": "p2", "authors": ["a1"]},
@@ -313,17 +313,9 @@ def test_presolve_floor_and_budget_rows():
     floors = [0, 2, 1]
     # p4 is fixed as kept: a2's floor drops to 1 on p3, a3's to 0 (no row)
     pre = presolve_group(inst, floors)
-    assert pre.cols == (0, 1, 2) and pre.max_kept is None
+    assert pre.cols == (0, 1, 2)
     assert pre.lp.A.tolist() == [[1, 1, 1], [0, 0, -1]]
     assert pre.lp.b.tolist() == [2, -1]
-    # a budget below m keeps every paper in play, so no floor is netted
-    pre = presolve_group(inst, floors, max_kept=2)
-    assert pre.cols == (0, 1, 2, 3) and pre.offset == 0
-    assert pre.lp.A.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1], [0, 0, -1, -1], [0, 0, 0, -1]]
-    assert pre.lp.b.tolist() == [2, 2, -2, -1]
-    # a budget of m or more cannot bind: dropped, as in the group presolve
-    assert presolve_group(inst, max_kept=4).lp.A.shape == presolve_group(inst).lp.A.shape
-    assert presolve_group(inst, max_kept=4).max_kept is None
 
 
 def test_mps_dump_layout(triangle):
@@ -350,9 +342,9 @@ def test_relaxation_mps_is_the_dense_relaxation_dump(inst):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mps_columns_list_every_nonzero_in_row_order(seed):
-    # floor rows put -1 entries next to the +1 cap and budget rows
+    # floor rows put -1 entries next to the +1 cap rows
     inst = gen_random(5, 9, 2, 0.5, seed)
-    lp = presolve_group(inst, [1] * inst.n, max_kept=5).lp
+    lp = presolve_group(inst, [1] * inst.n).lp
     text = to_mps(lp)
     columns = text[text.index("COLUMNS\n") + len("COLUMNS\n"):text.index("RHS\n")].splitlines()
     expected = []

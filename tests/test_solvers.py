@@ -8,8 +8,8 @@ import pytest
 from deskfair import solvers
 from deskfair.cli import main
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
-from deskfair.instance import SolverStopped, dump_instance, validate_instance
-from deskfair.lp import FEAS_TOL, build_group_relaxation, solve_lp
+from deskfair.instance import InstanceError, SolverStopped, dump_instance, validate_instance
+from deskfair.lp import FEAS_TOL, build_group_relaxation, presolve_group, solve_lp
 from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.solvers import (
@@ -280,20 +280,45 @@ def test_node_limit_env_override(monkeypatch, triangle):
 def test_reduce_set_cover_shape():
     sc = SetCoverInstance(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3})), budget=2)
     inst = reduce_set_cover(sc)
-    assert inst.x == 3
-    assert inst.author_papers == ((0,), (0, 1), (1, 2))
+    assert inst.x == 2
+    assert inst.author_ids == ("e1", "e2", "e3", "budget")
+    assert inst.author_papers == ((0,), (0, 1), (1, 2), (0, 1, 2))
+    # the budget author's cap row is the only one that can bind: sum r_j <= K
+    pre = presolve_group(inst)
+    assert pre.cols == (0, 1, 2)
+    assert pre.lp.A.tolist() == [[1, 1, 1]] and pre.lp.b.tolist() == [2]
 
 
 def test_reduce_single_covering_set():
     sc = SetCoverInstance(3, (frozenset({1, 2, 3}),), budget=1)
     inst = reduce_set_cover(sc)
-    assert inst.m == 1
-    assert len(inst.papers[0].authors) == 3
+    assert inst.m == 1 and inst.x == 1
+    assert inst.papers[0].authors == ("e1", "e2", "e3", "budget")
 
 
 def test_reduce_diagonal():
     sc = SetCoverInstance(2, (frozenset({1}), frozenset({2})), budget=2)
-    assert reduce_set_cover(sc).author_papers == ((0,), (1,))
+    inst = reduce_set_cover(sc)
+    assert inst.x == 2
+    assert inst.author_papers == ((0,), (1,), (0, 1))
+
+
+def test_reduced_instance_poses_the_covering_question():
+    # the least worst-case cost is below 1 exactly when at most K sets cover
+    rng = random.Random(1972)
+    checked = 0
+    while checked < 200:
+        u = rng.randint(1, 8)
+        m = rng.randint(1, 8)
+        sets = tuple(frozenset(rng.sample(range(1, u + 1), rng.randint(1, u))) for _ in range(m))
+        if set().union(*sets) != set(range(1, u + 1)):
+            continue  # the reduction has no author for an uncovered element
+        sc = SetCoverInstance(u, sets, budget=rng.randint(1, m))
+        inst = reduce_set_cover(sc)
+        objective = solve_individual_exact(inst).objective
+        assert (objective < 1) == brute_force_cover(sc)
+        assert enumerate_optimal(inst).best_individual == objective
+        checked += 1
 
 
 def test_decide_set_cover_examples():
@@ -316,6 +341,15 @@ def test_set_cover_validation():
         SetCoverInstance(2, (frozenset({5}),), budget=1)
     with pytest.raises(ValueError):
         SetCoverInstance(2, (frozenset({1}),), budget=0)
+    # the universe is checked by each set's min and max, never built
+    huge = 10**12
+    for outside in (0, huge + 1):
+        with pytest.raises(InstanceError, match="set #1 leaves the universe"):
+            SetCoverInstance(huge, (frozenset({1}), frozenset({2, outside})), budget=1)
+    sc = SetCoverInstance(huge, (frozenset({1}), frozenset({huge})), budget=1)
+    with pytest.raises(InstanceError, match="element 2 lies in no set"):
+        reduce_set_cover(sc)
+    assert decide_set_cover(sc) == (False, None)
 
 
 def brute_force_cover(sc: SetCoverInstance):
