@@ -32,7 +32,7 @@ from .instance import (
     load_json,
 )
 from .jsontext import dumps_indented
-from .lp import relaxation_mps
+from .lp import build_group_relaxation, to_mps
 from .metrics import rational_field
 from .policies import RunRecord
 from .reports import comparison_table, comparison_to_csv, comparison_to_text, run_record_to_dict
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
     inst = _load_input(args)
     policy = _check_policy(args.policy or "group-exact")
     if args.dump_lp:  # the relaxation depends on the instance only
-        _write_text(args.dump_lp, relaxation_mps(inst))
+        _write_text(args.dump_lp, to_mps(build_group_relaxation(inst)))
     record = run_policy(inst, policy, seed=args.seed)
     _write_json(args.output, run_record_to_dict(record, inst))
     if record.keep is None:
@@ -266,12 +266,10 @@ def cmd_reduce_setcover(args) -> int:
     if not args.input:
         raise InstanceError("--input is required")
     sc = solvers.set_cover_from_json(load_json(args.input), budget=args.budget)
-    payload = {
-        "instance": instance_to_dict(solvers.reduce_set_cover(sc)),
-        "budget": sc.budget,
-    }
+    inst = solvers.reduce_set_cover(sc)
+    payload = {"instance": instance_to_dict(inst), "budget": sc.budget}
     if args.decide:
-        answer, witness = solvers.decide_set_cover(sc)
+        answer, witness = solvers.decide_cover(inst)
         payload["decision"] = {
             "coverable": answer,
             "witness_sets": [f"s{j + 1}" for j in witness] if witness is not None else None,

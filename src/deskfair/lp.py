@@ -1,4 +1,4 @@
-"""Dense bounded-variable dual simplex, the mean-cost relaxation and the presolve.
+"""Bounded-variable dual simplex, the mean-cost relaxation and the presolve.
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
@@ -6,21 +6,24 @@ per-instance integrality audit needs to see. The pivot rules (smallest
 basic index to leave, smallest column index on ratio ties) make the pivot
 sequence deterministic.
 
-`solve_lp` is one bounded dual simplex for every start. Pricing, the ratio
-test and the row elimination are numpy operations on a dense tableau that
-also carries the right-hand side B^-1 b. An optimal solve returns `r` and
-its final `Basis`; an infeasible one returns `r` None. Every structural
-column is boxed (finite `lo` and `hi`) and every slack has cost 0 and lower
-bound 0, so a basis that puts every nonbasic column at the bound its cost
-favours is dual feasible, and the dual loop alone reaches the optimum.
-There are two starts:
+`solve_lp` is one bounded dual simplex for every start. A is held by its
+nonzeros (`SparseMatrix`; the paper's relaxations are 0/+-1, one entry per
+(paper, author) pair). Pricing, the ratio test and the row elimination are
+numpy operations on a dense tableau, the one dense array, that also carries
+the right-hand side B^-1 b. An optimal solve returns `r` and its final
+`Basis`; an infeasible one returns `r` None. Every structural column is
+boxed (finite `lo` and `hi`) and every slack has cost 0 and lower bound 0,
+so a basis that puts every nonbasic column at the bound its cost favours is
+dual feasible, and the dual loop alone reaches the optimum. There are two
+starts:
 
-- Cold (`start=None`): the tableau [A | I | b] with the slacks basic and each
-  structural column at `hi` where c_j >= 0 and at `lo` elsewhere. Its
-  reduced costs are d = c, so it is dual feasible whatever the signs of A.
-  For the package LPs (every c_j > 0) it keeps every paper, and the dual loop
-  repairs only the rows that point breaks: the over-cap authors' caps. Every
-  floor row holds there unless no point in the bounds meets it.
+- Cold (`start=None`): the tableau [A | I | b], scattered from A's
+  nonzeros, with the slacks basic and each structural column at `hi` where
+  c_j >= 0 and at `lo` elsewhere. Its reduced costs are d = c, so it is
+  dual feasible whatever the signs of A. For the package LPs (every c_j > 0)
+  it keeps every paper, and the dual loop repairs only the rows that point
+  breaks: the over-cap authors' caps. Every floor row holds there unless no
+  point in the bounds meets it.
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so
   the dual loop restores primal feasibility, or proves there is none, in a
@@ -43,7 +46,6 @@ an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -57,13 +59,33 @@ PIVOT_TOL = 1e-12   # pivot degeneracy
 
 
 @dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A (rows, columns) matrix held by its nonzeros, value[k] at (row[k],
+    col[k]) in strictly increasing row-major order, checked once on build."""
+
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        rows, cols = self.shape
+        if not len(self.row) == len(self.col) == len(self.value):
+            raise ValueError("row, col and value must have equal lengths")
+        inside = (0 <= self.row) & (self.row < rows) & (0 <= self.col) & (self.col < cols)
+        key = self.row * cols + self.col  # strictly increasing: row-major, no cell twice
+        if not inside.all() or np.any(key[1:] <= key[:-1]):
+            raise ValueError(f"nonzeros must lie inside {self.shape} in row-major order")
+
+
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Maximize c.r subject to A r <= b and lo <= r <= hi (elementwise).
 
     The bounds must be finite, so every LP is bounded."""
 
     c: np.ndarray
-    A: np.ndarray
+    A: SparseMatrix
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -117,24 +139,16 @@ def _group_coefficients(inst: Instance) -> np.ndarray:
 
 
 def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
-    """The LP maximizing c.r over the columns `cols` (paper indices) subject
+    """The LP maximizing c.r over the ascending paper indices `cols` subject
     to `rows`, each a (papers, sign, rhs) row sign * sum_{j in papers} r_j <=
-    rhs whose papers all lie in `cols`."""
+    rhs whose papers ascend and all lie in `cols`."""
     cols = list(cols)
-    column = np.zeros(len(c), dtype=np.intp)
-    column[cols] = np.arange(len(cols))
     sizes = [len(papers) for papers, _, _ in rows]
     papers = np.fromiter(chain.from_iterable(p for p, _, _ in rows), np.intp, sum(sizes))
-    A = np.zeros((len(rows), len(cols)))
-    A[np.repeat(np.arange(len(rows)), sizes), column[papers]] = np.repeat(
-        [sign for _, sign, _ in rows], sizes)
-    return LinearProgram(
-        c=c[cols],
-        A=A,
-        b=np.array([rhs for _, _, rhs in rows], dtype=float),
-        lo=np.zeros(len(cols)),
-        hi=np.ones(len(cols)),
-    )
+    A = SparseMatrix((len(rows), len(cols)), np.repeat(np.arange(len(rows)), sizes),
+                     np.searchsorted(cols, papers), np.repeat([s for _, s, _ in rows], sizes))
+    b = np.array([rhs for _, _, rhs in rows], dtype=float)
+    return LinearProgram(c[cols], A, b, lo=np.zeros(len(cols)), hi=np.ones(len(cols)))
 
 
 def build_group_relaxation(inst: Instance) -> LinearProgram:
@@ -203,22 +217,23 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     `start` is a dual feasible basis of an LP with the same c, A and b, in
     practice an optimal one of an LP differing only in its bounds, or None
-    for the cold start: [A | I | b] with the slacks basic and each structural
-    column at `hi` where c_j >= 0 and at `lo` elsewhere. A warm start's
-    tableau and statuses are copied and its basic values are recomputed
-    under this LP's bounds. The dual simplex then restores primal
-    feasibility: the leaving row is the out-of-bounds row with the smallest
-    basic index, and its long-step ratio test walks the columns that move
-    the row toward its bound in (|d_j / alpha_j|, j) order, flipping each
-    column whose range leaves more than FEAS_TOL of the row's gap open and
-    entering the first that closes it; when all of them flip and the row is
-    still out of bounds, the LP is infeasible. The reduced costs d are
-    computed once and updated by the pivot row after each pivot. A primal
-    feasible basis is optimal if it is dual feasible, which the start must
-    be; the check recomputes d in full, and a movable nonbasic column whose
-    reduced cost has the wrong sign by more than FEAS_TOL raises
-    `SolverStopped`. So does a pivot past the iteration cap, 50 * (variables
-    + rows), which counts pivots; flips are counted apart in `bound_flips`.
+    for the cold start: [A | I | b], one scatter of A's nonzeros into zeros,
+    with the slacks basic and each structural column at `hi` where c_j >= 0
+    and at `lo` elsewhere. A warm start's tableau and statuses are copied
+    and its basic values are recomputed under this LP's bounds. The dual
+    simplex then restores primal feasibility: the leaving row is the
+    out-of-bounds row with the smallest basic index, and its long-step ratio
+    test walks the columns that move the row toward its bound in
+    (|d_j / alpha_j|, j) order, flipping each column whose range leaves more
+    than FEAS_TOL of the row's gap open and entering the first that closes
+    it; when all of them flip and the row is still out of bounds, the LP is
+    infeasible. The reduced costs d are computed once and updated by the
+    pivot row after each pivot. A primal feasible basis is optimal if it is
+    dual feasible, which the start must be; the check recomputes d in full,
+    and a movable nonbasic column whose reduced cost has the wrong sign by
+    more than FEAS_TOL raises `SolverStopped`. So does a pivot past the
+    iteration cap, 50 * (variables + rows), which counts pivots; flips are
+    counted apart in `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -229,7 +244,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     if start is None:
-        T = np.hstack([lp.A, np.eye(n_rows), lp.b.reshape(-1, 1)])
+        T = np.zeros((n_rows, n_all + 1))
+        T[lp.A.row, lp.A.col] = lp.A.value
+        T[np.arange(n_rows), np.arange(n_struct, n_all)] = 1.0
+        T[:, n_all] = lp.b
         basic = np.arange(n_struct, n_all)
         at_upper = np.concatenate([lp.c >= 0, np.zeros(n_rows, dtype=bool)])
     else:
@@ -336,50 +354,30 @@ def snap_binary(sol: LpSolution) -> np.ndarray | None:
     return (sol.r > 0.5).astype(int)
 
 
-MPS_NAME = "DESKFAIR"
-
-
 def to_mps(lp: LinearProgram) -> str:
     """Fixed-layout MPS dump (ROWS/COLUMNS/RHS/BOUNDS) for external solvers.
 
     Emits OBJSENSE MAX; tools that ignore it minimize by default, so negate
-    the objective there before comparing. Walks only the nonzeros of A.
+    the objective there before comparing. Each column lists the objective,
+    then A's nonzeros in it, rows ascending: a stable sort by column keeps
+    the row-major order within each column.
     """
-    columns = [[] for _ in range(lp.A.shape[1])]
-    row_of, col_of = np.nonzero(lp.A)  # row-major, so rows ascend within each column
-    for j, i, value in zip(col_of.tolist(), row_of.tolist(), lp.A[row_of, col_of].tolist()):
-        columns[j].append((i, value))
-    return _mps_text(lp.c.tolist(), lp.b.tolist(), lp.lo.tolist(), lp.hi.tolist(), columns)
-
-
-def relaxation_mps(inst: Instance) -> str:
-    """`to_mps(build_group_relaxation(inst))`, written from the paper lists
-    without the dense n x m matrix: column j holds a 1 in the row of each
-    of paper j's authors."""
-    columns = ([(i, 1.0) for i in sorted(authors)] for authors in inst.paper_authors)
-    return _mps_text(_group_coefficients(inst).tolist(), [float(inst.x)] * inst.n,
-                     [0.0] * inst.m, [1.0] * inst.m, columns)
-
-
-def _mps_text(c: list[float], b: list[float], lo: list[float], hi: list[float],
-              columns: Iterable[list[tuple[int, float]]]) -> str:
-    """The MPS text of max c.r s.t. A r <= b, lo <= r <= hi, where the j-th
-    item of `columns` lists the (row, value) nonzeros of column j, rows
-    ascending."""
-    lines = [f"NAME          {MPS_NAME}", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
-    lines += [f" L  R{i + 1}" for i in range(len(b))]
+    order = np.argsort(lp.A.col, kind="stable")
+    rows, values = lp.A.row[order], lp.A.value[order]
+    starts = np.searchsorted(lp.A.col[order], np.arange(lp.A.shape[1] + 1)).tolist()
+    lines = ["NAME          DESKFAIR", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
+    lines += [f" L  R{i + 1}" for i in range(lp.A.shape[0])]
     lines.append("COLUMNS")
-    for j, (cj, nonzeros) in enumerate(zip(c, columns)):
+    for j, (cj, s, e) in enumerate(zip(lp.c.tolist(), starts, starts[1:])):
+        nonzeros = zip(rows[s:e].tolist(), values[s:e].tolist())
         entries = [("OBJ", cj)] + [(f"R{i + 1}", value) for i, value in nonzeros]
         for k in range(0, len(entries), 2):
-            pair = entries[k:k + 2]
-            fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in pair)
+            fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in entries[k:k + 2])
             lines.append(f"    X{j + 1:<7}{fields}")
     lines.append("RHS")
-    for i, bi in enumerate(b):
-        lines.append(f"    RHS       R{i + 1:<7}  {bi:.12g}")
+    lines += [f"    RHS       R{i + 1:<7}  {bi:.12g}" for i, bi in enumerate(lp.b.tolist())]
     lines.append("BOUNDS")
-    for j, (lo_j, hi_j) in enumerate(zip(lo, hi)):
+    for j, (lo_j, hi_j) in enumerate(zip(lp.lo.tolist(), lp.hi.tolist())):
         lines.append(f" LO BND       X{j + 1:<7}  {lo_j:.12g}")
         lines.append(f" UP BND       X{j + 1:<7}  {hi_j:.12g}")
     lines.append("ENDATA")

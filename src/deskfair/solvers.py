@@ -340,14 +340,14 @@ def reduce_set_cover(sc: SetCoverInstance) -> Instance:
 
 
 def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide the covering question, as the feasibility of floors 1 under
-    the reduced instance's cap; on success also return the 0-based indices
-    of a witness subfamily."""
+    """`decide_cover` of the reduced instance; (False, None) if an element is in no set."""
     if _uncovered(sc) is not None:
         return False, None
-    inst = reduce_set_cover(sc)
-    pre = presolve_group(inst, floors=[1] * inst.n)
-    found, _ = _branch_and_bound(inst, pre, Counter())
-    if not found:
-        return False, None
-    return True, found[0][1].kept_indices()
+    return decide_cover(reduce_set_cover(sc))
+
+
+def decide_cover(inst: Instance) -> tuple[bool, tuple[int, ...] | None]:
+    """The covering question a `reduce_set_cover` instance poses, decided as
+    floors 1 under its cap: (True, 0-based witness set indices) or (False, None)."""
+    found, _ = _branch_and_bound(inst, presolve_group(inst, floors=[1] * inst.n), Counter())
+    return (True, found[0][1].kept_indices()) if found else (False, None)

@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +17,14 @@ def random_instance(seed, max_n=6, max_m=12, densities=(0.3, 0.6), max_x=4):
     x = rng.randint(1, max_x)
     density = rng.choice(densities)
     return gen_random(n, m, x, density, seed)
+
+
+def dense(A) -> np.ndarray:
+    """The dense array of a `SparseMatrix`, for HiGHS cross-checks and
+    cell-by-cell assertions."""
+    out = np.zeros(A.shape)
+    out[A.row, A.col] = A.value
+    return out
 
 
 def random_feasible_keep(inst: Instance, rng: random.Random) -> KeepVector:

@@ -520,6 +520,16 @@ def test_reduce_setcover(tmp_path):
     assert read_json(out)["decision"]["coverable"] is False
 
 
+def test_reduce_setcover_decides_on_the_emitted_instance(tmp_path, monkeypatch):
+    builds = spy_on(monkeypatch, solvers.reduce_set_cover)
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"universe_size": 3, "sets": [[1, 2], [2, 3], [3]], "budget": 2}))
+    out = tmp_path / "red.json"
+    assert main(["reduce-setcover", "--input", str(sc), "--decide", "--output", str(out)]) == 0
+    assert len(builds) == 1
+    assert read_json(out)["decision"]["coverable"] is True
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1]", "must be an object"),
     ('{"universe_size": 2, "sets": [[1], 5], "budget": 1}', "array of arrays"),
@@ -557,7 +567,7 @@ def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     assert main(["solve", "--input", cvpr_file, "--policy", "group-lp",
                  "--dump-lp", str(mps), "--output", str(out)]) == 0
-    assert not builds  # the dump walks the paper lists; the solve builds only its presolved LP
+    assert len(builds) == 1  # the dump's full relaxation; the solve builds only its presolved LP
     text = mps.read_text()
     assert "OBJSENSE" in text and "ENDATA" in text
     assert " L  R2" in text  # the full LP: the under-cap author keeps its row

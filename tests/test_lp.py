@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,9 @@ from deskfair.lp import (
     FEAS_TOL,
     Basis,
     LinearProgram,
+    SparseMatrix,
     build_group_relaxation,
     presolve_group,
-    relaxation_mps,
     snap_binary,
     solve_lp,
     to_mps,
@@ -22,7 +23,12 @@ from deskfair.lp import (
 from deskfair.metrics import group_objective
 from deskfair.oracle import enumerate_optimal
 
-from conftest import instances, random_instance
+from conftest import dense, instances, random_instance
+
+
+def ones_row(cols):
+    """The 1 x `cols` matrix of ones."""
+    return SparseMatrix((1, cols), np.zeros(cols, dtype=np.intp), np.arange(cols), np.ones(cols))
 
 
 def test_relaxation_triangle(triangle):
@@ -32,7 +38,7 @@ def test_relaxation_triangle(triangle):
     assert np.allclose(lp.b, [1.0, 1.0, 1.0])
     assert np.allclose(lp.lo, 0.0) and np.allclose(lp.hi, 1.0)
     # each row caps the two papers of one author
-    assert np.allclose(lp.A.sum(axis=1), 2.0)
+    assert np.allclose(dense(lp.A).sum(axis=1), 2.0)
 
 
 def test_relaxation_single_author():
@@ -43,7 +49,7 @@ def test_relaxation_single_author():
     })
     lp = build_group_relaxation(inst)
     assert np.allclose(lp.c, [0.5, 0.5])
-    assert np.allclose(lp.A, [[1.0, 1.0]])
+    assert np.allclose(dense(lp.A), [[1.0, 1.0]])
     assert np.allclose(lp.b, [2.0])
 
 
@@ -90,7 +96,7 @@ def test_snap_binary(cvpr26):
 def test_snap_binary_of_infeasible_is_none():
     lp = LinearProgram(
         c=np.array([1.0]),
-        A=np.array([[1.0]]),
+        A=ones_row(1),
         b=np.array([-1.0]),
         lo=np.array([0.0]),
         hi=np.array([1.0]),
@@ -120,7 +126,7 @@ def test_fixed_bounds_can_be_infeasible(triangle):
 
 def highs(lp):
     """Reference solve of `lp` by HiGHS: (optimal, objective)."""
-    ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=list(zip(lp.lo, lp.hi)), method="highs")
+    ref = linprog(-lp.c, A_ub=dense(lp.A), b_ub=lp.b, bounds=list(zip(lp.lo, lp.hi)), method="highs")
     assert ref.status in (0, 2)  # optimal or infeasible
     return ref.status == 0, (-ref.fun if ref.status == 0 else None)
 
@@ -147,7 +153,7 @@ def test_warm_start_matches_cold_solve(inst, fixings):
             return
         assert warm.objective_value == pytest.approx(objective, abs=FEAS_TOL)
         r = warm.r
-        assert np.all(lp.A @ r <= lp.b + FEAS_TOL)
+        assert np.all(dense(lp.A) @ r <= lp.b + FEAS_TOL)
         assert np.all(r >= lo - FEAS_TOL) and np.all(r <= hi + FEAS_TOL)
         parent = warm
 
@@ -180,7 +186,7 @@ def test_all_kept_start_matches_cold_solve(inst, fixings, negated):
         return
     assert sol.objective_value == pytest.approx(objective, abs=FEAS_TOL)
     r = sol.r
-    assert np.all(lp.A @ r <= lp.b + FEAS_TOL)
+    assert np.all(dense(lp.A) @ r <= lp.b + FEAS_TOL)
     assert np.all(r >= lo - FEAS_TOL) and np.all(r <= hi + FEAS_TOL)
 
 
@@ -198,7 +204,7 @@ def test_long_step_flips_every_candidate_then_reports_infeasible():
 def test_dual_infeasible_start_raises():
     # r = 0 fits the row, so the dual loop has nothing to repair; only the
     # reduced cost of r (1, at its lower bound) shows the start is not optimal
-    lp = LinearProgram(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]),
+    lp = LinearProgram(c=np.array([1.0]), A=ones_row(1), b=np.array([5.0]),
                        lo=np.array([0.0]), hi=np.array([1.0]))
     start = Basis(np.array([[1.0, 1.0, 5.0]]), np.array([1]), np.array([False, False]))
     with pytest.raises(SolverStopped, match="basis is not dual feasible"):
@@ -206,7 +212,7 @@ def test_dual_infeasible_start_raises():
 
 
 def test_solution_is_clipped_to_the_lp_bounds_not_the_unit_box():
-    lp = LinearProgram(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]),
+    lp = LinearProgram(c=np.array([1.0]), A=ones_row(1), b=np.array([5.0]),
                        lo=np.array([0.0]), hi=np.array([2.0]))
     sol = solve_lp(lp)
     assert sol.r is not None
@@ -243,11 +249,18 @@ def test_bound_sanity():
     ]
     for lo, hi in bad:
         with pytest.raises(ValueError):
-            LinearProgram(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),
+            LinearProgram(c=np.array([1.0]), A=ones_row(1), b=np.array([1.0]),
                           lo=np.array(lo), hi=np.array(hi))
     with pytest.raises(ValueError):  # lo and hi must match A's two columns
-        LinearProgram(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1),
+        LinearProgram(c=np.ones(2), A=ones_row(2), b=np.ones(1),
                       lo=np.zeros(3), hi=np.ones(3))
+    for row, col, value in [
+        ([0], [1], [1.0]),             # column 1 of a 1 x 1 matrix
+        ([0, 0], [0, 0], [1.0, 1.0]),  # one cell twice
+        ([0], [0], [1.0, 2.0]),        # lengths differ
+    ]:
+        with pytest.raises(ValueError):
+            SparseMatrix((1, 1), np.array(row), np.array(col), np.array(value))
 
 
 def test_determinism(triangle):
@@ -266,7 +279,7 @@ def test_solution_respects_constraints_on_randoms():
         sol = solve_lp(lp)
         assert sol.r is not None
         r = sol.r
-        assert np.all(lp.A @ r <= lp.b + 1e-9)
+        assert np.all(dense(lp.A) @ r <= lp.b + 1e-9)
         assert np.all(r >= -1e-9) and np.all(r <= 1 + 1e-9)
 
 
@@ -284,7 +297,7 @@ def test_against_reference_solver_on_randoms():
         inst = random_instance(seed)
         lp = build_group_relaxation(inst)
         ours = solve_lp(lp)
-        ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=[(0, 1)] * inst.m, method="highs")
+        ref = linprog(-lp.c, A_ub=dense(lp.A), b_ub=lp.b, bounds=[(0, 1)] * inst.m, method="highs")
         assert ref.status == 0
         assert abs(ours.objective_value - (-ref.fun)) < 1e-7
 
@@ -297,7 +310,7 @@ def test_presolve_is_a_restriction_of_the_full_relaxation():
         rows = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
         cols = list(pre.cols)
         assert cols == sorted({j for i in rows for j in inst.author_papers[i]})
-        assert np.array_equal(pre.lp.A, full.A[rows][:, cols])
+        assert np.array_equal(dense(pre.lp.A), dense(full.A)[rows][:, cols])
         assert np.array_equal(pre.lp.c, full.c[cols])
         assert np.array_equal(pre.lp.b, full.b[rows])
         fixed = [j for j in range(inst.m) if j not in pre.cols]
@@ -314,7 +327,7 @@ def test_presolve_floor_rows():
     # p4 is fixed as kept: a2's floor drops to 1 on p3, a3's to 0 (no row)
     pre = presolve_group(inst, floors)
     assert pre.cols == (0, 1, 2)
-    assert pre.lp.A.tolist() == [[1, 1, 1], [0, 0, -1]]
+    assert dense(pre.lp.A).tolist() == [[1, 1, 1], [0, 0, -1]]
     assert pre.lp.b.tolist() == [2, -1]
 
 
@@ -327,6 +340,24 @@ def test_mps_dump_layout(triangle):
     assert text.endswith("ENDATA\n")
 
 
+def dense_column_scan(lp):
+    """The COLUMNS lines of `lp`'s MPS, from a scan of every cell of the
+    dense A, column by column."""
+    A = dense(lp.A)
+    lines = []
+    for j in range(A.shape[1]):
+        entries = [("OBJ", lp.c[j])]
+        entries += [(f"R{i + 1}", A[i, j]) for i in range(A.shape[0]) if A[i, j] != 0.0]
+        for k in range(0, len(entries), 2):
+            fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in entries[k:k + 2])
+            lines.append(f"    X{j + 1:<7}{fields}")
+    return lines
+
+
+def mps_columns(text):
+    return text[text.index("COLUMNS\n") + len("COLUMNS\n"):text.index("RHS\n")].splitlines()
+
+
 REVERSED_AUTHORS = validate_instance({"x": 1, "authors": ["a1", "a2", "a3"], "papers": [
     {"id": "p1", "authors": ["a3", "a1"]}, {"id": "p2", "authors": ["a2", "a1"]},
     {"id": "p3", "authors": ["a3", "a2"]}]})
@@ -335,9 +366,30 @@ REVERSED_AUTHORS = validate_instance({"x": 1, "authors": ["a1", "a2", "a3"], "pa
 @pytest.mark.parametrize("inst", [gen_triangle(), gen_case_study("cvpr26"), gen_random(20, 40, 3, 0.12, 0),
                                   REVERSED_AUTHORS], ids=["triangle", "cvpr26", "random0", "reversed"])
 def test_relaxation_mps_is_the_dense_relaxation_dump(inst):
-    # the --dump-lp text, built from the paper lists without the n x m matrix;
-    # a paper may list its authors in any order, and its rows still ascend
-    assert relaxation_mps(inst) == to_mps(build_group_relaxation(inst))
+    # the --dump-lp text; a paper may list its authors in any order, and
+    # its rows still ascend
+    lp = build_group_relaxation(inst)
+    text = to_mps(lp)
+    assert mps_columns(text) == dense_column_scan(lp)
+    assert text.count(" L  R") == inst.n and text.count(" LO BND ") == inst.m
+
+
+def test_relaxation_mps_never_builds_a_dense_matrix():
+    # two authors a paper: A has 8,000 nonzeros, where a dense A would take
+    # 4,000 x 4,000 float64 cells, 122 MiB
+    n = m = 4000
+    authors = [f"a{i}" for i in range(n)]
+    inst = validate_instance({"x": 1, "authors": authors, "papers": [
+        {"id": f"p{j}", "authors": [authors[j], authors[(j + 1) % n]]} for j in range(m)]})
+    assert len(inst.author_papers) == n  # built and cached before tracing
+    tracemalloc.start()
+    try:
+        text = to_mps(build_group_relaxation(inst))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count(" L  R") == n
+    assert peak < n * m * 8 / 10
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -345,14 +397,6 @@ def test_mps_columns_list_every_nonzero_in_row_order(seed):
     # floor rows put -1 entries next to the +1 cap rows
     inst = gen_random(5, 9, 2, 0.5, seed)
     lp = presolve_group(inst, [1] * inst.n).lp
-    text = to_mps(lp)
-    columns = text[text.index("COLUMNS\n") + len("COLUMNS\n"):text.index("RHS\n")].splitlines()
-    expected = []
-    for j in range(lp.A.shape[1]):  # a dense scan of every cell, column by column
-        entries = [("OBJ", lp.c[j])]
-        entries += [(f"R{i + 1}", lp.A[i, j]) for i in range(lp.A.shape[0]) if lp.A[i, j] != 0.0]
-        for k in range(0, len(entries), 2):
-            fields = "".join(f"  {rn:<8}  {val:.12g}" for rn, val in entries[k:k + 2])
-            expected.append(f"    X{j + 1:<7}{fields}")
-    assert columns == expected
+    columns = mps_columns(to_mps(lp))
+    assert columns == dense_column_scan(lp)
     assert any("-1" in line for line in columns)

@@ -22,7 +22,7 @@ from deskfair.solvers import (
     solve_individual_exact,
 )
 
-from conftest import random_instance
+from conftest import dense, random_instance
 
 
 def rejected_ids(inst, keep):
@@ -286,7 +286,7 @@ def test_reduce_set_cover_shape():
     # the budget author's cap row is the only one that can bind: sum r_j <= K
     pre = presolve_group(inst)
     assert pre.cols == (0, 1, 2)
-    assert pre.lp.A.tolist() == [[1, 1, 1]] and pre.lp.b.tolist() == [2]
+    assert dense(pre.lp.A).tolist() == [[1, 1, 1]] and pre.lp.b.tolist() == [2]
 
 
 def test_reduce_single_covering_set():
