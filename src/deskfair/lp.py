@@ -8,9 +8,12 @@ sequence deterministic.
 
 `solve_lp` is one bounded dual simplex for every start. A is held by its
 nonzeros (`SparseMatrix`; the paper's relaxations are 0/+-1, one entry per
-(paper, author) pair). Pricing, the ratio test and the row elimination are
-numpy operations on a dense tableau, the one dense array, that also carries
-the right-hand side B^-1 b. An optimal solve returns `r` and its final
+(paper, author) pair). The loop works on one dense array, the tableau
+B^-1 [A | I | b] with the basic values x_B as one more column and the
+reduced costs d as one more row, so a pivot is one division of the pivot
+row and one rank-1 update; pricing and the ratio test read it with numpy,
+and the ratio walk and the per-pivot bookkeeping run on Python floats and
+lists. An optimal solve returns `r` and its final
 `Basis`; an infeasible one returns `r` None. Every structural column is
 boxed (finite `lo` and `hi`) and every slack has cost 0 and lower bound 0,
 so a basis that puts every nonbasic column at the bound its cost favours is
@@ -237,34 +240,41 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
+    last = n_all + 1  # W's x_B column
 
     lo = np.concatenate([lp.lo, np.zeros(n_rows)])
     hi = np.concatenate([lp.hi, np.full(n_rows, np.inf)])
     c = np.concatenate([lp.c, np.zeros(n_rows)])
     movable = hi - lo > PIVOT_TOL
 
+    # The one working array W: rows 0..n_rows-1 hold B^-1 [A | I | b | x_B],
+    # row n_rows holds the reduced costs d = c - c_B B^-1 A under [A | I].
+    W = np.zeros((n_rows + 1, n_all + 2))
     if start is None:
-        T = np.zeros((n_rows, n_all + 1))
-        T[lp.A.row, lp.A.col] = lp.A.value
-        T[np.arange(n_rows), np.arange(n_struct, n_all)] = 1.0
-        T[:, n_all] = lp.b
+        W[lp.A.row, lp.A.col] = lp.A.value
+        W[np.arange(n_rows), np.arange(n_struct, n_all)] = 1.0
+        W[:n_rows, n_all] = lp.b
         basic = np.arange(n_struct, n_all)
         at_upper = np.concatenate([lp.c >= 0, np.zeros(n_rows, dtype=bool)])
     else:
-        T, basic, at_upper = start.T.copy(), start.basic.copy(), start.at_upper.copy()
+        W[:n_rows, :last] = start.T
+        basic, at_upper = start.basic.copy(), start.at_upper.copy()
+    T = W[:n_rows]
     nonbasic = np.where(at_upper, hi, lo)
     nonbasic[basic] = 0.0
-    xB = T[:, n_all] - T[:, :n_all] @ nonbasic
+    T[:, last] = T[:, n_all] - T[:, :n_all] @ nonbasic
+    W[n_rows, :n_all] = c - c[basic] @ T[:, :n_all]
+    xB, d = T[:, last], W[n_rows, :n_all]
 
     # Per-row and per-column state, written in place on each pivot: the basic
-    # rows' bounds, their FEAS_TOL-shifted copies, the movable nonbasic
-    # columns and the reduced costs d = c - c_B T.
-    lo_b, hi_b = lo[basic], hi[basic]
-    lo_tol, hi_tol = lo_b - FEAS_TOL, hi_b + FEAS_TOL
-    free = movable.copy()
-    free[basic] = False
-    span = hi - lo
-    d = c - c[basic] @ T[:, :n_all]
+    # rows' FEAS_TOL-shifted bounds, and each column's direction, +1 (-1) for
+    # a movable nonbasic column at its lower (upper) bound and 0 otherwise.
+    # The ratio walk reads Python lists.
+    lo_tol, hi_tol = lo[basic] - FEAS_TOL, hi[basic] + FEAS_TOL
+    direction = np.where(at_upper, -1.0, 1.0) * movable
+    direction[basic] = 0.0
+    lo_l, hi_l, span, movable_l = lo.tolist(), hi.tolist(), (hi - lo).tolist(), movable.tolist()
+    basic = basic.tolist()
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
 
@@ -273,57 +283,57 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         out = ((xB < lo_tol) | (xB > hi_tol)).nonzero()[0]
         if out.size == 0:
             break
-        row = out[basic[out].argmin()]
-        x_row = xB[row]
-        below = x_row < lo_b[row]
-        target = lo_b[row] if below else hi_b[row]
-        # x_B[row] moves by -alpha_j per unit step of nonbasic j in its own
-        # feasible direction (up from lower, down from upper).
+        row = min(out.tolist(), key=basic.__getitem__)
+        x_row = float(xB[row])
+        leaving = basic[row]
+        below = x_row < lo_l[leaving]
+        target = lo_l[leaving] if below else hi_l[leaving]
+        # x_B[row] moves by -alpha_j * direction_j per unit step of nonbasic j
+        # in its own feasible direction.
         alpha = T[row, :n_all]
-        gain = np.where(at_upper, alpha, -alpha)
-        toward = gain > PIVOT_TOL if below else gain < -PIVOT_TOL
-        candidates = (toward & free).nonzero()[0]
+        move = direction * alpha
+        candidates = (move < -PIVOT_TOL if below else move > PIVOT_TOL).nonzero()[0]
         # Long step: a column whose whole range cannot close the row's gap
         # flips to its other bound; the first that can enters. When none can,
         # no point within the bounds fits the row.
-        ratio = abs(d[candidates] / alpha[candidates])
+        order = candidates[abs(d[candidates] / alpha[candidates]).argsort(kind="stable")]
         entering = -1
-        for j in candidates[ratio.argsort(kind="stable")]:
-            if abs(x_row - target) <= abs(alpha[j]) * span[j] + FEAS_TOL:
+        for j, a in zip(order.tolist(), alpha[order].tolist()):
+            if abs(x_row - target) <= abs(a) * span[j] + FEAS_TOL:
                 entering = j
                 break
             step = -span[j] if at_upper[j] else span[j]
             xB -= step * T[:, j]
-            x_row -= step * alpha[j]
+            x_row -= step * a
             at_upper[j] = not at_upper[j]
+            direction[j] = -direction[j]
             bound_flips += 1
         if entering < 0:
             return LpSolution(None, float("nan"), iteration, bound_flips=bound_flips)
         iteration += 1
         if iteration > max_iter:
             raise SolverStopped(f"no optimum after {max_iter} pivots")
-        p = T[row, entering]
+        p = float(T[row, entering])
         if abs(p) < PIVOT_TOL:
             raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
-        delta = (x_row - target) / p
-        entering_value = (hi if at_upper[entering] else lo)[entering] + delta
-        xB -= delta * T[:, entering]
-        leaving = basic[row]
-        free[leaving] = movable[leaving]
-        free[entering] = False
-        at_upper[leaving] = not below
-        basic[row] = entering
-        lo_b[row], hi_b[row] = lo[entering], hi[entering]
-        lo_tol[row], hi_tol[row] = lo_b[row] - FEAS_TOL, hi_b[row] + FEAS_TOL
-        T[row] /= p
-        d -= d[entering] * T[row, :n_all]
-        col = T[:, entering].copy()
+        # One rank-1 update moves x_B with the basis: the pivot row's x_B
+        # cell holds its gap, which the division turns into the entering
+        # column's step, and that step from its bound is its value.
+        xB[row] = x_row - target
+        W[row] /= p
+        col = W[:, entering].copy()
         col[row] = 0.0
         others = col.nonzero()[0]
-        T[others] -= col[others, None] * T[row]
-        xB[row] = entering_value
+        W[others] -= col[others, None] * W[row]
+        xB[row] += (hi_l if at_upper[entering] else lo_l)[entering]
+        at_upper[leaving] = not below
+        direction[leaving] = (1.0 if below else -1.0) if movable_l[leaving] else 0.0
+        direction[entering] = 0.0
+        basic[row] = entering
+        lo_tol[row], hi_tol[row] = lo_l[entering] - FEAS_TOL, hi_l[entering] + FEAS_TOL
 
     # d drifts by rounding across pivots, so the optimality check recomputes it.
+    basic = np.array(basic, dtype=np.intp)
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     d = c - c[basic] @ T[:, :n_all]
@@ -340,7 +350,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         r=r,
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
-        basis=Basis(T, basic, at_upper),
+        basis=Basis(T[:, :last], basic, at_upper),
         bound_flips=bound_flips,
     )
 
