@@ -2,9 +2,9 @@
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
-per-instance integrality audit needs to see. The pivot rules (smallest
-basic index to leave, smallest column index on ratio ties) make the pivot
-sequence deterministic.
+per-instance integrality audit needs to see. The pivot rules (the row
+farthest outside its bounds leaves, the first row on ties; the smallest
+column index enters on ratio ties) make the pivot sequence deterministic.
 
 `solve_lp` is one bounded dual simplex for every start. A is held by its
 nonzeros (`SparseMatrix`; the paper's relaxations are 0/+-1, one entry per
@@ -224,19 +224,21 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     with the slacks basic and each structural column at `hi` where c_j >= 0
     and at `lo` elsewhere. A warm start's tableau and statuses are copied
     and its basic values are recomputed under this LP's bounds. The dual
-    simplex then restores primal feasibility: the leaving row is the
-    out-of-bounds row with the smallest basic index, and its long-step ratio
-    test walks the columns that move the row toward its bound in
-    (|d_j / alpha_j|, j) order, flipping each column whose range leaves more
-    than FEAS_TOL of the row's gap open and entering the first that closes
-    it; when all of them flip and the row is still out of bounds, the LP is
-    infeasible. The reduced costs d are computed once and updated by the
-    pivot row after each pivot. A primal feasible basis is optimal if it is
-    dual feasible, which the start must be; the check recomputes d in full,
-    and a movable nonbasic column whose reduced cost has the wrong sign by
-    more than FEAS_TOL raises `SolverStopped`. So does a pivot past the
-    iteration cap, 50 * (variables + rows), which counts pivots; flips are
-    counted apart in `bound_flips`.
+    simplex then restores primal feasibility. Its pricing is Dantzig's: the
+    leaving row is the row farthest outside its FEAS_TOL-widened bounds,
+    the largest max(lo - FEAS_TOL - x_B, x_B - hi - FEAS_TOL), first row on
+    ties. Its long-step ratio test walks the columns that move the row
+    toward its bound in (|d_j / alpha_j|, j) order, flipping each column
+    whose range leaves more than FEAS_TOL of the row's gap open and entering
+    the first that closes it; when all of them flip and the row is still out
+    of bounds, the LP is infeasible. The reduced costs d and the basic
+    values are computed once and carried by the rank-1 update of each pivot.
+    A primal feasible basis is optimal if it is dual feasible, which the
+    start must be; the check recomputes d in full, and a movable nonbasic
+    column whose reduced cost has the wrong sign by more than FEAS_TOL
+    raises `SolverStopped`. So does a pivot past the iteration cap,
+    50 * (variables + rows), which counts pivots; flips are counted apart
+    in `bound_flips`.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
@@ -278,12 +280,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
 
-    # Dual simplex: pivot until every basic value is back within its bounds.
-    while True:
-        out = ((xB < lo_tol) | (xB > hi_tol)).nonzero()[0]
-        if out.size == 0:
+    # Dual simplex: pivot until every basic value is back within its bounds
+    # (an LP without rows has none).
+    while n_rows:
+        # Dantzig pricing: the row farthest outside its bounds leaves.
+        violation = np.maximum(lo_tol - xB, xB - hi_tol)
+        row = int(violation.argmax())
+        if violation[row] <= 0.0:
             break
-        row = min(out.tolist(), key=basic.__getitem__)
         x_row = float(xB[row])
         leaving = basic[row]
         below = x_row < lo_l[leaving]

@@ -222,15 +222,15 @@ def test_solution_is_clipped_to_the_lp_bounds_not_the_unit_box():
 @pytest.mark.parametrize("lp, counts", [
     (build_group_relaxation(gen_triangle()), (3, 0)),
     (build_group_relaxation(gen_case_study("cvpr26")), (1, 0)),
-    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 0)), (55, 22)),
-    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 1)), (36, 29)),
-    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 2)), (27, 23)),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 0)), (19, 31)),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 1)), (14, 24)),
+    (build_group_relaxation(gen_random(20, 40, 3, 0.12, 2)), (20, 27)),
     (presolve_group(gen_triangle()).lp, (3, 0)),
     (presolve_group(gen_case_study("cvpr26")).lp, (1, 0)),
-    (presolve_group(gen_random(20, 40, 3, 0.12, 0)).lp, (55, 22)),
-    (presolve_group(gen_random(20, 40, 3, 0.12, 1)).lp, (36, 29)),
-    (presolve_group(gen_random(20, 40, 3, 0.12, 2)).lp, (27, 23)),
-    (presolve_group(gen_random(25, 50, 3, 0.1, 114)).lp, (64, 40)),
+    (presolve_group(gen_random(20, 40, 3, 0.12, 0)).lp, (19, 31)),
+    (presolve_group(gen_random(20, 40, 3, 0.12, 1)).lp, (14, 24)),
+    (presolve_group(gen_random(20, 40, 3, 0.12, 2)).lp, (20, 27)),
+    (presolve_group(gen_random(25, 50, 3, 0.1, 114)).lp, (24, 55)),
 ], ids=["full-triangle", "full-cvpr26", "full-random0", "full-random1", "full-random2",
         "triangle", "cvpr26", "random0", "random1", "random2", "tie-chain"])
 def test_all_kept_root_path_is_pinned(lp, counts):
