@@ -135,6 +135,8 @@ def cmd_compare(args) -> int:
     names: list[str] = []
     for chunk in requested:
         names.extend(_check_policy(p.strip()) for p in chunk.split(",") if p.strip())
+    if not names:
+        raise InstanceError("--policy names no policy")
     records = [run_policy(inst, p, seed=args.seed) for p in names]
     table = comparison_table(inst, records)
     if args.output:

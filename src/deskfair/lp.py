@@ -275,7 +275,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     lo_tol, hi_tol = lo[basic] - FEAS_TOL, hi[basic] + FEAS_TOL
     direction = np.where(at_upper, -1.0, 1.0) * movable
     direction[basic] = 0.0
-    lo_l, hi_l, span, movable_l = lo.tolist(), hi.tolist(), (hi - lo).tolist(), movable.tolist()
+    lo_l, hi_l, span = lo.tolist(), hi.tolist(), (hi - lo).tolist()
     basic = basic.tolist()
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
@@ -292,8 +292,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         leaving = basic[row]
         below = x_row < lo_l[leaving]
         target = lo_l[leaving] if below else hi_l[leaving]
-        # x_B[row] moves by -alpha_j * direction_j per unit step of nonbasic j
-        # in its own feasible direction.
+        # A unit step of nonbasic j in its feasible direction moves x_B[row]
+        # by -direction_j * alpha_j: up toward lo where that product is
+        # negative, down toward hi where it is positive.
         alpha = T[row, :n_all]
         move = direction * alpha
         candidates = (move < -PIVOT_TOL if below else move > PIVOT_TOL).nonzero()[0]
@@ -302,11 +303,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         # no point within the bounds fits the row.
         order = candidates[abs(d[candidates] / alpha[candidates]).argsort(kind="stable")]
         entering = -1
-        for j, a in zip(order.tolist(), alpha[order].tolist()):
+        for j, a, sign in zip(order.tolist(), alpha[order].tolist(), direction[order].tolist()):
             if abs(x_row - target) <= abs(a) * span[j] + FEAS_TOL:
                 entering = j
                 break
-            step = -span[j] if at_upper[j] else span[j]
+            step = sign * span[j]
             xB -= step * T[:, j]
             x_row -= step * a
             at_upper[j] = not at_upper[j]
@@ -331,7 +332,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         W[others] -= col[others, None] * W[row]
         xB[row] += (hi_l if at_upper[entering] else lo_l)[entering]
         at_upper[leaving] = not below
-        direction[leaving] = (1.0 if below else -1.0) if movable_l[leaving] else 0.0
+        direction[leaving] = (1.0 if below else -1.0) if movable[leaving] else 0.0
         direction[entering] = 0.0
         basic[row] = entering
         lo_tol[row], hi_tol[row] = lo_l[entering] - FEAS_TOL, hi_l[entering] + FEAS_TOL

@@ -37,12 +37,15 @@ DEFAULT_NODE_LIMIT = 10**6
 
 
 def _node_limit() -> int:
-    """The node cap of one solve: `DESKFAIR_NODE_LIMIT`, if set."""
+    """The node cap of one solve: `DESKFAIR_NODE_LIMIT`, if set, at least 1."""
     raw = os.environ.get("DESKFAIR_NODE_LIMIT", str(DEFAULT_NODE_LIMIT))
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise InstanceError(f"DESKFAIR_NODE_LIMIT must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise InstanceError(f"DESKFAIR_NODE_LIMIT must be at least 1, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True, eq=False)

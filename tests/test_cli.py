@@ -249,6 +249,14 @@ def test_bad_node_limit_names_the_variable(triangle_file, monkeypatch, capsys):
     assert out == "" and err == "deskfair: error: DESKFAIR_NODE_LIMIT must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_node_limit_below_one_names_the_variable(limit, triangle_file, monkeypatch, capsys):
+    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", limit)
+    assert main(["solve", "--input", triangle_file, "--policy", "group-exact"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"deskfair: error: DESKFAIR_NODE_LIMIT must be at least 1, got '{limit}'\n"
+
+
 @pytest.mark.parametrize("bug", [KeyError(7), ValueError("keep vector must contain only 0/1")],
                          ids=["KeyError", "ValueError"])
 def test_a_bug_is_not_reported_as_an_input_error(bug, triangle_file, monkeypatch, capsys):
@@ -363,6 +371,18 @@ def test_compare_selected_policies(cvpr_file, tmp_path, capsys):
     doc = read_json(tmp_path / "two.json")
     assert [r["policy"] for r in doc["rows"]] == ["conventional", "group-exact"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("policies", [[","], [" , ", ""]], ids=["comma", "blank"])
+def test_compare_policy_list_naming_no_policy_exits_one(policies, triangle_file, tmp_path, capsys):
+    base = tmp_path / "none"
+    argv = ["compare", "--input", triangle_file, "--output", str(base)]
+    for p in policies:
+        argv += ["--policy", p]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "deskfair: error: --policy names no policy\n"
+    assert not list(tmp_path.glob("none.*"))
 
 
 def test_compare_divergent_optima(tmp_path, capsys):

@@ -158,6 +158,33 @@ def test_warm_start_matches_cold_solve(inst, fixings):
         parent = warm
 
 
+@given(instances(max_n=6, max_m=10), st.data(),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_floor_lps_match_highs_cold_and_warm(inst, data, fixings):
+    # floor rows (-1 entries) beside the cap rows; a floor of x + 1 on an
+    # over-cap author makes the LP infeasible
+    floors = [data.draw(st.integers(0, min(inst.x + 1, inst.paper_count(i)))) for i in range(inst.n)]
+    lp = presolve_group(inst, floors).lp
+    cols = lp.A.shape[1]
+    if cols == 0:
+        return
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    start = None  # the cold start, then each solve's optimum
+    for j, value in [(None, None)] + fixings:
+        if j is not None:
+            lo[j % cols] = hi[j % cols] = value
+        node = lp.with_bounds(lo, hi)
+        sol = solve_lp(node, start=start)
+        optimal, objective = highs(node)
+        assert (sol.r is not None) == optimal
+        if not optimal:
+            return
+        assert sol.objective_value == pytest.approx(objective, abs=FEAS_TOL)
+        assert np.all(dense(lp.A) @ sol.r <= lp.b + FEAS_TOL)
+        start = sol.basis
+
+
 def test_warm_start_detects_infeasible_child(triangle):
     lp = build_group_relaxation(triangle)
     root = solve_lp(lp)
