@@ -45,12 +45,17 @@ class Paper:
     authors: tuple[str, ...]
 
 
+_INDEX = ("author_index", "paper_authors", "author_papers")  # cached, x-free
+
+
 @dataclass(frozen=True)
 class Instance:
     """A submission-limit problem: who wrote what, and the per-author cap.
 
     Construct via :func:`validate_instance` (or the generators), which enforce
-    all invariants; the constructor itself does not re-validate.
+    all invariants; the constructor itself does not re-validate. The index
+    (`author_index`, `paper_authors`, `author_papers`) is derived on first
+    use, unless `validate_instance` built it while checking the input.
     """
 
     author_ids: tuple[str, ...]
@@ -90,7 +95,10 @@ class Instance:
     def with_cap(self, x: int) -> "Instance":
         if x < 1:
             raise InstanceError(f"submission cap must be >= 1, got {x}")
-        return Instance(self.author_ids, self.papers, x)
+        out = Instance(self.author_ids, self.papers, x)
+        # the index does not depend on x: hand on whatever is built
+        vars(out).update((k, v) for k, v in vars(self).items() if k in _INDEX)
+        return out
 
 
 def validate_instance(raw) -> Instance:
@@ -99,7 +107,10 @@ def validate_instance(raw) -> Instance:
     Expects ``{"x": int, "authors": [str...], "papers": [{"id": str,
     "authors": [str...]}...]}``; the arrays must be lists and every id a
     string, nothing is coerced. Raises :class:`InstanceError` on the
-    first violation found; never repairs input.
+    first violation found; never repairs input. The pass that checks
+    membership also builds the index the returned Instance carries: an
+    author id missing from `author_index` is undeclared, and an author
+    whose paper list stays empty is on no paper.
     """
     if not isinstance(raw, dict):
         raise InstanceError(f"instance description must be an object, got {type(raw).__name__}")
@@ -116,15 +127,15 @@ def validate_instance(raw) -> Instance:
 
     author_ids = _id_list(authors, "'authors'", "author id")
     _require_array(papers_raw, "'papers'")
-    seen = set()
-    for a in author_ids:
-        if a in seen:
+    author_index: dict[str, int] = {}
+    for i, a in enumerate(author_ids):
+        if author_index.setdefault(a, i) != i:
             raise InstanceError(f"duplicate author id {a!r}")
-        seen.add(a)
 
     papers = []
+    paper_authors = []
+    author_papers: list[list[int]] = [[] for _ in author_ids]
     seen_papers = set()
-    author_set = set(author_ids)
     for k, p in enumerate(papers_raw):
         try:
             pid = p["id"]
@@ -141,22 +152,28 @@ def validate_instance(raw) -> Instance:
             raise InstanceError(f"paper {pid!r} has no authors")
         if len(set(names)) != len(names):
             raise InstanceError(f"paper {pid!r} lists an author more than once")
-        for a in names:
-            if a not in author_set:
-                raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}")
+        row = tuple(map(author_index.get, names))
+        if None in row:
+            a = names[row.index(None)]
+            raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}")
+        for i in row:
+            author_papers[i].append(k)
         papers.append(Paper(pid, names))
+        paper_authors.append(row)
 
     _require_utf8(author_ids, "author id")
     _require_utf8([p.id for p in papers], "paper id")
 
-    on_some_paper = {a for p in papers for a in p.authors}
-    for a in author_ids:
-        if a not in on_some_paper:
+    for a, js in zip(author_ids, author_papers):
+        if not js:
             raise InstanceError(f"author {a!r} appears on no paper")
     if not author_ids:  # and so no paper either: every cost and mean is undefined
         raise InstanceError("instance has no authors and no papers")
 
-    return Instance(author_ids, tuple(papers), x)
+    inst = Instance(author_ids, tuple(papers), x)
+    vars(inst).update(author_index=author_index, paper_authors=tuple(paper_authors),
+                      author_papers=tuple(map(tuple, author_papers)))
+    return inst
 
 
 def _require_array(value, field: str) -> None:

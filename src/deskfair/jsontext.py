@@ -5,7 +5,10 @@ The standard library serves ``indent=2`` with its pure-Python encoder, since
 its C encoder only handles ``indent=None``. This writer walks dicts and
 lists in Python, like that encoder, but hands every string and number to the
 C-level functions the encoder itself ends in, and encodes a list of only
-ints or only strings in one pass.
+ints or only strings in one pass. Within one list, each distinct object (by
+``id``) is encoded once and its text repeated, so a report whose authors
+share one cost dict renders that dict once. The memo lives for one list
+only: the same object at another depth has another indent.
 """
 
 from __future__ import annotations
@@ -47,7 +50,14 @@ def _encode(value, newline: str) -> str:
         elif kinds == {str}:
             items = map(_string, value)
         else:
-            items = [_encode(v, inner) for v in value]
+            # every item of a list has one indent: encode each object once
+            memo = {}
+            items = []
+            for v in value:
+                text = memo.get(id(v))
+                if text is None:
+                    text = memo[id(v)] = _encode(v, inner)
+                items.append(text)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:

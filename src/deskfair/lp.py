@@ -136,9 +136,13 @@ class LpSolution:
 
 def _group_coefficients(inst: Instance) -> np.ndarray:
     """c_j: the sum of 1/|papers of i| over paper j's authors i, so c.r is
-    the total kept fraction of keep vector r."""
-    inv_sizes = [1.0 / inst.paper_count(i) for i in range(inst.n)]
-    return np.array([sum(inv_sizes[i] for i in authors) for authors in inst.paper_authors])
+    the total kept fraction of keep vector r. `bincount` adds each paper's
+    terms in author-list order, the order of a Python `sum` over the list."""
+    sizes = np.fromiter(map(len, inst.paper_authors), np.intp, inst.m)
+    authors = np.fromiter(chain.from_iterable(inst.paper_authors), np.intp, int(sizes.sum()))
+    inv_sizes = 1.0 / np.fromiter(map(len, inst.author_papers), float, inst.n)
+    return np.bincount(np.repeat(np.arange(inst.m), sizes), weights=inv_sizes[authors],
+                       minlength=inst.m)
 
 
 def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:

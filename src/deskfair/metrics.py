@@ -146,13 +146,17 @@ def rational_field(value: Fraction) -> dict:
 
 
 def report_to_dict(report: FairnessReport) -> dict:
-    fields = {}  # each distinct cost is rendered once
+    """JSON form of a report. Each distinct cost object is rendered once,
+    keyed by identity (`evaluate` shares one Fraction per distinct value),
+    and every author with that cost holds the same field dict: callers
+    must not mutate the fields of `per_author_cost`."""
+    fields = {}
     per_author = []
     for c in report.per_author_cost:
-        field = fields.get(c)
+        field = fields.get(id(c))
         if field is None:
-            field = fields[c] = rational_field(c)
-        per_author.append(dict(field))
+            field = fields[id(c)] = rational_field(c)
+        per_author.append(field)
     return {
         "per_author_cost": per_author,
         "zeta_ind": rational_field(report.zeta_ind),

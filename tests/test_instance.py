@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from deskfair.instance import (
     AuthorCategory,
+    Instance,
     InstanceError,
     KeepVector,
     classify_author,
@@ -70,6 +71,49 @@ def test_validate_author_with_no_papers():
     raw = {"x": 1, "authors": ["a1", "a2"], "papers": [{"id": "p1", "authors": ["a1"]}]}
     with pytest.raises(InstanceError, match="author 'a2' appears on no paper"):
         validate_instance(raw)
+
+
+# Inputs that break two rules at once: the message names the rule the
+# validator checks first, one paper at a time.
+FIRST_VIOLATION = {
+    "duplicate-before-undeclared": (
+        {"x": 1, "authors": ["a1"], "papers": [{"id": "p1", "authors": ["a1", "a9", "a1"]}]},
+        "paper 'p1' lists an author more than once",
+    ),
+    "undeclared-before-on-no-paper": (
+        {"x": 1, "authors": ["a1", "a2"], "papers": [{"id": "p1", "authors": ["a1", "a9"]}]},
+        "paper 'p1' lists undeclared author 'a9'",
+    ),
+    "first-undeclared-named": (
+        {"x": 1, "authors": ["a1"], "papers": [{"id": "p1", "authors": ["a1", "a8", "a9"]}]},
+        "paper 'p1' lists undeclared author 'a8'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_VIOLATION))
+def test_validate_reports_the_first_violation(name):
+    raw, message = FIRST_VIOLATION[name]
+    with pytest.raises(InstanceError) as err:
+        validate_instance(raw)
+    assert str(err.value) == message
+
+
+@given(instances())
+@settings(max_examples=150)
+def test_validated_index_equals_the_derived_one(inst):
+    fresh = Instance(inst.author_ids, inst.papers, inst.x)
+    assert inst.author_index == fresh.author_index
+    assert inst.paper_authors == fresh.paper_authors
+    assert inst.author_papers == fresh.author_papers
+
+
+def test_with_cap_hands_on_the_index(cvpr26):
+    capped = cvpr26.with_cap(3)
+    assert capped.x == 3
+    assert capped.author_index is cvpr26.author_index
+    assert capped.paper_authors is cvpr26.paper_authors
+    assert capped.author_papers is cvpr26.author_papers
 
 
 def _raw(authors, paper_authors, paper_id="p", papers=None):

@@ -32,6 +32,22 @@ def test_matches_json_dumps_indent_two(value):
     assert dumps_indented(value) == json.dumps(value, indent=2)
 
 
+SHARED_DICT = {"rational": "1/3", "decimal": "0.333333333333"}
+SHARED_LIST = [1, "a", None]
+
+
+# One object several times in a list is encoded once per list; the same
+# object at another depth has another indent.
+@pytest.mark.parametrize("value", [
+    [SHARED_DICT] * 1000,
+    [SHARED_LIST, SHARED_LIST, [SHARED_LIST]],
+    {"top": [SHARED_DICT, SHARED_DICT], "deeper": [[SHARED_DICT], {"k": SHARED_DICT}]},
+    [SHARED_DICT, [SHARED_DICT, [SHARED_DICT]], SHARED_DICT],
+], ids=["one dict 1000 times", "one list repeated", "dict at two depths", "dict at three depths"])
+def test_shared_objects_match_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("value", [
     Fraction(1, 2), {1, 2}, {1: "a"}, [Fraction(1, 3)], {"k": {"x"}}, [1, b"x"],
 ], ids=["fraction", "set", "int key", "fraction in list", "set in dict", "bytes in int list"])
