@@ -11,6 +11,9 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 from .jsontext import dumps_indented
 
@@ -39,8 +42,7 @@ class AuthorCategory(enum.Enum):
     SAFE = "safe"                    # within cap, all coauthors within cap
 
 
-@dataclass(frozen=True)
-class Paper:
+class Paper(NamedTuple):
     id: str
     authors: tuple[str, ...]
 
@@ -93,6 +95,7 @@ class Instance:
         return len(self.author_papers[author])
 
     def with_cap(self, x: int) -> "Instance":
+        require_int(x, "submission cap")
         if x < 1:
             raise InstanceError(f"submission cap must be >= 1, got {x}")
         out = Instance(self.author_ids, self.papers, x)
@@ -106,11 +109,12 @@ def validate_instance(raw) -> Instance:
 
     Expects ``{"x": int, "authors": [str...], "papers": [{"id": str,
     "authors": [str...]}...]}``; the arrays must be lists and every id a
-    string, nothing is coerced. Raises :class:`InstanceError` on the
-    first violation found; never repairs input. The pass that checks
-    membership also builds the index the returned Instance carries: an
-    author id missing from `author_index` is undeclared, and an author
-    whose paper list stays empty is on no paper.
+    string, nothing is coerced. Never repairs input. The rules are checked
+    one at a time, in the order docs/formats.md lists them, each in one
+    bulk pass over the papers or the author slots; the first rule broken
+    raises :class:`InstanceError` naming its first violator in file order.
+    The membership check also builds the index the returned Instance
+    carries.
     """
     if not isinstance(raw, dict):
         raise InstanceError(f"instance description must be an object, got {type(raw).__name__}")
@@ -127,51 +131,58 @@ def validate_instance(raw) -> Instance:
 
     author_ids = _id_list(authors, "'authors'", "author id")
     _require_array(papers_raw, "'papers'")
-    author_index: dict[str, int] = {}
-    for i, a in enumerate(author_ids):
-        if author_index.setdefault(a, i) != i:
-            raise InstanceError(f"duplicate author id {a!r}")
+    author_index = dict(zip(author_ids, range(len(author_ids))))
+    if len(author_index) < len(author_ids):
+        raise InstanceError(f"duplicate author id {_first_repeat(author_ids)!r}")
 
-    papers = []
-    paper_authors = []
+    try:
+        ids = list(map(itemgetter("id"), papers_raw))
+        lists = list(map(itemgetter("authors"), papers_raw))
+    except (TypeError, KeyError):
+        k = next(k for k, p in enumerate(papers_raw) if not _has_id_and_authors(p))
+        raise InstanceError(f"paper #{k} must be an object with 'id' and 'authors'") from None
+    if not all(map(isinstance, ids, repeat(str))):
+        k, pid = next((k, i) for k, i in enumerate(ids) if not isinstance(i, str))
+        raise InstanceError(f"paper #{k} id must be a string, got {pid!r}")
+    if len(set(ids)) < len(ids):
+        raise InstanceError(f"duplicate paper id {_first_repeat(ids)!r}")
+    if not all(map(isinstance, lists, repeat(list))):
+        pid, names = next((i, a) for i, a in zip(ids, lists) if not isinstance(a, list))
+        _require_array(names, f"paper {pid!r} 'authors'")
+    slots = list(chain.from_iterable(lists))
+    if not all(map(isinstance, slots, repeat(str))):
+        pid, names = next((i, a) for i, a in zip(ids, lists)
+                          if not all(map(isinstance, a, repeat(str))))
+        _id_list(names, f"paper {pid!r} 'authors'", "author id")
+    if not all(lists):
+        pid = next(i for i, a in zip(ids, lists) if not a)
+        raise InstanceError(f"paper {pid!r} has no authors")
+    if sum(map(len, map(set, lists))) < len(slots):
+        pid = next(i for i, a in zip(ids, lists) if len(set(a)) < len(a))
+        raise InstanceError(f"paper {pid!r} lists an author more than once")
+    try:
+        paper_authors = tuple(map(tuple, map(map, repeat(author_index.__getitem__), lists)))
+    except KeyError:
+        pid, a = next((i, a) for i, names in zip(ids, lists)
+                      for a in names if a not in author_index)
+        raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}") from None
     author_papers: list[list[int]] = [[] for _ in author_ids]
-    seen_papers = set()
-    for k, p in enumerate(papers_raw):
-        try:
-            pid = p["id"]
-            plist = p["authors"]
-        except (TypeError, KeyError):
-            raise InstanceError(f"paper #{k} must be an object with 'id' and 'authors'") from None
-        if not isinstance(pid, str):
-            raise InstanceError(f"paper #{k} id must be a string, got {pid!r}")
-        if pid in seen_papers:
-            raise InstanceError(f"duplicate paper id {pid!r}")
-        seen_papers.add(pid)
-        names = _id_list(plist, f"paper {pid!r} 'authors'", "author id")
-        if not names:
-            raise InstanceError(f"paper {pid!r} has no authors")
-        if len(set(names)) != len(names):
-            raise InstanceError(f"paper {pid!r} lists an author more than once")
-        row = tuple(map(author_index.get, names))
-        if None in row:
-            a = names[row.index(None)]
-            raise InstanceError(f"paper {pid!r} lists undeclared author {a!r}")
+    for k, row in enumerate(paper_authors):
         for i in row:
             author_papers[i].append(k)
-        papers.append(Paper(pid, names))
-        paper_authors.append(row)
 
     _require_utf8(author_ids, "author id")
-    _require_utf8([p.id for p in papers], "paper id")
+    _require_utf8(ids, "paper id")
 
-    for a, js in zip(author_ids, author_papers):
-        if not js:
-            raise InstanceError(f"author {a!r} appears on no paper")
+    if not all(author_papers):
+        a = next(a for a, js in zip(author_ids, author_papers) if not js)
+        raise InstanceError(f"author {a!r} appears on no paper")
     if not author_ids:  # and so no paper either: every cost and mean is undefined
         raise InstanceError("instance has no authors and no papers")
 
-    inst = Instance(author_ids, tuple(papers), x)
-    vars(inst).update(author_index=author_index, paper_authors=tuple(paper_authors),
+    papers = tuple(map(tuple.__new__, repeat(Paper), zip(ids, map(tuple, lists))))
+    inst = Instance(author_ids, papers, x)
+    vars(inst).update(author_index=author_index, paper_authors=paper_authors,
                       author_papers=tuple(map(tuple, author_papers)))
     return inst
 
@@ -181,23 +192,44 @@ def _require_array(value, field: str) -> None:
         raise InstanceError(f"{field} must be an array, got {type(value).__name__}")
 
 
+def _has_id_and_authors(paper) -> bool:
+    try:
+        paper["id"], paper["authors"]
+    except (TypeError, KeyError):
+        return False
+    return True
+
+
+def _first_repeat(ids):
+    """The first id in `ids` that an earlier one equals."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+
+
 def _require_utf8(ids, what: str) -> None:
     """Ids reach text output (the `check-ideal` listing, the `compare` CSV)
     as UTF-8, which cannot encode a lone surrogate such as the JSON string
-    "\\ud800"."""
-    for i in ids:
-        try:
-            i.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InstanceError(f"{what} {i!r} is not encodable as UTF-8") from None
+    "\\ud800". Python encodes no surrogate code point, paired or not, so
+    the joined ids fail to encode exactly when one of them does."""
+    try:
+        "".join(ids).encode("utf-8")
+    except UnicodeEncodeError:
+        for i in ids:
+            try:
+                i.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InstanceError(f"{what} {i!r} is not encodable as UTF-8") from None
 
 
 def _id_list(value, field: str, what: str) -> tuple[str, ...]:
     """The ids of a JSON array of strings, in order."""
     _require_array(value, field)
-    for v in value:
-        if not isinstance(v, str):
-            raise InstanceError(f"{what} must be a string, got {v!r} in {field}")
+    if not all(map(isinstance, value, repeat(str))):
+        v = next(v for v in value if not isinstance(v, str))
+        raise InstanceError(f"{what} must be a string, got {v!r} in {field}")
     return tuple(value)
 
 

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskfair.instance import (
     AuthorCategory,
     Instance,
     InstanceError,
     KeepVector,
+    Paper,
     classify_author,
     coauthors,
     instance_from_json,
+    instance_to_dict,
     instance_to_json,
     validate_instance,
 )
@@ -73,8 +76,8 @@ def test_validate_author_with_no_papers():
         validate_instance(raw)
 
 
-# Inputs that break two rules at once: the message names the rule the
-# validator checks first, one paper at a time.
+# Inputs that break two rules at once on one paper: the message names the
+# rule the validator checks first.
 FIRST_VIOLATION = {
     "duplicate-before-undeclared": (
         {"x": 1, "authors": ["a1"], "papers": [{"id": "p1", "authors": ["a1", "a9", "a1"]}]},
@@ -97,6 +100,133 @@ def test_validate_reports_the_first_violation(name):
     with pytest.raises(InstanceError) as err:
         validate_instance(raw)
     assert str(err.value) == message
+
+
+def test_validate_checks_one_rule_at_a_time():
+    # p1 lists an undeclared author and p2 lists none: the empty-list rule
+    # is checked before membership, so the later paper is named
+    raw = {"x": 1, "authors": ["a1"], "papers": [
+        {"id": "p1", "authors": ["a1", "a9"]}, {"id": "p2", "authors": []}]}
+    with pytest.raises(InstanceError) as err:
+        validate_instance(raw)
+    assert str(err.value) == "paper 'p2' has no authors"
+
+
+# Each planting breaks one rule at the papers (or author positions) it is
+# given, ascending, and returns the message naming the first of them.
+def _plant_paper_shape(raw, ks):
+    for k in ks:
+        raw["papers"][k] = {"id": raw["papers"][k]["id"]}
+    return f"paper #{ks[0]} must be an object with 'id' and 'authors'"
+
+
+def _plant_paper_id_type(raw, ks):
+    for k in ks:
+        raw["papers"][k]["id"] = k
+    return f"paper #{ks[0]} id must be a string, got {ks[0]}"
+
+
+def _plant_duplicate_paper_id(raw, ks):
+    papers = raw["papers"]
+    papers.extend({"id": papers[k]["id"], "authors": ["a1"]} for k in ks)
+    return f"duplicate paper id {papers[ks[0]]['id']!r}"
+
+
+def _plant_author_list_type(raw, ks):
+    for k in ks:
+        raw["papers"][k]["authors"] = "".join(raw["papers"][k]["authors"])
+    return f"paper {raw['papers'][ks[0]]['id']!r} 'authors' must be an array, got str"
+
+
+def _plant_author_id_type(raw, ks):
+    for k in ks:
+        raw["papers"][k]["authors"].insert(k % 2, 7)
+    return f"author id must be a string, got 7 in paper {raw['papers'][ks[0]]['id']!r} 'authors'"
+
+
+def _plant_empty_author_list(raw, ks):
+    for k in ks:
+        raw["papers"][k]["authors"] = []
+    return f"paper {raw['papers'][ks[0]]['id']!r} has no authors"
+
+
+def _plant_repeated_author(raw, ks):
+    for k in ks:
+        names = raw["papers"][k]["authors"]
+        names.append(names[0])
+    return f"paper {raw['papers'][ks[0]]['id']!r} lists an author more than once"
+
+
+def _plant_undeclared_author(raw, ks):
+    for k in ks:
+        raw["papers"][k]["authors"].insert(k % 2, f"zz{k}")
+    return f"paper {raw['papers'][ks[0]]['id']!r} lists undeclared author 'zz{ks[0]}'"
+
+
+def _plant_paper_id_utf8(raw, ks):
+    for k in ks:
+        raw["papers"][k]["id"] += "\ud800"
+    return f"paper id {raw['papers'][ks[0]]['id']!r} is not encodable as UTF-8"
+
+
+def _plant_duplicate_author_id(raw, ks):
+    authors = raw["authors"]
+    authors.extend(authors[i] for i in ks)
+    return f"duplicate author id {authors[ks[0]]!r}"
+
+
+def _plant_author_id_utf8(raw, ks):
+    bad = [f"\udc00{i}" for i in ks]
+    for i, a in reversed(list(zip(ks, bad))):
+        raw["authors"].insert(i, a)
+    raw["papers"][-1]["authors"].extend(bad)
+    return f"author id {bad[0]!r} is not encodable as UTF-8"
+
+
+def _plant_author_on_no_paper(raw, ks):
+    for i in reversed(ks):
+        raw["authors"].insert(i, f"zz{i}")
+    return f"author 'zz{ks[0]}' appears on no paper"
+
+
+PLANTED_PAPER_RULES = (
+    _plant_paper_shape, _plant_paper_id_type, _plant_duplicate_paper_id,
+    _plant_author_list_type, _plant_author_id_type, _plant_empty_author_list,
+    _plant_repeated_author, _plant_undeclared_author, _plant_paper_id_utf8,
+)
+PLANTED_AUTHOR_RULES = (
+    _plant_duplicate_author_id, _plant_author_id_utf8, _plant_author_on_no_paper,
+)
+
+
+@given(instances(), st.sampled_from(PLANTED_PAPER_RULES + PLANTED_AUTHOR_RULES), st.data())
+@settings(max_examples=300)
+def test_validate_names_the_first_violator_of_a_planted_rule(inst, plant, data):
+    raw = instance_to_dict(inst)
+    size = inst.m if plant in PLANTED_PAPER_RULES else inst.n
+    ks = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=2)))
+    message = plant(raw, ks)
+    with pytest.raises(InstanceError) as err:
+        validate_instance(raw)
+    assert str(err.value) == message
+
+
+def test_paper_is_an_immutable_value():
+    paper = Paper("p1", ("a1", "a2"))
+    assert (paper.id, paper.authors) == ("p1", ("a1", "a2"))
+    assert repr(paper) == "Paper(id='p1', authors=('a1', 'a2'))"
+    assert paper == Paper("p1", ("a1", "a2")) != Paper("p1", ("a2", "a1"))
+    assert hash(paper) == hash(("p1", ("a1", "a2")))
+    with pytest.raises(AttributeError):
+        paper.id = "p2"
+    assert validate_instance(TRIANGLE_RAW).papers[0] == Paper("p1", ("a1", "a2"))
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3"])
+def test_with_cap_requires_an_integer(cvpr26, cap):
+    with pytest.raises(InstanceError) as err:
+        cvpr26.with_cap(cap)
+    assert str(err.value) == f"submission cap must be an integer, got {cap!r}"
 
 
 @given(instances())
