@@ -10,7 +10,6 @@ from .instance import (
     AuthorCategory,
     Instance,
     KeepVector,
-    Paper,
     classify_author,
     coauthors,
     dump_instance,

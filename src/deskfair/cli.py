@@ -158,8 +158,8 @@ def cmd_check_ideal(args) -> int:
             _write_json(args.output, {"feasible": False})
         print("INFEASIBLE")
         return 2
-    kept = [inst.papers[j].id for j in witness.kept_indices()]
-    rejected = [inst.papers[j].id for j in witness.rejected_indices()]
+    kept = [inst.paper_ids[j] for j in witness.kept_indices()]
+    rejected = [inst.paper_ids[j] for j in witness.rejected_indices()]
     if args.output:
         _write_json(args.output, {
             "feasible": True, "kept_papers": kept, "rejected_papers": rejected,

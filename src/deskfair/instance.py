@@ -1,19 +1,18 @@
 """Core data model: authors, papers, who wrote what, author categories.
 
 Everything downstream (metrics, policies, solvers) consumes the immutable
-:class:`Instance` built here. Identifiers are opaque strings; all math uses
-dense 0-based indices. Paper list order is the submission order.
+:class:`Instance` that :func:`validate_instance` builds here. Identifiers
+are opaque strings, read only for output; all math uses the dense 0-based
+indices of who wrote what. Paper list order is the submission order.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from .jsontext import dumps_indented
 
@@ -42,26 +41,21 @@ class AuthorCategory(enum.Enum):
     SAFE = "safe"                    # within cap, all coauthors within cap
 
 
-class Paper(NamedTuple):
-    id: str
-    authors: tuple[str, ...]
-
-
-_INDEX = ("author_index", "paper_authors", "author_papers")  # cached, x-free
-
-
 @dataclass(frozen=True)
 class Instance:
     """A submission-limit problem: who wrote what, and the per-author cap.
 
     Construct via :func:`validate_instance` (or the generators), which enforce
-    all invariants; the constructor itself does not re-validate. The index
-    (`author_index`, `paper_authors`, `author_papers`) is derived on first
-    use, unless `validate_instance` built it while checking the input.
+    all invariants and build every field; the constructor itself does not
+    re-validate. `paper_authors` holds the author indices of each paper in
+    listed order, `author_papers` the paper indices of each author in
+    ascending (submission) order.
     """
 
     author_ids: tuple[str, ...]
-    papers: tuple[Paper, ...]
+    paper_ids: tuple[str, ...]
+    paper_authors: tuple[tuple[int, ...], ...]
+    author_papers: tuple[tuple[int, ...], ...]
     x: int
 
     @property
@@ -70,38 +64,17 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.papers)
-
-    @cached_property
-    def author_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.author_ids)}
-
-    @cached_property
-    def paper_authors(self) -> tuple[tuple[int, ...], ...]:
-        """Author index sets per paper, in paper order."""
-        idx = self.author_index
-        return tuple(tuple(idx[a] for a in p.authors) for p in self.papers)
-
-    @cached_property
-    def author_papers(self) -> tuple[tuple[int, ...], ...]:
-        """Paper index sets per author, in submission order."""
-        out: list[list[int]] = [[] for _ in self.author_ids]
-        for j, authors in enumerate(self.paper_authors):
-            for i in authors:
-                out[i].append(j)
-        return tuple(tuple(js) for js in out)
+        return len(self.paper_ids)
 
     def paper_count(self, author: int) -> int:
         return len(self.author_papers[author])
 
     def with_cap(self, x: int) -> "Instance":
+        """The same instance under cap `x`; every index tuple is shared."""
         require_int(x, "submission cap")
         if x < 1:
             raise InstanceError(f"submission cap must be >= 1, got {x}")
-        out = Instance(self.author_ids, self.papers, x)
-        # the index does not depend on x: hand on whatever is built
-        vars(out).update((k, v) for k, v in vars(self).items() if k in _INDEX)
-        return out
+        return replace(self, x=x)
 
 
 def validate_instance(raw) -> Instance:
@@ -180,11 +153,7 @@ def validate_instance(raw) -> Instance:
     if not author_ids:  # and so no paper either: every cost and mean is undefined
         raise InstanceError("instance has no authors and no papers")
 
-    papers = tuple(map(tuple.__new__, repeat(Paper), zip(ids, map(tuple, lists))))
-    inst = Instance(author_ids, papers, x)
-    vars(inst).update(author_index=author_index, paper_authors=paper_authors,
-                      author_papers=tuple(map(tuple, author_papers)))
-    return inst
+    return Instance(author_ids, tuple(ids), paper_authors, tuple(map(tuple, author_papers)), x)
 
 
 def _require_array(value, field: str) -> None:
@@ -234,10 +203,12 @@ def _id_list(value, field: str, what: str) -> tuple[str, ...]:
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    names = inst.author_ids
     return {
         "x": inst.x,
         "authors": list(inst.author_ids),
-        "papers": [{"id": p.id, "authors": list(p.authors)} for p in inst.papers],
+        "papers": [{"id": pid, "authors": [names[i] for i in row]}
+                   for pid, row in zip(inst.paper_ids, inst.paper_authors)],
     }
 
 
@@ -308,10 +279,15 @@ class KeepVector:
         return tuple(j for j, v in enumerate(self.values) if v != 1)
 
 
-def coauthors(inst: Instance, author: int) -> frozenset[int]:
-    """All authors sharing at least one paper with the given author."""
+def require_author(inst: Instance, author: int) -> None:
+    """Raise IndexError unless `author` is in [0, n): -1 would read the last author."""
     if not 0 <= author < inst.n:
         raise IndexError(f"author index {author} out of range [0, {inst.n})")
+
+
+def coauthors(inst: Instance, author: int) -> frozenset[int]:
+    """All authors sharing at least one paper with the given author."""
+    require_author(inst, author)
     out: set[int] = set()
     for j in inst.author_papers[author]:
         out.update(inst.paper_authors[j])
@@ -321,8 +297,7 @@ def coauthors(inst: Instance, author: int) -> frozenset[int]:
 
 def classify_author(inst: Instance, author: int) -> AuthorCategory:
     """Non-compliant above the cap; vulnerable if a coauthor is; safe otherwise."""
-    if not 0 <= author < inst.n:
-        raise IndexError(f"author index {author} out of range [0, {inst.n})")
+    require_author(inst, author)
     if inst.paper_count(author) > inst.x:
         return AuthorCategory.NON_COMPLIANT
     if any(inst.paper_count(k) > inst.x for k in coauthors(inst, author)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .instance import Instance, KeepVector
+from .instance import Instance, KeepVector, require_author
 
 
 def _check_length(inst: Instance, keep: KeepVector) -> None:
@@ -37,6 +37,7 @@ def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:
 def cost(inst: Instance, keep: KeepVector, author: int) -> Fraction:
     """Fraction of the author's papers rejected under the keep set, in [0, 1]."""
     _check_length(inst, keep)
+    require_author(inst, author)
     papers = inst.author_papers[author]
     kept = sum(keep.values[j] for j in papers)
     return Fraction(len(papers) - kept, len(papers))

@@ -108,5 +108,5 @@ def remaining_counts_table(inst: Instance):
                 sizes[i] - sum(1 for j in inst.author_papers[i] if j in rej)
                 for i in range(inst.n)
             )
-            rows.append((tuple(inst.papers[j].id for j in rejected), counts))
+            rows.append((tuple(inst.paper_ids[j] for j in rejected), counts))
     return rows

@@ -70,9 +70,9 @@ def conventional_desk_reject(inst: Instance) -> RunRecord:
     coauthor already has x registered (kept) papers."""
     kv, blockers = _conventional(inst)
     trace = tuple(
-        (paper.id, "keep", "no coauthor at the cap") if blocker is None
-        else (paper.id, "reject", f"author {inst.author_ids[blocker]} already at the cap")
-        for paper, blocker in zip(inst.papers, blockers)
+        (pid, "keep", "no coauthor at the cap") if blocker is None
+        else (pid, "reject", f"author {inst.author_ids[blocker]} already at the cap")
+        for pid, blocker in zip(inst.paper_ids, blockers)
     )
     return RunRecord("conventional", kv, metrics.evaluate(inst, kv), trace=trace)
 
@@ -107,7 +107,7 @@ def roulette_reject(inst: Instance, seed: int = 0) -> RunRecord:
         for i in inst.paper_authors[j]:
             counts[i] -= 1
         trace.append(
-            (inst.papers[j].id, "reject",
+            (inst.paper_ids[j], "reject",
              f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}")
         )
     kv = KeepVector.binary(keep)

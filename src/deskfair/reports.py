@@ -34,8 +34,8 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
     }
     if record.keep is not None:
         out["keep"] = list(record.keep.values)
-        out["kept_papers"] = [inst.papers[j].id for j in record.keep.kept_indices()]
-        out["rejected_papers"] = [inst.papers[j].id for j in record.keep.rejected_indices()]
+        out["kept_papers"] = [inst.paper_ids[j] for j in record.keep.kept_indices()]
+        out["rejected_papers"] = [inst.paper_ids[j] for j in record.keep.rejected_indices()]
         out["report"] = report_to_dict(record.report)
     out["objective"] = rational_field(record.objective) if record.objective is not None else None
     out["diagnostics"] = _diagnostics_to_dict(record.diagnostics) if record.diagnostics else None
@@ -65,7 +65,7 @@ def comparison_table(inst: Instance, records: list[RunRecord]) -> dict:
             rep = rec.report
             row.update(
                 kept_count=str(len(rec.keep.kept_indices())),
-                rejected_papers=";".join(inst.papers[j].id for j in rec.keep.rejected_indices()),
+                rejected_papers=";".join(inst.paper_ids[j] for j in rec.keep.rejected_indices()),
                 zeta_ind=format_rational(rep.zeta_ind),
                 zeta_ind_decimal=rational_decimal(rep.zeta_ind),
                 zeta_group=format_rational(rep.zeta_group),

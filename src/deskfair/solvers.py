@@ -315,12 +315,6 @@ def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
     return SetCoverInstance(universe_size, tuple(frozenset(s) for s in sets), budget)
 
 
-def _uncovered(sc: SetCoverInstance) -> int | None:
-    """The smallest element of the universe in no set, or None."""
-    covered = set().union(*sc.sets)
-    return next((e for e in range(1, sc.universe_size + 1) if e not in covered), None)
-
-
 def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     """Encode set cover as a submission-limit instance: universe elements
     become authors `e1..en`, sets become papers `s1..sm`, one more author
@@ -331,7 +325,8 @@ def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     that is, when the least worst-case cost is below 1. Raises
     :class:`InstanceError` when some element lies in no set.
     """
-    missing = _uncovered(sc)
+    covered = set().union(*sc.sets)
+    missing = next((e for e in range(1, sc.universe_size + 1) if e not in covered), None)
     if missing is not None:
         raise InstanceError(f"element {missing} lies in no set")
     authors = [f"e{i}" for i in range(1, sc.universe_size + 1)] + ["budget"]
@@ -344,9 +339,11 @@ def reduce_set_cover(sc: SetCoverInstance) -> Instance:
 
 def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
     """`decide_cover` of the reduced instance; (False, None) if an element is in no set."""
-    if _uncovered(sc) is not None:
+    try:
+        inst = reduce_set_cover(sc)
+    except InstanceError:  # a valid SetCoverInstance reduces unless an element is in no set
         return False, None
-    return decide_cover(reduce_set_cover(sc))
+    return decide_cover(inst)
 
 
 def decide_cover(inst: Instance) -> tuple[bool, tuple[int, ...] | None]:

@@ -79,7 +79,7 @@ def test_criterion_03_appc1_exact():
     with criterion(3, "appc1 case: group optimum rejects {p1,p2}, 1/2 and 1/6 exactly"):
         inst = gen_case_study("appc1")
         res = solve_group_exact(inst)
-        rejected = [inst.papers[j].id for j in res.keep.rejected_indices()]
+        rejected = [inst.paper_ids[j] for j in res.keep.rejected_indices()]
         assert rejected == ["p1", "p2"]
         assert res.report.zeta_ind == Fraction(1, 2)
         assert res.report.zeta_group == Fraction(1, 6)
@@ -89,12 +89,12 @@ def test_criterion_04_appc2_divergence():
     with criterion(4, "appc2 case: mean-cost and worst-case optima diverge"):
         inst = gen_case_study("appc2")
         grp = solve_group_exact(inst)
-        grp_rejected = {inst.papers[j].id for j in grp.keep.rejected_indices()}
+        grp_rejected = {inst.paper_ids[j] for j in grp.keep.rejected_indices()}
         assert grp_rejected == {"p1", "p2"}
         assert grp.report.zeta_group == Fraction(3, 10)  # mean over all n=5 authors
         ind = solve_individual_exact(inst)
         assert ind.report.zeta_ind == Fraction(1, 2)
-        ind_rejected = {inst.papers[j].id for j in ind.keep.rejected_indices()}
+        ind_rejected = {inst.paper_ids[j] for j in ind.keep.rejected_indices()}
         assert ind_rejected != grp_rejected
 
 

@@ -34,8 +34,8 @@ def test_leave_one_out_matches_triangle_up_to_relabeling():
     loo = gen_leave_one_out(3)
     tri = gen_triangle()
     assert loo.x == tri.x
-    loo_sets = sorted(sorted(p.authors) for p in loo.papers)
-    tri_sets = sorted(sorted(p.authors) for p in tri.papers)
+    loo_sets = sorted(sorted(p["authors"]) for p in instance_to_dict(loo)["papers"])
+    tri_sets = sorted(sorted(p["authors"]) for p in instance_to_dict(tri)["papers"])
     assert loo_sets == tri_sets
 
 
@@ -60,7 +60,7 @@ def test_case_studies():
 
 def test_random_full_density_is_complete():
     inst = gen_random(3, 4, 2, 1.0, 0)
-    assert all(len(p.authors) == 3 for p in inst.papers)
+    assert all(len(authors) == 3 for authors in inst.paper_authors)
 
 
 def test_random_deterministic():

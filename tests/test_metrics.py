@@ -30,7 +30,7 @@ from conftest import instances_with_keep, random_feasible_keep, random_instance
 
 def keep_all_but(inst, *paper_ids):
     drop = set(paper_ids)
-    return KeepVector.binary(0 if p.id in drop else 1 for p in inst.papers)
+    return KeepVector.binary(0 if pid in drop else 1 for pid in inst.paper_ids)
 
 
 def test_cost_case_study(cvpr26):
@@ -40,6 +40,15 @@ def test_cost_case_study(cvpr26):
     reject_first = keep_all_but(cvpr26, "p1")
     assert cost(cvpr26, reject_first, 0) == Fraction(1, 26)
     assert cost(cvpr26, reject_first, 1) == 0
+
+
+@pytest.mark.parametrize("author", [-3, -1, 3])
+def test_cost_rejects_an_author_index_out_of_range(author):
+    appc1 = gen_case_study("appc1")
+    keep = KeepVector.binary([1, 1, 0, 0, 1, 1])
+    assert cost(appc1, keep, 0) == Fraction(1, 2)
+    with pytest.raises(IndexError, match=f"author index {author} out of range"):
+        cost(appc1, keep, author)
 
 
 def test_cost_keep_all_is_zero(cvpr26, triangle):

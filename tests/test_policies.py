@@ -33,7 +33,7 @@ def permute_papers(inst, order):
 
 
 def rejected_ids(inst, keep):
-    return [inst.papers[j].id for j in keep.rejected_indices()]
+    return [inst.paper_ids[j] for j in keep.rejected_indices()]
 
 
 def test_conventional_case_study(cvpr26):
@@ -58,7 +58,7 @@ def test_conventional_keeps_everything_under_cap():
 
 def test_conventional_trace_covers_every_paper(cvpr26):
     out = conventional_desk_reject(cvpr26)
-    assert [t[0] for t in out.trace] == [p.id for p in cvpr26.papers]
+    assert [t[0] for t in out.trace] == list(cvpr26.paper_ids)
     assert out.trace[-1] == ("p26", "reject", "author a1 already at the cap")
 
 
@@ -169,7 +169,7 @@ def reference_roulette(inst, seed):
         keep[j] = 0
         for i in inst.paper_authors[j]:
             counts[i] -= 1
-        trace.append((inst.papers[j].id, "reject",
+        trace.append((inst.paper_ids[j], "reject",
                       f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}"))
     return tuple(keep), tuple(trace)
 

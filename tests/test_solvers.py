@@ -26,7 +26,7 @@ from conftest import dense, random_instance
 
 
 def rejected_ids(inst, keep):
-    return [inst.papers[j].id for j in keep.rejected_indices()]
+    return [inst.paper_ids[j] for j in keep.rejected_indices()]
 
 
 def test_group_exact_case_study(cvpr26):
@@ -293,7 +293,7 @@ def test_reduce_single_covering_set():
     sc = SetCoverInstance(3, (frozenset({1, 2, 3}),), budget=1)
     inst = reduce_set_cover(sc)
     assert inst.m == 1 and inst.x == 1
-    assert inst.papers[0].authors == ("e1", "e2", "e3", "budget")
+    assert tuple(inst.author_ids[i] for i in inst.paper_authors[0]) == ("e1", "e2", "e3", "budget")
 
 
 def test_reduce_diagonal():
