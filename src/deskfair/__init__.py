@@ -18,15 +18,7 @@ from .instance import (
     load_instance,
     validate_instance,
 )
-from .metrics import (
-    FairnessReport,
-    cost,
-    evaluate,
-    is_feasible,
-    is_ideal,
-    zeta_group,
-    zeta_ind,
-)
+from .metrics import FairnessReport, evaluate, zeta_group, zeta_ind
 from .policies import (
     RunRecord,
     conventional_desk_reject,

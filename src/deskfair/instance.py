@@ -260,14 +260,11 @@ class KeepVector:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        values = tuple(self.values)  # a generator would be spent by the check
         # check the raw values before int() could truncate 0.5 or 1.7
-        if not all(v in (0, 1) for v in self.values):
+        if not all(v in (0, 1) for v in values):
             raise ValueError("keep vector must contain only 0/1")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    @classmethod
-    def binary(cls, values) -> "KeepVector":
-        return cls(tuple(values))
+        object.__setattr__(self, "values", tuple(int(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.values)

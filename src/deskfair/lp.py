@@ -192,7 +192,7 @@ class GroupPresolve:
         the reduced 0/1 array (see `snap_binary`)."""
         values = np.ones(self.m, dtype=int)
         values[list(self.cols)] = reduced
-        return KeepVector.binary(values.tolist())
+        return KeepVector(values.tolist())
 
 
 def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPresolve:

@@ -1,11 +1,13 @@
 """Exact-rational fairness metrics for keep sets.
 
 Per-author cost is the rejected fraction of that author's papers; the
-worst-case cost (max) and mean cost are the two headline metrics. All
-arithmetic is ``fractions.Fraction`` so reported values are exact; floats
-appear nowhere in this module. Every quantity starts from integer kept
-counts, and a rational is built once per distinct value, not once per
-author: many authors share a paper count and a rejected count.
+worst-case cost (max) and mean cost are the two headline metrics.
+`evaluate` is the one judgement of a keep set, and the solvers certify
+keep sets from its report; `zeta_ind` and `zeta_group` give one metric
+each. All arithmetic is ``fractions.Fraction`` so reported values are
+exact; floats appear nowhere in this module. Every quantity starts from
+integer kept counts, and a rational is built once per distinct value, not
+once per author: many authors share a paper count and a rejected count.
 """
 
 from __future__ import annotations
@@ -14,33 +16,21 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .instance import Instance, KeepVector, require_author
-
-
-def _check_length(inst: Instance, keep: KeepVector) -> None:
-    if len(keep) != inst.m:
-        raise ValueError(f"keep vector length {len(keep)} != paper count {inst.m}")
+from .instance import Instance, KeepVector
 
 
 def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:
     """Kept papers per author: each author's paper count, less one along the
-    author list of every rejected paper."""
-    _check_length(inst, keep)
+    author list of every rejected paper. Every evaluation starts here, so
+    this is where a keep vector of the wrong length is refused."""
+    if len(keep) != inst.m:
+        raise ValueError(f"keep vector length {len(keep)} != paper count {inst.m}")
     counts = [len(papers) for papers in inst.author_papers]
     for j, v in enumerate(keep.values):
         if not v:
             for i in inst.paper_authors[j]:
                 counts[i] -= 1
     return tuple(counts)
-
-
-def cost(inst: Instance, keep: KeepVector, author: int) -> Fraction:
-    """Fraction of the author's papers rejected under the keep set, in [0, 1]."""
-    _check_length(inst, keep)
-    require_author(inst, author)
-    papers = inst.author_papers[author]
-    kept = sum(keep.values[j] for j in papers)
-    return Fraction(len(papers) - kept, len(papers))
 
 
 def _costs(inst: Instance, counts) -> tuple[tuple[Fraction, ...], list[Fraction]]:
@@ -69,10 +59,6 @@ def _rejected_share_sum(inst: Instance, counts) -> Fraction:
     return sum((Fraction(r, s) for s, r in rejected.items()), start=Fraction(0))
 
 
-def per_author_costs(inst: Instance, keep: KeepVector) -> tuple[Fraction, ...]:
-    return _costs(inst, author_kept_counts(inst, keep))[0]
-
-
 def zeta_ind(inst: Instance, keep: KeepVector) -> Fraction:
     """Worst-case (egalitarian) fairness: the maximum per-author cost."""
     return max(_costs(inst, author_kept_counts(inst, keep))[1])
@@ -81,22 +67,6 @@ def zeta_ind(inst: Instance, keep: KeepVector) -> Fraction:
 def zeta_group(inst: Instance, keep: KeepVector) -> Fraction:
     """Aggregate (utilitarian) fairness: the mean per-author cost."""
     return _rejected_share_sum(inst, author_kept_counts(inst, keep)) / inst.n
-
-
-def is_feasible(inst: Instance, keep: KeepVector) -> bool:
-    """True iff every author keeps at most x papers."""
-    return all(k <= inst.x for k in author_kept_counts(inst, keep))
-
-
-def is_ideal(inst: Instance, keep: KeepVector) -> bool:
-    """True iff every author keeps exactly min(x, own paper count)."""
-    counts = author_kept_counts(inst, keep)
-    return all(counts[i] == min(inst.x, inst.paper_count(i)) for i in range(inst.n))
-
-
-def group_objective(inst: Instance, keep: KeepVector) -> Fraction:
-    """Sum over authors of kept fraction; maximizing it minimizes the mean cost."""
-    return inst.n - _rejected_share_sum(inst, author_kept_counts(inst, keep))
 
 
 @dataclass(frozen=True)
@@ -125,11 +95,6 @@ def evaluate(inst: Instance, keep: KeepVector) -> FairnessReport:
 
 def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def rational_decimal(value: Fraction) -> str:

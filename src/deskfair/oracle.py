@@ -77,7 +77,7 @@ def enumerate_optimal(inst: Instance) -> OracleResult:
             ideal_mask = mask
 
     def to_keep(mask: int) -> KeepVector:
-        return KeepVector.binary((mask >> j) & 1 for j in range(inst.m))
+        return KeepVector((mask >> j) & 1 for j in range(inst.m))
 
     best_group = Fraction(inst.n * scale - best_group_score, inst.n * scale)
     return OracleResult(

@@ -62,7 +62,7 @@ def _conventional(inst: Instance) -> tuple[KeepVector, tuple[int | None, ...]]:
             for i in authors:
                 registered[i] += 1
             blockers.append(None)
-    return KeepVector.binary(keep), tuple(blockers)
+    return KeepVector(keep), tuple(blockers)
 
 
 def conventional_desk_reject(inst: Instance) -> RunRecord:
@@ -110,7 +110,7 @@ def roulette_reject(inst: Instance, seed: int = 0) -> RunRecord:
             (inst.paper_ids[j], "reject",
              f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}")
         )
-    kv = KeepVector.binary(keep)
+    kv = KeepVector(keep)
     return RunRecord("roulette", kv, metrics.evaluate(inst, kv), seed=seed, trace=tuple(trace))
 
 
@@ -134,7 +134,7 @@ def roulette_expectation(inst: Instance):
             leaves += 1
             if leaves > MAX_ROULETTE_OUTCOMES:
                 raise SolverStopped(f"more than {MAX_ROULETTE_OUTCOMES} roulette outcomes")
-            kv = KeepVector.binary(keep)
+            kv = KeepVector(keep)
             e_ind += prob * metrics.zeta_ind(inst, kv)
             e_group += prob * metrics.zeta_group(inst, kv)
             continue
@@ -169,7 +169,7 @@ def ideal_construct_small(inst: Instance) -> KeepVector:
 
     if inst.n == 1:
         reject_latest(inst.author_papers[0], max(0, inst.paper_count(0) - inst.x))
-        return KeepVector.binary(keep)
+        return KeepVector(keep)
 
     shared = [j for j, authors in enumerate(inst.paper_authors) if len(authors) == 2]
     solo = [
@@ -186,4 +186,4 @@ def ideal_construct_small(inst: Instance) -> KeepVector:
         for i in (0, 1):
             reject_latest(solo[i], len(solo[i]))
         reject_latest(shared, len(shared) - inst.x)
-    return KeepVector.binary(keep)
+    return KeepVector(keep)

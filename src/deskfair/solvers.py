@@ -70,16 +70,14 @@ class SolverDiagnostics:
     incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
 
-def _admits(inst: Instance, pre: GroupPresolve, keep: KeepVector) -> bool:
-    """Exact, in integers: does `keep` meet the cap and the floors of the
-    question `pre` was built for?"""
-    counts = metrics.author_kept_counts(inst, keep)
-    floors = pre.floors or (0,) * inst.n
-    return all(f <= k <= inst.x for f, k in zip(floors, counts))
+def _admits(pre: GroupPresolve, report: metrics.FairnessReport) -> bool:
+    """Exact, in integers: does the evaluated keep vector meet the cap and
+    the floors of the question `pre` was built for?"""
+    return report.feasible and all(f <= k for f, k in zip(pre.floors or (), report.kept_counts))
 
 
 def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
-                      best: Fraction | None = None):
+                      incumbent: tuple[Fraction, KeepVector, metrics.FairnessReport] | None = None):
     """Depth-first LP branch and bound over the presolved LP; the one search
     loop of this module.
 
@@ -89,31 +87,35 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
     node's solution is snapped once (`snap_binary`); an infeasible node
     closes. A fractional node branches on its most fractional variable,
     first on ties, and explores r_j = 1 first. An integral vertex is
-    expanded to a full keep vector and certified exactly: it must meet the
-    question's cap and floors in integers (`_admits`). An
-    uncertifiable vertex (numerics went sour) splits on a free variable
-    instead of being trusted or dropped.
+    expanded to a full keep vector and evaluated once (`metrics.evaluate`;
+    a vertex equal to the incumbent reuses its report), and that report
+    certifies it: it must meet the question's cap and floors in integers
+    (`_admits`). An uncertifiable vertex (numerics went sour) splits on a
+    free variable instead of being trusted or dropped.
 
-    - `best` None asks for feasibility: the search stops at the first
+    - `incumbent` None asks for feasibility: the search stops at the first
       certified vertex.
-    - `best` an exact incumbent objective asks for the maximum of the group
-      objective: a certified vertex's exact objective must also match its
-      float bound within 1e-6, and a node whose float bound plus 1e-9 does
-      not beat the incumbent is pruned after its own LP. A child's bound is
-      at most its parent's, so this one test also closes every node whose
-      parent's bound already fails it, at the cost of one warm LP.
+    - `incumbent` a certified (exact objective, keep vector, report) triple
+      asks for the maximum of the group objective, the total kept fraction
+      n(1 - zeta_group): a certified vertex's exact objective must also
+      match its float bound within 1e-6, and a node whose float bound plus
+      1e-9 does not beat the incumbent is pruned after its own LP. A
+      child's bound is at most its parent's, so this one test also closes
+      every node whose parent's bound already fails it, at the cost of one
+      warm LP.
 
     `tally` sums the node, pruning, LP and pivot counts (named as in
     `SolverDiagnostics`) over every search of one solve, and `_node_limit()`
     caps its node count. Returns the certified vertices, as (exact objective,
-    keep vector) pairs: the improvements in order, or the one witness with
-    objective None. Also returns the root LP's (bound, integral); integral
-    is False when the root LP is infeasible.
+    keep vector, report) triples: the incumbent and then each improvement
+    in order, or the one witness with objective None. Also returns the root
+    LP's (bound, integral); integral is False when the root LP is
+    infeasible.
     """
     limit = _node_limit()
     lp0 = pre.lp
-    cut = float("-inf") if best is None else float(best)  # a node must beat it
-    found = []
+    found = [] if incumbent is None else [incumbent]
+    cut = float(incumbent[0]) if found else float("-inf")  # a node must beat it
     root = None
     stack = [BranchNode(lp0.lo, lp0.hi, None)]
     while stack:
@@ -136,13 +138,17 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
             continue
         if point is not None:
             keep = pre.expand(point)
-            exact = None if best is None else metrics.group_objective(inst, keep)
-            if _admits(inst, pre, keep) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
+            if found and keep == found[-1][1]:
+                exact, _, report = found[-1]
+            else:
+                report = metrics.evaluate(inst, keep)
+                exact = None if incumbent is None else inst.n * (1 - report.zeta_group)
+            if _admits(pre, report) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
                 if exact is None:
-                    return [(None, keep)], root
-                if exact > best:
-                    best, cut = exact, float(exact)
-                    found.append((exact, keep))
+                    return [(None, keep, report)], root
+                if exact > found[-1][0]:
+                    cut = float(exact)
+                    found.append((exact, keep, report))
                 continue
             free = np.flatnonzero(node.lo < node.hi)
             if free.size == 0:
@@ -170,15 +176,16 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     """
     pre = presolve_group(inst)
     seed, _ = _conventional(inst)
-    seed_obj = metrics.group_objective(inst, seed)
+    report = metrics.evaluate(inst, seed)
+    incumbent = (inst.n * (1 - report.zeta_group), seed, report)
     tally = Counter()
-    found, root = _branch_and_bound(inst, pre, tally, seed_obj)
-    best_obj, best_keep = found[-1] if found else (seed_obj, seed)
+    found, root = _branch_and_bound(inst, pre, tally, incumbent)
+    best_obj, best_keep, best_report = found[-1]
     rows, cols = pre.lp.A.shape
     return RunRecord(
         policy="group-exact",
         keep=best_keep,
-        report=metrics.evaluate(inst, best_keep),
+        report=best_report,
         objective=best_obj,
         diagnostics=SolverDiagnostics(
             **tally,
@@ -187,7 +194,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
             lp_rows=rows,
             lp_cols=cols,
             best_bound=float(best_obj),  # the search closed: no open node is left
-            incumbent_trace=(seed_obj,) + tuple(e for e, _ in found),
+            incumbent_trace=tuple(e for e, _, _ in found),
         ),
     )
 
@@ -215,24 +222,29 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
             break
         # the next level: the smallest k/s above t
         t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
-    witness = found[0][1]
+    _, witness, report = found[0]
     rows, cols = pre.lp.A.shape
     return RunRecord(
         policy="individual-exact",
         keep=witness,
-        report=metrics.evaluate(inst, witness),
+        report=report,
         objective=t,
         diagnostics=SolverDiagnostics(**tally, lp_rows=rows, lp_cols=cols),
     )
 
 
-def solve_ideal_feasibility(inst: Instance) -> KeepVector | None:
-    """Witness keep vector giving every author exactly min(x, own count)
-    papers, or None when no such vector exists: a feasibility question
-    for `_branch_and_bound` with floors min(x, own count) under the cap x."""
+def solve_ideal_feasibility(inst: Instance) -> RunRecord:
+    """A witness keep vector giving every author exactly min(x, own count)
+    papers, or a record with keep None when no such vector exists: a
+    feasibility question for `_branch_and_bound` with floors
+    min(x, own count) under the cap x."""
     floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
     found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter())
-    return found[0][1] if found else None
+    if not found:
+        return RunRecord("ideal", None, None,
+                         note="no keep set leaves every author at exactly min(x, own count)")
+    _, witness, report = found[0]
+    return RunRecord("ideal", witness, report)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def random_feasible_keep(inst: Instance, rng: random.Random) -> KeepVector:
         keep[j] = 0
         for i in inst.paper_authors[j]:
             counts[i] -= 1
-    return KeepVector.binary(keep)
+    return KeepVector(keep)
 
 
 @st.composite
@@ -67,7 +67,7 @@ def instances(draw, max_n=5, max_m=8, max_x=4):
 @st.composite
 def instances_with_keep(draw, max_n=5, max_m=8):
     inst = draw(instances(max_n=max_n, max_m=max_m))
-    keep = KeepVector.binary(draw(st.lists(st.integers(0, 1), min_size=inst.m, max_size=inst.m)))
+    keep = KeepVector(draw(st.lists(st.integers(0, 1), min_size=inst.m, max_size=inst.m)))
     return inst, keep
 
 

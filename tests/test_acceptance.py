@@ -15,7 +15,7 @@ from fractions import Fraction
 from deskfair.cli import main as cli_main
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance, instance_to_dict, validate_instance
-from deskfair.metrics import is_feasible, is_ideal, per_author_costs, zeta_group, zeta_ind
+from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal, remaining_counts_table
 from deskfair.policies import (
     conventional_desk_reject,
@@ -112,9 +112,9 @@ TRIANGLE_TABLE = [
 
 def test_criterion_05_impossibility_suite():
     with criterion(5, "collateral-free rejection impossible on the hard families"):
-        assert solve_ideal_feasibility(gen_triangle()) is None
+        assert solve_ideal_feasibility(gen_triangle()).keep is None
         for n in range(3, 9):
-            assert solve_ideal_feasibility(gen_leave_one_out(n)) is None
+            assert solve_ideal_feasibility(gen_leave_one_out(n)).keep is None
         assert remaining_counts_table(gen_triangle()) == TRIANGLE_TABLE
 
 
@@ -128,7 +128,7 @@ def test_criterion_06_constructive_small_n():
             density = rng.choice([0.3, 0.5, 0.8, 1.0])
             inst = gen_random(n, m, x, density, trial)
             keep = ideal_construct_small(inst)
-            assert is_ideal(inst, keep)
+            assert evaluate(inst, keep).ideal
             assert enumerate_optimal(inst).ideal_exists
 
 
@@ -158,7 +158,7 @@ def test_criterion_08_metric_order_property():
             x = rng.randint(1, 4)
             inst = gen_random(n, m, x, rng.choice([0.2, 0.4, 0.7]), trial)
             keep = random_feasible_keep(inst, rng)
-            assert is_feasible(inst, keep)
+            assert evaluate(inst, keep).feasible
             assert zeta_group(inst, keep) <= zeta_ind(inst, keep)
 
 
@@ -235,7 +235,7 @@ def test_criterion_11_order_sensitivity_regression():
         )
         assert conventional_desk_reject(shared_first).report.zeta_group == Fraction(1, 52)
 
-        base_costs = sorted(per_author_costs(inst, solve_group_exact(inst).keep))
+        base_costs = sorted(evaluate(inst, solve_group_exact(inst).keep).per_author_cost)
         orders = [
             [25] + list(range(25)),
             list(reversed(range(26))),
@@ -245,5 +245,5 @@ def test_criterion_11_order_sensitivity_regression():
             permuted = validate_instance(
                 dict(raw, papers=[raw["papers"][j] for j in order])
             )
-            costs = sorted(per_author_costs(permuted, solve_group_exact(permuted).keep))
+            costs = sorted(evaluate(permuted, solve_group_exact(permuted).keep).per_author_cost)
             assert costs == base_costs

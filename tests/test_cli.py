@@ -12,7 +12,6 @@ from deskfair import lp, policies, solvers
 from deskfair.cli import POLICIES, build_parser, main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance, instance_to_dict
-from deskfair.metrics import parse_rational
 from deskfair.policies import RunRecord
 from deskfair.reports import CSV_HEADER
 
@@ -64,9 +63,9 @@ def test_solve_round_trips_exact_rationals(cvpr_file, tmp_path):
     out = tmp_path / "out.json"
     main(["solve", "--input", cvpr_file, "--policy", "conventional", "--output", str(out)])
     doc = read_json(out)
-    assert parse_rational(doc["report"]["zeta_group"]["rational"]) == Fraction(27, 52)
-    assert parse_rational(doc["report"]["zeta_ind"]["rational"]) == Fraction(1)
-    costs = [parse_rational(c["rational"]) for c in doc["report"]["per_author_cost"]]
+    assert Fraction(doc["report"]["zeta_group"]["rational"]) == Fraction(27, 52)
+    assert Fraction(doc["report"]["zeta_ind"]["rational"]) == Fraction(1)
+    costs = [Fraction(c["rational"]) for c in doc["report"]["per_author_cost"]]
     assert costs == [Fraction(1, 26), Fraction(1)]
 
 
@@ -630,8 +629,8 @@ def test_solve_json_reports_pivots_incumbents_and_closed_bound(tmp_path, monkeyp
     assert diag["lp_pivots"] == sum(pivots) > 0
     assert diag["lp_bound_flips"] >= 0
     assert 0 <= diag["nodes_pruned"] < diag["node_count"]
-    objective = parse_rational(doc["objective"]["rational"])
-    trace = [parse_rational(v["rational"]) for v in diag["incumbent_trace"]]
+    objective = Fraction(doc["objective"]["rational"])
+    trace = [Fraction(v["rational"]) for v in diag["incumbent_trace"]]
     assert len(trace) >= 2 and all(a < b for a, b in zip(trace, trace[1:]))
     assert trace[-1] == objective == Fraction(3, 2)
     assert diag["best_bound"] == float(objective)

@@ -297,15 +297,24 @@ def test_classify_disjoint_solo_authors_safe():
     assert classify_author(inst, 1) is AuthorCategory.SAFE
 
 
+@pytest.mark.parametrize("lookup", [coauthors, classify_author])
+@pytest.mark.parametrize("author", [-4, -1, 3])
+def test_author_index_out_of_range(lookup, author, triangle):
+    with pytest.raises(IndexError, match=f"author index {author} out of range"):
+        lookup(triangle, author)
+
+
 def test_keepvector_modes():
+    # any iterable of 0/1 values, a generator included
+    assert KeepVector(v for v in (1, 0, 1)).values == (1, 0, 1)
     with pytest.raises(ValueError):
-        KeepVector.binary([0, 2])
+        KeepVector([0, 2])
     # raw values are checked before int() could truncate them
     with pytest.raises(ValueError):
-        KeepVector.binary([0.5])
+        KeepVector([0.5])
     with pytest.raises(ValueError):
-        KeepVector.binary([2])
-    keep = KeepVector.binary([0.0, 1.0, True, False])
+        KeepVector([2])
+    keep = KeepVector([0.0, 1.0, True, False])
     assert keep.values == (0, 1, 1, 0) and all(type(v) is int for v in keep.values)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from deskfair.generators import gen_case_study, gen_random
 from deskfair.instance import validate_instance
-from deskfair.metrics import is_feasible, is_ideal, zeta_group, zeta_ind
+from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal, remaining_counts_table
 from deskfair.policies import conventional_desk_reject, roulette_reject
 
@@ -50,12 +50,12 @@ def test_oracle_witnesses_are_feasible():
     for seed in range(30):
         inst = random_instance(seed, max_m=9)
         res = enumerate_optimal(inst)
-        assert is_feasible(inst, res.best_group_witness)
-        assert is_feasible(inst, res.best_individual_witness)
+        assert evaluate(inst, res.best_group_witness).feasible
+        assert evaluate(inst, res.best_individual_witness).feasible
         assert zeta_group(inst, res.best_group_witness) == res.best_group
         assert zeta_ind(inst, res.best_individual_witness) == res.best_individual
         if res.ideal_exists:
-            assert is_ideal(inst, res.ideal_witness)
+            assert evaluate(inst, res.ideal_witness).ideal
 
 
 def test_oracle_size_cap():

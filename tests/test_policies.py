@@ -13,7 +13,7 @@ from deskfair.instance import (
     instance_to_dict,
     validate_instance,
 )
-from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_group, zeta_ind
+from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.policies import (
     conventional_desk_reject,
@@ -179,7 +179,7 @@ def reference_expectation(inst, keep=None, counts=None, prob=Fraction(1)):
     counts = counts or tuple(inst.paper_count(i) for i in range(inst.n))
     victim = full_scan_victim(counts, inst.x)
     if victim is None:
-        kv = KeepVector.binary(keep)
+        kv = KeepVector(keep)
         return prob * zeta_ind(inst, kv), prob * zeta_group(inst, kv)
     candidates = [j for j in inst.author_papers[victim] if keep[j]]
     e_ind = e_group = Fraction(0)
@@ -208,7 +208,7 @@ def test_roulette_expectation_matches_the_full_scan_victim_rule():
 def test_group_exact_seeds_from_the_conventional_keep_set(triangle, cvpr26):
     cases = [triangle, cvpr26] + [random_instance(seed, max_n=8, max_m=16) for seed in range(30)]
     for inst in cases:
-        seed_obj = group_objective(inst, conventional_desk_reject(inst).keep)
+        seed_obj = inst.n * (1 - zeta_group(inst, conventional_desk_reject(inst).keep))
         assert solve_group_exact(inst).diagnostics.incumbent_trace[0] == seed_obj
 
 
@@ -219,7 +219,7 @@ def test_ideal_construct_single_author():
         "papers": [{"id": f"p{j}", "authors": ["a1"]} for j in range(1, 6)],
     })
     keep = ideal_construct_small(inst)
-    assert is_ideal(inst, keep)
+    assert evaluate(inst, keep).ideal
     assert rejected_ids(inst, keep) == ["p4", "p5"]  # latest first
 
 
@@ -239,14 +239,14 @@ def test_ideal_construct_shared_overflow():
         ],
     })
     keep = ideal_construct_small(inst)
-    assert is_ideal(inst, keep)
+    assert evaluate(inst, keep).ideal
     assert rejected_ids(inst, keep) == ["p1", "p2", "p3", "p6"]
     assert keep.values == (0, 0, 0, 1, 1, 0)
 
 
 def test_ideal_construct_case_study(cvpr26):
     keep = ideal_construct_small(cvpr26)
-    assert is_ideal(cvpr26, keep)
+    assert evaluate(cvpr26, keep).ideal
     assert rejected_ids(cvpr26, keep) == ["p25"]  # one of the solo papers
 
 
@@ -263,6 +263,6 @@ def test_ideal_construct_matches_oracle_on_randoms():
         x = rng.randint(1, 4)
         inst = gen_random(n, m, x, rng.choice([0.3, 0.6, 1.0]), trial)
         keep = ideal_construct_small(inst)
-        assert is_ideal(inst, keep)
-        assert is_feasible(inst, keep)
+        report = evaluate(inst, keep)
+        assert report.ideal and report.feasible
         assert enumerate_optimal(inst).ideal_exists

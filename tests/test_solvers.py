@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deskfair import solvers
-from deskfair.cli import main
+from deskfair import metrics, solvers
+from deskfair.cli import main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import InstanceError, SolverStopped, dump_instance, validate_instance
 from deskfair.lp import FEAS_TOL, build_group_relaxation, presolve_group, solve_lp
-from deskfair.metrics import group_objective, is_feasible, is_ideal, zeta_ind
+from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.solvers import (
     SetCoverInstance,
@@ -99,8 +99,8 @@ def test_thousand_paper_author_solves_without_recursion(tmp_path):
     res = solve_individual_exact(inst)
     assert res.objective == Fraction(43, 44) == res.report.zeta_ind
     assert res.diagnostics.node_count == 1
-    witness = solve_ideal_feasibility(inst)
-    assert witness is not None and is_ideal(inst, witness)
+    witness = solve_ideal_feasibility(inst).keep
+    assert witness is not None and evaluate(inst, witness).ideal
     path = tmp_path / "big.json"
     dump_instance(inst, path)
     assert main(["solve", "--input", str(path), "--policy", "individual-exact",
@@ -122,33 +122,50 @@ def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve):
         return np.ones_like(r) if len(snapped) == 1 else r
 
     monkeypatch.setattr(solvers, "snap_binary", all_kept_first)
-    result = solve(cvpr26)
-    keep = getattr(result, "keep", result)
-    assert len(snapped) > 1 and is_feasible(cvpr26, keep)
+    keep = solve(cvpr26).keep
+    assert len(snapped) > 1 and evaluate(cvpr26, keep).feasible
     assert zeta_ind(cvpr26, keep) == Fraction(1, 26)
 
 
+@pytest.mark.parametrize("policy", ["group-exact", "individual-exact", "ideal"])
+@pytest.mark.parametrize("name", ["cvpr26", "appc2", "triangle"])
+def test_a_solve_counts_each_keep_vector_once(policy, name, monkeypatch):
+    # the report that certifies a vertex is the one the run returns, so no
+    # keep vector is counted, and so evaluated, twice
+    real, counted = metrics.author_kept_counts, []
+
+    def spy(inst, keep):
+        counted.append(keep.values)
+        return real(inst, keep)
+
+    monkeypatch.setattr(metrics, "author_kept_counts", spy)
+    inst = gen_triangle() if name == "triangle" else gen_case_study(name)
+    record = run_policy(inst, policy)
+    assert len(counted) == len(set(counted))
+    assert record.keep is None or record.keep.values in counted
+
+
 def test_ideal_feasibility_hard_families(triangle):
-    assert solve_ideal_feasibility(triangle) is None
-    assert solve_ideal_feasibility(gen_leave_one_out(4)) is None
-    assert solve_ideal_feasibility(gen_leave_one_out(6)) is None
+    assert solve_ideal_feasibility(triangle).keep is None
+    assert solve_ideal_feasibility(gen_leave_one_out(4)).keep is None
+    assert solve_ideal_feasibility(gen_leave_one_out(6)).keep is None
 
 
 def test_ideal_feasibility_two_authors():
     for n, seed in itertools.product((1, 2), range(40)):
         inst = gen_random(n, 1 + seed % 12, 1 + seed % 4, 0.5, seed)
-        witness = solve_ideal_feasibility(inst)
+        witness = solve_ideal_feasibility(inst).keep
         assert witness is not None
-        assert is_ideal(inst, witness)
+        assert evaluate(inst, witness).ideal
 
 
 def test_ideal_feasibility_matches_oracle():
     for seed in range(60):
         inst = random_instance(seed, max_m=10)
-        witness = solve_ideal_feasibility(inst)
+        witness = solve_ideal_feasibility(inst).keep
         assert (witness is not None) == enumerate_optimal(inst).ideal_exists
         if witness is not None:
-            assert is_ideal(inst, witness)
+            assert evaluate(inst, witness).ideal
 
 
 def test_solvers_match_oracle_exactly():
@@ -157,7 +174,7 @@ def test_solvers_match_oracle_exactly():
         best = enumerate_optimal(inst)
         g = solve_group_exact(inst)
         assert g.report.zeta_group == best.best_group
-        assert is_feasible(inst, g.keep)
+        assert evaluate(inst, g.keep).feasible
         i = solve_individual_exact(inst)
         assert i.objective == best.best_individual
         assert zeta_ind(inst, i.keep) == best.best_individual
@@ -391,6 +408,6 @@ def test_incumbent_trace_strictly_improves():
         inst = random_instance(seed, max_m=9)
         res = solve_group_exact(inst)
         trace = res.diagnostics.incumbent_trace
-        assert trace[-1] == res.objective == group_objective(inst, res.keep)
+        assert trace[-1] == res.objective == inst.n * (1 - zeta_group(inst, res.keep))
         assert res.diagnostics.best_bound == float(res.objective)
         assert all(a < b for a, b in zip(trace, trace[1:]))
