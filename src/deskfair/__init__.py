@@ -10,8 +10,7 @@ from .instance import (
     AuthorCategory,
     Instance,
     KeepVector,
-    classify_author,
-    coauthors,
+    author_categories,
     dump_instance,
     instance_from_json,
     instance_to_json,

@@ -266,7 +266,7 @@ def cmd_reduce_setcover(args) -> int:
         answer, witness = solvers.decide_cover(inst)
         payload["decision"] = {
             "coverable": answer,
-            "witness_sets": [f"s{j + 1}" for j in witness] if witness is not None else None,
+            "witness_sets": [inst.paper_ids[j] for j in witness] if witness is not None else None,
         }
     _write_json(args.output, payload)
     return 0

@@ -38,7 +38,7 @@ def require_int(value, what: str) -> None:
 class AuthorCategory(enum.Enum):
     NON_COMPLIANT = "non-compliant"  # more than x papers
     VULNERABLE = "vulnerable"        # within cap but has a non-compliant coauthor
-    SAFE = "safe"                    # within cap, all coauthors within cap
+    SAFE = "safe"                    # within cap, as is every author of their papers
 
 
 @dataclass(frozen=True)
@@ -276,27 +276,19 @@ class KeepVector:
         return tuple(j for j, v in enumerate(self.values) if v != 1)
 
 
-def require_author(inst: Instance, author: int) -> None:
-    """Raise IndexError unless `author` is in [0, n): -1 would read the last author."""
-    if not 0 <= author < inst.n:
-        raise IndexError(f"author index {author} out of range [0, {inst.n})")
-
-
-def coauthors(inst: Instance, author: int) -> frozenset[int]:
-    """All authors sharing at least one paper with the given author."""
-    require_author(inst, author)
-    out: set[int] = set()
-    for j in inst.author_papers[author]:
-        out.update(inst.paper_authors[j])
-    out.discard(author)
-    return frozenset(out)
-
-
-def classify_author(inst: Instance, author: int) -> AuthorCategory:
-    """Non-compliant above the cap; vulnerable if a coauthor is; safe otherwise."""
-    require_author(inst, author)
-    if inst.paper_count(author) > inst.x:
-        return AuthorCategory.NON_COMPLIANT
-    if any(inst.paper_count(k) > inst.x for k in coauthors(inst, author)):
-        return AuthorCategory.VULNERABLE
-    return AuthorCategory.SAFE
+def author_categories(inst: Instance) -> tuple[AuthorCategory, ...]:
+    """Every author's category, from one pass over the papers: an author
+    over the cap is non-compliant, one within it is vulnerable when a paper
+    they wrote has an author over the cap, and safe otherwise."""
+    over = [len(papers) > inst.x for papers in inst.author_papers]
+    exposed = [False] * inst.n
+    for authors in inst.paper_authors:
+        if any(over[i] for i in authors):
+            for i in authors:
+                exposed[i] = True
+    return tuple(
+        AuthorCategory.NON_COMPLIANT if o
+        else AuthorCategory.VULNERABLE if e
+        else AuthorCategory.SAFE
+        for o, e in zip(over, exposed)
+    )

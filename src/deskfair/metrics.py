@@ -2,12 +2,13 @@
 
 Per-author cost is the rejected fraction of that author's papers; the
 worst-case cost (max) and mean cost are the two headline metrics.
-`evaluate` is the one judgement of a keep set, and the solvers certify
-keep sets from its report; `zeta_ind` and `zeta_group` give one metric
-each. All arithmetic is ``fractions.Fraction`` so reported values are
-exact; floats appear nowhere in this module. Every quantity starts from
-integer kept counts, and a rational is built once per distinct value, not
-once per author: many authors share a paper count and a rejected count.
+`evaluate` is the one judgement of a keep set and the only code that
+turns kept counts into costs: the solvers certify keep sets from its
+report, and `zeta_ind` and `zeta_group` each read one field of it. All
+arithmetic is ``fractions.Fraction`` so reported values are exact; floats
+appear nowhere in this module. Every quantity starts from integer kept
+counts, and a rational is built once per distinct value, not once per
+author: many authors share a paper count and a rejected count.
 """
 
 from __future__ import annotations
@@ -33,42 +34,6 @@ def author_kept_counts(inst: Instance, keep: KeepVector) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _costs(inst: Instance, counts) -> tuple[tuple[Fraction, ...], list[Fraction]]:
-    """Per-author costs from kept counts, and their distinct values: one
-    Fraction per distinct (rejected, papers) pair, shared by its authors."""
-    distinct = {}
-    costs = []
-    for papers, k in zip(inst.author_papers, counts):
-        key = (len(papers) - k, len(papers))
-        c = distinct.get(key)
-        if c is None:
-            c = distinct[key] = Fraction(*key)
-        costs.append(c)
-    return tuple(costs), list(distinct.values())
-
-
-def _rejected_share_sum(inst: Instance, counts) -> Fraction:
-    """Sum over authors of the rejected fraction (s_i - k_i)/s_i, as the
-    sum over distinct paper counts s of R_s/s, where the integer R_s totals
-    the rejected papers of the authors with s papers."""
-    rejected = {}
-    for papers, k in zip(inst.author_papers, counts):
-        s = len(papers)
-        if k < s:
-            rejected[s] = rejected.get(s, 0) + s - k
-    return sum((Fraction(r, s) for s, r in rejected.items()), start=Fraction(0))
-
-
-def zeta_ind(inst: Instance, keep: KeepVector) -> Fraction:
-    """Worst-case (egalitarian) fairness: the maximum per-author cost."""
-    return max(_costs(inst, author_kept_counts(inst, keep))[1])
-
-
-def zeta_group(inst: Instance, keep: KeepVector) -> Fraction:
-    """Aggregate (utilitarian) fairness: the mean per-author cost."""
-    return _rejected_share_sum(inst, author_kept_counts(inst, keep)) / inst.n
-
-
 @dataclass(frozen=True)
 class FairnessReport:
     per_author_cost: tuple[Fraction, ...]
@@ -80,17 +45,48 @@ class FairnessReport:
 
 
 def evaluate(inst: Instance, keep: KeepVector) -> FairnessReport:
-    """Full report for a binary keep vector."""
+    """Full report for a binary keep vector, from one loop over the authors.
+    With s papers and k kept, an author's cost is the Fraction (s - k)/s,
+    built once per distinct (s - k, s) pair and shared by its authors. The
+    mean is the sum over distinct s of R_s/s, where the integer R_s totals
+    the rejected papers of the authors with s papers. The keep set is ideal
+    when every k equals min(x, s)."""
     counts = author_kept_counts(inst, keep)
-    costs, distinct = _costs(inst, counts)
+    x = inst.x
+    shared = {}
+    costs = []
+    rejected = {}
+    ideal = True
+    for papers, k in zip(inst.author_papers, counts):
+        s = len(papers)
+        c = shared.get((s - k, s))
+        if c is None:
+            c = shared[s - k, s] = Fraction(s - k, s)
+        costs.append(c)
+        if k < s:
+            rejected[s] = rejected.get(s, 0) + s - k
+            if k != x:  # min(x, s) = k < s only when x = k
+                ideal = False
+        elif k > x:  # all s kept, and min(x, s) = s only when s <= x
+            ideal = False
     return FairnessReport(
-        per_author_cost=costs,
-        zeta_ind=max(distinct),
-        zeta_group=_rejected_share_sum(inst, counts) / inst.n,
-        feasible=all(k <= inst.x for k in counts),
-        ideal=all(k == min(inst.x, len(papers)) for k, papers in zip(counts, inst.author_papers)),
+        per_author_cost=tuple(costs),
+        zeta_ind=max(shared.values()),
+        zeta_group=sum((Fraction(r, s) for s, r in rejected.items()), start=Fraction(0)) / inst.n,
+        feasible=max(counts) <= x,
+        ideal=ideal,
         kept_counts=counts,
     )
+
+
+def zeta_ind(inst: Instance, keep: KeepVector) -> Fraction:
+    """Worst-case (egalitarian) fairness: the maximum per-author cost."""
+    return evaluate(inst, keep).zeta_ind
+
+
+def zeta_group(inst: Instance, keep: KeepVector) -> Fraction:
+    """Aggregate (utilitarian) fairness: the mean per-author cost."""
+    return evaluate(inst, keep).zeta_group
 
 
 def format_rational(value: Fraction) -> str:

@@ -118,8 +118,9 @@ def roulette_expectation(inst: Instance):
     """Exact expectations of both fairness metrics under the roulette policy.
 
     Enumerates the full randomness tree, weighting each leaf by its path
-    probability. Raises :class:`SolverStopped` once more than
-    `MAX_ROULETTE_OUTCOMES` leaves are seen.
+    probability; one `metrics.evaluate` judges each leaf visit. Raises
+    :class:`SolverStopped` once more than `MAX_ROULETTE_OUTCOMES` leaves
+    are seen.
     """
     e_ind = Fraction(0)
     e_group = Fraction(0)
@@ -134,9 +135,9 @@ def roulette_expectation(inst: Instance):
             leaves += 1
             if leaves > MAX_ROULETTE_OUTCOMES:
                 raise SolverStopped(f"more than {MAX_ROULETTE_OUTCOMES} roulette outcomes")
-            kv = KeepVector(keep)
-            e_ind += prob * metrics.zeta_ind(inst, kv)
-            e_group += prob * metrics.zeta_group(inst, kv)
+            report = metrics.evaluate(inst, KeepVector(keep))
+            e_ind += prob * report.zeta_ind
+            e_group += prob * report.zeta_group
             continue
         candidates = [j for j in inst.author_papers[victim] if keep[j]]
         share = prob / len(candidates)

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ from deskfair.policies import RunRecord
 from deskfair.reports import CSV_HEADER
 
 from conftest import instances, spy_on
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -679,3 +684,16 @@ def test_parser_is_built_once_and_keeps_no_state(cvpr_file, capsys):
     err = capsys.readouterr().err
     assert err.count("usage:") == 1
     assert err.endswith("deskfair: error: unrecognized arguments: --bogus\n")
+
+
+def test_cli_import_loads_no_scipy():
+    # import scipy.optimize raises peak RSS from 29 MB to 77 MB, so no scipy
+    # module may reach the runtime path; this process has scipy loaded by
+    # the LP cross-checks, so a fresh interpreter looks
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, deskfair.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

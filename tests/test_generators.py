@@ -9,7 +9,7 @@ from deskfair.generators import (
 from deskfair.instance import (
     AuthorCategory,
     InstanceError,
-    classify_author,
+    author_categories,
     instance_to_dict,
     validate_instance,
 )
@@ -19,7 +19,7 @@ def test_triangle_shape():
     inst = gen_triangle()
     assert [inst.paper_count(i) for i in range(inst.n)] == [2, 2, 2]
     assert inst.x == 1
-    assert all(classify_author(inst, i) is AuthorCategory.NON_COMPLIANT for i in range(3))
+    assert author_categories(inst) == (AuthorCategory.NON_COMPLIANT,) * 3
 
 
 def test_leave_one_out_counts():

@@ -9,8 +9,7 @@ from deskfair.instance import (
     AuthorCategory,
     InstanceError,
     KeepVector,
-    classify_author,
-    coauthors,
+    author_categories,
     instance_from_json,
     instance_to_dict,
     instance_to_json,
@@ -269,22 +268,12 @@ def test_incidence_case_study_row_sums(cvpr26):
     assert [cvpr26.paper_count(i) for i in range(cvpr26.n)] == [26, 1]
 
 
-def test_coauthors(triangle, cvpr26):
-    assert coauthors(triangle, 0) == {1, 2}
-    solo = validate_instance({"x": 1, "authors": ["a1"], "papers": [{"id": "p1", "authors": ["a1"]}]})
-    assert coauthors(solo, 0) == frozenset()
-    assert coauthors(cvpr26, 1) == {0}
-    with pytest.raises(IndexError, match="author index 3 out of range"):
-        coauthors(triangle, 3)
-
-
 def test_classify_case_study(cvpr26):
-    assert classify_author(cvpr26, 0) is AuthorCategory.NON_COMPLIANT
-    assert classify_author(cvpr26, 1) is AuthorCategory.VULNERABLE
+    assert author_categories(cvpr26) == (AuthorCategory.NON_COMPLIANT, AuthorCategory.VULNERABLE)
 
 
 def test_classify_triangle(triangle):
-    assert all(classify_author(triangle, i) is AuthorCategory.NON_COMPLIANT for i in range(3))
+    assert author_categories(triangle) == (AuthorCategory.NON_COMPLIANT,) * 3
 
 
 def test_classify_disjoint_solo_authors_safe():
@@ -293,15 +282,7 @@ def test_classify_disjoint_solo_authors_safe():
         "authors": ["a1", "a2"],
         "papers": [{"id": "p1", "authors": ["a1"]}, {"id": "p2", "authors": ["a2"]}],
     })
-    assert classify_author(inst, 0) is AuthorCategory.SAFE
-    assert classify_author(inst, 1) is AuthorCategory.SAFE
-
-
-@pytest.mark.parametrize("lookup", [coauthors, classify_author])
-@pytest.mark.parametrize("author", [-4, -1, 3])
-def test_author_index_out_of_range(lookup, author, triangle):
-    with pytest.raises(IndexError, match=f"author index {author} out of range"):
-        lookup(triangle, author)
+    assert author_categories(inst) == (AuthorCategory.SAFE, AuthorCategory.SAFE)
 
 
 def test_keepvector_modes():
@@ -334,10 +315,12 @@ def test_incidence_matches_membership(inst):
 @given(instances())
 @settings(max_examples=150)
 def test_category_partition_total_and_exclusive(inst):
-    for i in range(inst.n):
-        cat = classify_author(inst, i)
+    cats = author_categories(inst)
+    assert len(cats) == inst.n
+    for i, cat in enumerate(cats):
         over = inst.paper_count(i) > inst.x
-        risky = any(inst.paper_count(k) > inst.x for k in coauthors(inst, i))
+        coauthors = {k for j in inst.author_papers[i] for k in inst.paper_authors[j]} - {i}
+        risky = any(inst.paper_count(k) > inst.x for k in coauthors)
         expected = (
             AuthorCategory.NON_COMPLIANT if over
             else AuthorCategory.VULNERABLE if risky

@@ -149,6 +149,20 @@ def test_metrics_match_the_per_author_reference(pair):
     assert report_to_dict(report)["per_author_cost"] == [rational_field(c) for c in costs]
 
 
+@given(instances_with_keep())
+@settings(max_examples=200)
+def test_one_cost_object_and_one_field_per_distinct_pair(pair):
+    # the serializer renders and encodes each distinct cost once, by identity
+    inst, keep = pair
+    report = evaluate(inst, keep)
+    pairs = {(len(papers) - k, len(papers))
+             for papers, k in zip(inst.author_papers, report.kept_counts)}
+    assert len({id(c) for c in report.per_author_cost}) == len(pairs)
+    fields = report_to_dict(report)["per_author_cost"]
+    links = {(id(c), id(f)) for c, f in zip(report.per_author_cost, fields)}
+    assert len(links) == len({id(f) for f in fields}) == len(pairs)
+
+
 def test_metric_order_on_repaired_random_pairs():
     rng = random.Random(0)
     for seed in range(300):

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from deskfair import policies
-from deskfair.generators import gen_random
+from deskfair import metrics, policies
+from deskfair.generators import gen_case_study, gen_random
 from deskfair.instance import (
     AuthorCategory,
     KeepVector,
     SolverStopped,
-    classify_author,
+    author_categories,
     instance_to_dict,
     validate_instance,
 )
@@ -23,7 +23,7 @@ from deskfair.policies import (
 )
 from deskfair.solvers import solve_group_exact
 
-from conftest import random_instance
+from conftest import random_instance, spy_on
 
 
 def permute_papers(inst, order):
@@ -66,9 +66,9 @@ def test_conventional_never_hits_all_safe_papers():
     for seed in range(60):
         inst = random_instance(seed)
         out = conventional_desk_reject(inst)
+        cats = author_categories(inst)
         for j in out.keep.rejected_indices():
-            cats = [classify_author(inst, i) for i in inst.paper_authors[j]]
-            assert any(c is not AuthorCategory.SAFE for c in cats)
+            assert any(cats[i] is not AuthorCategory.SAFE for i in inst.paper_authors[j])
 
 
 def test_conventional_order_sensitivity(cvpr26):
@@ -132,6 +132,15 @@ def test_roulette_expectation_triangle(triangle):
 def test_roulette_expectation_no_overage():
     inst = gen_random(3, 4, 2, 0.4, 5).with_cap(4)
     assert roulette_expectation(inst) == (0, 0)
+
+
+@pytest.mark.parametrize("case, leaves", [("cvpr26", 26), ("appc1", 12), ("appc2", 12),
+                                           ("ex52", 11)])
+def test_roulette_expectation_counts_each_leaf_once(case, leaves, monkeypatch):
+    # one evaluate per leaf visit, and so one kept-count pass
+    passes = spy_on(monkeypatch, metrics.author_kept_counts)
+    roulette_expectation(gen_case_study(case))
+    assert len(passes) == leaves
 
 
 def test_roulette_expectation_outcome_cap(cvpr26, monkeypatch):
