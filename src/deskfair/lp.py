@@ -50,6 +50,7 @@ an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -166,6 +167,9 @@ def build_group_relaxation(inst: Instance) -> LinearProgram:
     return _rows_lp(_group_coefficients(inst), range(inst.m), rows)
 
 
+FREE = -1  # a paper that is a column of the reduced LP, not fixed
+
+
 @dataclass(frozen=True, eq=False)
 class GroupPresolve:
     """The relaxation of one keep-vector question, reduced to the rows that
@@ -178,45 +182,120 @@ class GroupPresolve:
     (c_j > 0), so some optimum, and some feasible point if there is one,
     keeps it: it is fixed at r_j = 1 and dropped, and each floor is taken
     net of the author's fixed papers. The group relaxation is the question
-    with no floors.
+    with no floors. A question with floors is then propagated
+    (`_propagate`): papers its rows force to one value are fixed too, and
+    a question whose rows no point meets is `refuted`.
+
+    The columns, the rows, the LP and the offset are built on first use, so
+    a question settled without them builds none of them.
     """
 
-    lp: LinearProgram      # cap rows, then floor rows (-1 entries)
-    cols: tuple[int, ...]  # paper index of each reduced column
-    offset: float          # c.r of the fixed papers, all kept
-    m: int                 # paper count of the full instance
+    inst: Instance
+    value: tuple[int, ...]  # per paper: 1 fixed kept, 0 fixed rejected, FREE a column
     floors: tuple[int, ...] | None = None
+    refuted: bool = False   # no 0/1 point, and no LP point, meets the rows
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Paper index of each reduced column, ascending."""
+        return tuple([j for j, v in enumerate(self.value) if v == FREE])
+
+    @cached_property
+    def _relaxation(self) -> tuple[LinearProgram, float]:
+        """Over the free papers, a row kept count <= x - (fixed kept) for
+        each author with more than x papers whose row can still bind, then
+        -(kept count) <= -(net floor) for each author whose floor net of the
+        fixed kept papers stays positive; and the offset."""
+        inst, value = self.inst, self.value
+        cap_rows, floor_rows = [], []
+        for i, papers in enumerate(inst.author_papers):
+            capped = len(papers) > inst.x
+            if not capped and self.floors is None:
+                continue
+            values = [value[j] for j in papers]
+            free = [j for j, v in zip(papers, values) if v == FREE]
+            if not free:
+                continue
+            kept = values.count(1)
+            if capped and inst.x - kept < len(free):
+                cap_rows.append((free, 1.0, inst.x - kept))
+            if self.floors is not None and self.floors[i] > kept:
+                floor_rows.append((free, -1.0, kept - self.floors[i]))
+        c = _group_coefficients(inst)
+        fixed_kept = np.fromiter(value, np.intp, inst.m) == 1
+        return _rows_lp(c, self.cols, cap_rows + floor_rows), float(c[fixed_kept].sum())
+
+    @property
+    def lp(self) -> LinearProgram:
+        return self._relaxation[0]
+
+    @property
+    def offset(self) -> float:
+        """c.r of the papers fixed as kept."""
+        return self._relaxation[1]
 
     def expand(self, reduced: np.ndarray) -> KeepVector:
-        """Full-length binary keep vector: fixed papers kept, the rest from
-        the reduced 0/1 array (see `snap_binary`)."""
-        values = np.ones(self.m, dtype=int)
+        """Full-length binary keep vector: fixed papers at their value, the
+        rest from the reduced 0/1 array (see `snap_binary`)."""
+        values = np.array(self.value, dtype=int)
         values[list(self.cols)] = reduced
         return KeepVector(values.tolist())
 
 
+def _propagate(inst: Instance, floors, value: list[int]) -> bool:
+    """Bound propagation to a fixpoint, in place on `value`, in integers.
+
+    With k_i of author i's papers fixed as kept and f_i free, the cap row
+    leaves x - k_i for the free papers and the floor row asks for
+    floors[i] - k_i of them:
+    - a cap right-hand side below 0, or a net floor above f_i, meets no
+      point in [0, 1]^m: returns False;
+    - a net floor equal to f_i fixes the free papers at 1;
+    - a cap right-hand side of 0 fixes them at 0.
+    Each fixing is implied by the rows themselves, for every LP point as for
+    every 0/1 one. A fixed paper updates its authors' counts and queues
+    them again. Each author fixes its papers at most once, so the whole
+    propagation is O(slots)."""
+    x = inst.x
+    kept = [0] * inst.n
+    free = [0] * inst.n
+    for i, papers in enumerate(inst.author_papers):
+        for j in papers:
+            if value[j] == FREE:
+                free[i] += 1
+            else:
+                kept[i] += 1
+    queue = list(range(inst.n))
+    while queue:
+        i = queue.pop()
+        net = floors[i] - kept[i]
+        if kept[i] > x or net > free[i]:
+            return False
+        if free[i] and (kept[i] == x or net == free[i]):
+            v = 0 if kept[i] == x else 1
+            for j in inst.author_papers[i]:
+                if value[j] == FREE:
+                    value[j] = v
+                    for a in inst.paper_authors[j]:
+                        free[a] -= 1
+                        kept[a] += v
+                        queue.append(a)
+    return True
+
+
 def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPresolve:
     """Reduced relaxation (see `GroupPresolve`), built straight from the
-    paper lists without the full n x m matrix: a row kept count <= x for
-    each author with more than x papers, whose papers are the columns, and
-    -(kept count) <= -(net floor) for each author whose floor net of the
-    fixed papers stays positive."""
-    capped = [i for i in range(inst.n) if inst.paper_count(i) > inst.x]
-    rows = [(inst.author_papers[i], 1.0, inst.x) for i in capped]
-    cols = sorted({j for i in capped for j in inst.author_papers[i]})
-    fixed = np.ones(inst.m, dtype=bool)
-    fixed[cols] = False
-    is_fixed = fixed.tolist()
-    for i, floor in enumerate(floors or ()):
-        free = [j for j in inst.author_papers[i] if not is_fixed[j]]
-        net = floor - (inst.paper_count(i) - len(free))
-        if net > 0:
-            rows.append((free, -1.0, -net))
-    c = _group_coefficients(inst)
-    return GroupPresolve(
-        _rows_lp(c, cols, rows), tuple(cols), float(c[fixed].sum()), inst.m,
-        None if floors is None else tuple(floors),
-    )
+    paper lists without the full n x m matrix: the papers of the authors
+    with more than x papers are the free columns, and every other paper is
+    fixed as kept. With floors, `_propagate` then fixes more papers, or
+    refutes the question, in O(slots)."""
+    value = [1] * inst.m
+    for papers in inst.author_papers:
+        if len(papers) > inst.x:
+            for j in papers:
+                value[j] = FREE
+    refuted = floors is not None and not _propagate(inst, floors, value)
+    return GroupPresolve(inst, tuple(value), None if floors is None else tuple(floors), refuted)
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:

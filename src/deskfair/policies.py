@@ -82,11 +82,10 @@ def _victim(counts, x, over):
     `over`, the authors over the cap at the start in ascending order, is
     scanned: counts only fall as papers are rejected, so no other author
     can go over later."""
-    best = None
-    for i in over:
-        if counts[i] > x and (best is None or counts[i] > counts[best]):
-            best = i
-    return best
+    if not over:
+        return None
+    best = max(over, key=counts.__getitem__)  # the first of the largest
+    return best if counts[best] > x else None
 
 
 def roulette_reject(inst: Instance, seed: int = 0) -> RunRecord:

@@ -7,8 +7,11 @@ reported as an optimum. Mean-cost optimization maximizes over it from the
 conventional keep set. Worst-case-cost optimization walks the finite set of
 achievable cost levels up from an exact lower bound and asks a feasibility
 question per level; collateral-free keep sets and set cover are one
-feasibility question each. The search is exponential in the worst case,
-which is expected: deciding small worst-case cost encodes set cover.
+feasibility question each. Every feasibility question goes through
+`_decide`, which settles it before any LP when integer bound propagation
+refutes it or a greedy witness is certified, and searches otherwise. The
+search is exponential in the worst case, which is expected: deciding small
+worst-case cost encodes set cover.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .lp import (
     snap_binary,
     solve_lp,
 )
-from .policies import RunRecord, _conventional
+from .policies import RunRecord, _conventional, _victim
 
 DEFAULT_NODE_LIMIT = 10**6
 
@@ -70,10 +73,75 @@ class SolverDiagnostics:
     incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
 
-def _admits(pre: GroupPresolve, report: metrics.FairnessReport) -> bool:
+def _admits(floors, report: metrics.FairnessReport) -> bool:
     """Exact, in integers: does the evaluated keep vector meet the cap and
-    the floors of the question `pre` was built for?"""
-    return report.feasible and all(f <= k for f, k in zip(pre.floors or (), report.kept_counts))
+    `floors` (None: no floors)?"""
+    return report.feasible and all(f <= k for f, k in zip(floors or (), report.kept_counts))
+
+
+def _greedy_witness(inst: Instance, floors: list[int]) -> KeepVector | None:
+    """A keep vector within the cap that meets `floors`, by a deterministic
+    repair of keep-all, or None when the repair gets stuck (which proves
+    nothing). While some author is over the cap, it takes the most over-cap
+    author (lowest index on ties), sorts their kept papers once, by most
+    over-cap authors, then most slack above the floors (the least of
+    kept - floor over the paper's authors), then index, and rejects them in
+    that order, skipping any paper with an author already at their floor,
+    until that author fits. Counts only fall, so each author is taken at
+    most once; it gives up when one stays over the cap."""
+    x = inst.x
+    keep = [1] * inst.m
+    counts = [len(papers) for papers in inst.author_papers]
+    over = [i for i, k in enumerate(counts) if k > x]
+    paper_authors = inst.paper_authors
+
+    def order(j):
+        hit, slack = 0, inst.m
+        for i in paper_authors[j]:
+            hit += counts[i] > x
+            if counts[i] - floors[i] < slack:
+                slack = counts[i] - floors[i]
+        return -hit, -slack, j
+
+    while (victim := _victim(counts, x, over)) is not None:
+        for j in sorted((j for j in inst.author_papers[victim] if keep[j]), key=order):
+            if counts[victim] <= x:
+                break
+            if all(counts[i] > floors[i] for i in paper_authors[j]):
+                keep[j] = 0
+                for i in paper_authors[j]:
+                    counts[i] -= 1
+        if counts[victim] > x:
+            return None
+        over = [i for i in over if counts[i] > x]
+    return KeepVector(keep)
+
+
+def _decide(inst: Instance, floors: list[int], tally: Counter):
+    """The one feasibility question of this module: is there a keep vector
+    within the cap x that gives each author i at least `floors[i]` papers?
+
+    Three steps, each exact; only the last builds an LP:
+    1. `presolve_group` propagates the bounds in integers, and a refuted
+       question is a "no";
+    2. else `_greedy_witness` repairs keep-all, and a witness that
+       `metrics.evaluate` and `_admits` certify is a "yes";
+    3. else `_branch_and_bound` searches the propagated LP.
+
+    Returns the (keep vector, report) witness, or None for a "no", and the
+    (rows, columns) of the LP searched, or None when no LP was needed.
+    `tally` counts only step 3's nodes and LPs.
+    """
+    pre = presolve_group(inst, floors)
+    if pre.refuted:
+        return None, None
+    keep = _greedy_witness(inst, floors)
+    if keep is not None:
+        report = metrics.evaluate(inst, keep)
+        if _admits(floors, report):
+            return (keep, report), None
+    found, _ = _branch_and_bound(inst, pre, tally)
+    return (found[0][1:] if found else None), pre.lp.A.shape
 
 
 def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
@@ -143,7 +211,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
             else:
                 report = metrics.evaluate(inst, keep)
                 exact = None if incumbent is None else inst.n * (1 - report.zeta_group)
-            if _admits(pre, report) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
+            if _admits(pre.floors, report) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
                 if exact is None:
                     return [(None, keep, report)], root
                 if exact > found[-1][0]:
@@ -204,26 +272,25 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
 
     The worst-case cost only takes values k/|papers of i|. A level t is met
     by the keep vectors giving each author i at least s_i - floor(s_i t) of
-    their s_i papers, a feasibility question for `_branch_and_bound` over
-    `presolve_group` with those floors. No keep vector goes below
-    t_lb = max (s_i - x)/s_i over the over-cap authors, so the levels are
-    walked up from t_lb and the first feasible one is the optimum. Node and
-    LP counts are summed over the levels, and `DESKFAIR_NODE_LIMIT` caps
-    their sum.
+    their s_i papers, one feasibility question (`_decide`) with those
+    floors. No keep vector goes below t_lb = max (s_i - x)/s_i over the
+    over-cap authors, so the levels are walked up from t_lb and the first
+    feasible one is the optimum. Node and LP counts are summed over the
+    levels, and `DESKFAIR_NODE_LIMIT` caps their sum; `lp_rows` and
+    `lp_cols` give the last level's LP, None when it needed none.
     """
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     tally = Counter()
     t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
     while True:
         floors = [s - (s * t.numerator) // t.denominator for s in sizes]
-        pre = presolve_group(inst, floors)
-        found, _ = _branch_and_bound(inst, pre, tally)
+        found, shape = _decide(inst, floors, tally)
         if found:  # at the latest at t = 1, which sets no floor
             break
         # the next level: the smallest k/s above t
         t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
-    _, witness, report = found[0]
-    rows, cols = pre.lp.A.shape
+    witness, report = found
+    rows, cols = shape or (None, None)
     return RunRecord(
         policy="individual-exact",
         keep=witness,
@@ -235,16 +302,19 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
 
 def solve_ideal_feasibility(inst: Instance) -> RunRecord:
     """A witness keep vector giving every author exactly min(x, own count)
-    papers, or a record with keep None when no such vector exists: a
-    feasibility question for `_branch_and_bound` with floors
-    min(x, own count) under the cap x."""
+    papers, or a record with keep None when no such vector exists: one
+    feasibility question (`_decide`) with floors min(x, own count) under
+    the cap x. `lp_rows` and `lp_cols` are None when it needed no LP."""
     floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
-    found, _ = _branch_and_bound(inst, presolve_group(inst, floors), Counter())
+    tally = Counter()
+    found, shape = _decide(inst, floors, tally)
+    rows, cols = shape or (None, None)
+    diagnostics = SolverDiagnostics(**tally, lp_rows=rows, lp_cols=cols)
     if not found:
-        return RunRecord("ideal", None, None,
+        return RunRecord("ideal", None, None, diagnostics=diagnostics,
                          note="no keep set leaves every author at exactly min(x, own count)")
-    _, witness, report = found[0]
-    return RunRecord("ideal", witness, report)
+    witness, report = found
+    return RunRecord("ideal", witness, report, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -361,5 +431,5 @@ def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None
 def decide_cover(inst: Instance) -> tuple[bool, tuple[int, ...] | None]:
     """The covering question a `reduce_set_cover` instance poses, decided as
     floors 1 under its cap: (True, 0-based witness set indices) or (False, None)."""
-    found, _ = _branch_and_bound(inst, presolve_group(inst, floors=[1] * inst.n), Counter())
-    return (True, found[0][1].kept_indices()) if found else (False, None)
+    found, _ = _decide(inst, [1] * inst.n, Counter())
+    return (True, found[0].kept_indices()) if found else (False, None)

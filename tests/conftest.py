@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 
@@ -110,3 +111,22 @@ def lp_calls(monkeypatch):
     from deskfair import lp
 
     return spy_on(monkeypatch, lp.solve_lp)
+
+
+@contextlib.contextmanager
+def pre_lp_off():
+    """Send every feasibility question straight to branch and bound over the
+    unpropagated LP: no bound propagation and no greedy witness."""
+    from deskfair import lp, solvers
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_propagate", lambda inst, floors, value: True)
+        mp.setattr(solvers, "_greedy_witness", lambda inst, floors: None)
+        yield
+
+
+@pytest.fixture
+def no_pre_lp():
+    """`pre_lp_off` for the whole test."""
+    with pre_lp_off():
+        yield

@@ -23,7 +23,7 @@ from deskfair.lp import (
 from deskfair.metrics import zeta_group
 from deskfair.oracle import enumerate_optimal
 
-from conftest import dense, instances, random_instance
+from conftest import dense, instances, pre_lp_off, random_instance
 
 
 def ones_row(cols):
@@ -158,14 +158,8 @@ def test_warm_start_matches_cold_solve(inst, fixings):
         parent = warm
 
 
-@given(instances(max_n=6, max_m=10), st.data(),
-       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_floor_lps_match_highs_cold_and_warm(inst, data, fixings):
-    # floor rows (-1 entries) beside the cap rows; a floor of x + 1 on an
-    # over-cap author makes the LP infeasible
-    floors = [data.draw(st.integers(0, min(inst.x + 1, inst.paper_count(i)))) for i in range(inst.n)]
-    lp = presolve_group(inst, floors).lp
+def check_cold_and_warm(lp, fixings):
+    """Solve `lp` cold, then warm after each fixing in turn, against HiGHS."""
     cols = lp.A.shape[1]
     if cols == 0:
         return
@@ -183,6 +177,31 @@ def test_floor_lps_match_highs_cold_and_warm(inst, data, fixings):
         assert sol.objective_value == pytest.approx(objective, abs=FEAS_TOL)
         assert np.all(dense(lp.A) @ sol.r <= lp.b + FEAS_TOL)
         start = sol.basis
+
+
+@given(instances(max_n=6, max_m=10), st.data(),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_floor_lps_match_highs_cold_and_warm(inst, data, fixings):
+    # floor rows (-1 entries) beside the cap rows; a floor of x + 1 on an
+    # over-cap author makes the LP infeasible. Every fixing of the bound
+    # propagation is implied by the rows, so a refuted question has an
+    # infeasible LP, and otherwise the propagated LP has the same optimum
+    # as the unpropagated one, offsets included.
+    floors = [data.draw(st.integers(0, min(inst.x + 1, inst.paper_count(i)))) for i in range(inst.n)]
+    with pre_lp_off():
+        full = presolve_group(inst, floors)
+    pre = presolve_group(inst, floors)
+    optimal, objective = highs(full.lp) if full.lp.A.shape[1] else (True, 0.0)
+    if pre.refuted:
+        assert not optimal
+    else:
+        propagated_optimal, propagated = highs(pre.lp) if pre.lp.A.shape[1] else (True, 0.0)
+        assert propagated_optimal == optimal
+        if optimal:
+            assert propagated + pre.offset == pytest.approx(objective + full.offset, abs=1e-7)
+        check_cold_and_warm(pre.lp, fixings)
+    check_cold_and_warm(full.lp, fixings)
 
 
 def test_warm_start_detects_infeasible_child(triangle):
@@ -352,10 +371,16 @@ def test_presolve_floor_rows():
         {"id": "p3", "authors": ["a1", "a2"]}, {"id": "p4", "authors": ["a2", "a3"]}]})
     floors = [0, 2, 1]
     # p4 is fixed as kept: a2's floor drops to 1 on p3, a3's to 0 (no row)
-    pre = presolve_group(inst, floors)
+    with pre_lp_off():
+        pre = presolve_group(inst, floors)
     assert pre.cols == (0, 1, 2)
     assert dense(pre.lp.A).tolist() == [[1, 1, 1], [0, 0, -1]]
     assert pre.lp.b.tolist() == [2, -1]
+    # propagated, a2's net floor of 1 on its one free paper fixes p3 as
+    # kept, which leaves a1 one more paper, of p1 and p2, and no floor row
+    pre = presolve_group(inst, floors)
+    assert not pre.refuted and pre.value == (-1, -1, 1, 1) and pre.cols == (0, 1)
+    assert dense(pre.lp.A).tolist() == [[1, 1]] and pre.lp.b.tolist() == [1]
 
 
 def test_mps_dump_layout(triangle):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from deskfair.solvers import (
     solve_individual_exact,
 )
 
-from conftest import dense, random_instance
+from conftest import dense, pre_lp_off, random_instance
 
 
 def rejected_ids(inst, keep):
@@ -80,19 +81,25 @@ def test_individual_exact_under_cap_keeps_all():
     assert res.keep.values == (1,) * inst.m
 
 
-@pytest.mark.parametrize("inst, counts", [
-    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 8)),
-    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 21)),
-    (gen_random(12, 24, 3, 0.2, 2), (1, 1, 5)),
-    (gen_leave_one_out(6), (8, 8, 22)),
+@pytest.mark.parametrize("inst, searched, settled", [
+    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 8), (0, 0, 0)),
+    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 21), (0, 0, 0)),
+    (gen_random(12, 24, 3, 0.2, 2), (1, 1, 5), (0, 0, 0)),
+    (gen_leave_one_out(6), (8, 8, 22), (3, 3, 12)),
 ], ids=["random0", "random1", "random2", "leave-one-out6"])
-def test_individual_search_path_is_pinned(inst, counts):
-    # (node_count, lp_calls, lp_pivots) of the level walk, summed over levels
+def test_individual_search_path_is_pinned(inst, searched, settled):
+    # (node_count, lp_calls, lp_pivots) of the level walk, summed over
+    # levels: every level searched by branch and bound, then with the
+    # pre-LP stage, where a greedy witness settles each t_lb level of the
+    # random instances and the last level of leave-one-out
+    with pre_lp_off():
+        d = solve_individual_exact(inst).diagnostics
+    assert (d.node_count, d.lp_calls, d.lp_pivots) == searched
     d = solve_individual_exact(inst).diagnostics
-    assert (d.node_count, d.lp_calls, d.lp_pivots) == counts
+    assert (d.node_count, d.lp_calls, d.lp_pivots) == settled
 
 
-def test_thousand_paper_author_solves_without_recursion(tmp_path):
+def test_thousand_paper_author_solves_without_recursion(tmp_path, no_pre_lp):
     # one level LP at t_lb = 1075/1100: a cap row and a floor row, no branching
     inst = validate_instance({"x": 25, "authors": ["a1"],
                               "papers": [{"id": f"p{j}", "authors": ["a1"]} for j in range(1100)]})
@@ -109,7 +116,7 @@ def test_thousand_paper_author_solves_without_recursion(tmp_path):
 
 @pytest.mark.parametrize("solve", [solve_ideal_feasibility, solve_individual_exact],
                          ids=["ideal", "individual"])
-def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve):
+def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve, no_pre_lp):
     # the first integral vertex comes back as all kept, which breaks the cap:
     # the exact check must reject it and the search must branch on
     real, snapped = solvers.snap_binary, []
@@ -270,20 +277,25 @@ TWO_TRIANGLES = SetCoverInstance(
     6, tuple(map(frozenset, ({1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}))), budget=3)
 
 
-@pytest.mark.parametrize("solve, problem, nodes", [
-    (solve_group_exact, gen_triangle(), 3),
-    (solve_individual_exact, gen_triangle(), 5),
-    (solve_ideal_feasibility, gen_triangle(), 3),
-    (decide_set_cover, TWO_TRIANGLES, 3),
-], ids=["group", "individual", "ideal", "set-cover"])
-def test_node_limit_exceeded(solve, problem, nodes, monkeypatch):
+@pytest.mark.parametrize("solve, problem, nodes, pre_lp", [
+    (solve_group_exact, gen_triangle(), 3, True),
+    (solve_individual_exact, gen_triangle(), 5, False),
+    (solve_individual_exact, gen_triangle(), 3, True),
+    (solve_ideal_feasibility, gen_triangle(), 3, True),
+    (decide_set_cover, TWO_TRIANGLES, 3, True),
+], ids=["group", "individual", "individual-pre-lp", "ideal", "set-cover"])
+def test_node_limit_exceeded(solve, problem, nodes, pre_lp, monkeypatch):
     # individual-exact spends 3 nodes on level 1/2 and 2 on level 1: the
-    # limit caps their sum, not each level
-    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes))
-    solve(problem)
-    monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes - 1))
-    with pytest.raises(SolverStopped, match=f"branch and bound exceeded {nodes - 1} nodes"):
+    # limit caps their sum, not each level. With the pre-LP stage, a greedy
+    # witness settles level 1 with no node. No other question here is
+    # settled before the LP: propagation fixes nothing and the greedy gets
+    # stuck.
+    with contextlib.nullcontext() if pre_lp else pre_lp_off():
+        monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes))
         solve(problem)
+        monkeypatch.setenv("DESKFAIR_NODE_LIMIT", str(nodes - 1))
+        with pytest.raises(SolverStopped, match=f"branch and bound exceeded {nodes - 1} nodes"):
+            solve(problem)
 
 
 def test_node_limit_env_override(monkeypatch, triangle):
@@ -341,7 +353,7 @@ def test_reduced_instance_poses_the_covering_question():
 def test_decide_set_cover_examples():
     sets = (frozenset({1, 2}), frozenset({2, 3}), frozenset({3}))
     yes, witness = decide_set_cover(SetCoverInstance(3, sets, budget=2))
-    assert yes and witness == (0, 1)
+    assert yes and witness == (0, 2)  # the greedy witness: s2 first, by slack
     no, none = decide_set_cover(SetCoverInstance(3, sets, budget=1))
     assert not no and none is None
 
