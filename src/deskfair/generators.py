@@ -109,8 +109,6 @@ def gen_random(n: int, m: int, x: int, density: float, seed: int) -> Instance:
         raise InstanceError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not 0 < density <= 1:
         raise InstanceError(f"density must be in (0, 1], got {density}")
-    if x < 1:
-        raise InstanceError(f"cap must be >= 1, got {x}")
     rng = random.Random(seed)
     links = [[rng.random() < density for _ in range(m)] for _ in range(n)]
     for j in range(m):

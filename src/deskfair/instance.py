@@ -35,6 +35,13 @@ def require_int(value, what: str) -> None:
         raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_cap(x) -> None:
+    """Raise :class:`InstanceError` unless the submission cap `x` is an int, at least 1."""
+    require_int(x, "submission cap")
+    if x < 1:
+        raise InstanceError(f"submission cap must be >= 1, got {x}")
+
+
 class AuthorCategory(enum.Enum):
     NON_COMPLIANT = "non-compliant"  # more than x papers
     VULNERABLE = "vulnerable"        # within cap but has a non-compliant coauthor
@@ -71,9 +78,7 @@ class Instance:
 
     def with_cap(self, x: int) -> "Instance":
         """The same instance under cap `x`; every index tuple is shared."""
-        require_int(x, "submission cap")
-        if x < 1:
-            raise InstanceError(f"submission cap must be >= 1, got {x}")
+        _require_cap(x)
         return replace(self, x=x)
 
 
@@ -98,9 +103,7 @@ def validate_instance(raw) -> Instance:
     except KeyError as e:
         raise InstanceError(f"missing required field {e.args[0]!r}") from None
 
-    require_int(x, "submission cap")
-    if x < 1:
-        raise InstanceError(f"submission cap must be >= 1, got {x}")
+    _require_cap(x)
 
     author_ids = _id_list(authors, "'authors'", "author id")
     _require_array(papers_raw, "'papers'")

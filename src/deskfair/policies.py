@@ -5,7 +5,8 @@ whose coauthor already has the cap's worth of registered papers. The roulette
 policy repeatedly rejects a uniformly random kept paper of the most over-cap
 author. Both always terminate with a feasible keep set.
 
-`RunRecord` is what every policy run returns, here and in `solvers`.
+`RunRecord` is what every policy run returns, here and in `solvers`, and
+`SolverDiagnostics` is what an exact solve of `solvers` adds to it.
 """
 
 from __future__ import annotations
@@ -13,17 +14,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import metrics
 from .instance import Instance, KeepVector, SolverStopped
 from .metrics import FairnessReport
 
-if TYPE_CHECKING:
-    from .solvers import SolverDiagnostics
-
-
 MAX_ROULETTE_OUTCOMES = 100_000
+
+
+@dataclass(frozen=True)
+class SolverDiagnostics:
+    """How an exact solve got its answer, built from the one tally its
+    searches write into. `lp_rows` and `lp_cols` are None exactly when
+    `lp_calls` is 0."""
+
+    node_count: int = 0
+    nodes_pruned: int = 0              # nodes closed by the bound test, after their LP
+    lp_calls: int = 0
+    lp_pivots: int = 0                 # dual simplex pivots over all LP calls
+    lp_bound_flips: int = 0            # long-step flips, not in lp_pivots
+    lp_objective: float | None = None  # root relaxation value of the full LP
+    lp_integral: bool | None = None    # was the root relaxation already 0/1
+    lp_rows: int | None = None         # size of the last LP searched,
+    lp_cols: int | None = None         # after presolve
+    best_bound: float | None = None    # proven upper bound on the optimum
+    incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
 
 @dataclass(frozen=True)

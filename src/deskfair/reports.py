@@ -12,8 +12,7 @@ from dataclasses import asdict
 
 from .instance import Instance
 from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
-from .policies import RunRecord
-from .solvers import SolverDiagnostics
+from .policies import RunRecord, SolverDiagnostics
 
 CSV_HEADER = (
     "policy,kept_count,rejected_papers,zeta_ind,zeta_ind_decimal,"

@@ -34,13 +34,15 @@ from .lp import (
     snap_binary,
     solve_lp,
 )
-from .policies import RunRecord, _conventional, _victim
+from .policies import RunRecord, SolverDiagnostics, _conventional, _victim
 
 DEFAULT_NODE_LIMIT = 10**6
 
 
 def _node_limit() -> int:
-    """The node cap of one solve: `DESKFAIR_NODE_LIMIT`, if set, at least 1."""
+    """The node cap of one solve: `DESKFAIR_NODE_LIMIT`, if set, at least 1.
+    Every exact solve reads it once, at its start, so a bad value is an
+    input error even when no search runs."""
     raw = os.environ.get("DESKFAIR_NODE_LIMIT", str(DEFAULT_NODE_LIMIT))
     try:
         limit = int(raw)
@@ -56,21 +58,6 @@ class BranchNode:
     lo: np.ndarray   # bounds of the reduced LP's columns: fixed at one where
     hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
     basis: Basis | None  # the parent's optimum; None at the root: the cold start
-
-
-@dataclass(frozen=True)
-class SolverDiagnostics:
-    node_count: int = 0
-    nodes_pruned: int = 0              # nodes closed by the bound test, after their LP
-    lp_calls: int = 0
-    lp_pivots: int = 0                 # dual simplex pivots over all LP calls
-    lp_bound_flips: int = 0            # long-step flips, not in lp_pivots
-    lp_objective: float | None = None  # root relaxation value of the full LP
-    lp_integral: bool | None = None    # was the root relaxation already 0/1
-    lp_rows: int | None = None         # size of the LP actually solved,
-    lp_cols: int | None = None         # after presolve
-    best_bound: float | None = None    # proven upper bound on the optimum
-    incumbent_trace: tuple[Fraction, ...] = ()  # exact objective at each improvement
 
 
 def _admits(floors, report: metrics.FairnessReport) -> bool:
@@ -117,7 +104,7 @@ def _greedy_witness(inst: Instance, floors: list[int]) -> KeepVector | None:
     return KeepVector(keep)
 
 
-def _decide(inst: Instance, floors: list[int], tally: Counter):
+def _decide(inst: Instance, floors: list[int], limit: int, tally: Counter):
     """The one feasibility question of this module: is there a keep vector
     within the cap x that gives each author i at least `floors[i]` papers?
 
@@ -126,25 +113,24 @@ def _decide(inst: Instance, floors: list[int], tally: Counter):
        question is a "no";
     2. else `_greedy_witness` repairs keep-all, and a witness that
        `metrics.evaluate` and `_admits` certify is a "yes";
-    3. else `_branch_and_bound` searches the propagated LP.
+    3. else `_branch_and_bound` searches the propagated LP, under `limit`
+       nodes, into `tally`.
 
-    Returns the (keep vector, report) witness, or None for a "no", and the
-    (rows, columns) of the LP searched, or None when no LP was needed.
-    `tally` counts only step 3's nodes and LPs.
+    Returns the (keep vector, report) witness, or None for a "no".
     """
     pre = presolve_group(inst, floors)
     if pre.refuted:
-        return None, None
+        return None
     keep = _greedy_witness(inst, floors)
     if keep is not None:
         report = metrics.evaluate(inst, keep)
         if _admits(floors, report):
-            return (keep, report), None
-    found, _ = _branch_and_bound(inst, pre, tally)
-    return (found[0][1:] if found else None), pre.lp.A.shape
+            return keep, report
+    found = _branch_and_bound(inst, pre, limit, tally)
+    return found[0][1:] if found else None
 
 
-def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
+def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Counter,
                       incumbent: tuple[Fraction, KeepVector, metrics.FairnessReport] | None = None):
     """Depth-first LP branch and bound over the presolved LP; the one search
     loop of this module.
@@ -172,19 +158,19 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
       every node whose parent's bound already fails it, at the cost of one
       warm LP.
 
-    `tally` sums the node, pruning, LP and pivot counts (named as in
-    `SolverDiagnostics`) over every search of one solve, and `_node_limit()`
-    caps its node count. Returns the certified vertices, as (exact objective,
-    keep vector, report) triples: the incumbent and then each improvement
-    in order, or the one witness with objective None. Also returns the root
-    LP's (bound, integral); integral is False when the root LP is
-    infeasible.
+    `tally` is the solve's `SolverDiagnostics` in the making, keyed by its
+    fields: it sums the node, pruning, LP and pivot counts over every search
+    of one solve, and `limit` caps its node count. Each search writes the
+    size of its LP (`lp_rows`, `lp_cols`), so the tally keeps the last LP
+    searched; a group search also writes its root LP's bound and whether
+    that LP was integral. Returns the certified vertices, as (exact
+    objective, keep vector, report) triples: the incumbent and then each
+    improvement in order, or the one witness with objective None.
     """
-    limit = _node_limit()
     lp0 = pre.lp
+    tally["lp_rows"], tally["lp_cols"] = lp0.A.shape
     found = [] if incumbent is None else [incumbent]
     cut = float(incumbent[0]) if found else float("-inf")  # a node must beat it
-    root = None
     stack = [BranchNode(lp0.lo, lp0.hi, None)]
     while stack:
         node = stack.pop()
@@ -197,8 +183,8 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
         tally["lp_bound_flips"] += sol.bound_flips
         bound = sol.objective_value + pre.offset
         point = snap_binary(sol)
-        if node.basis is None:
-            root = (bound, point is not None)
+        if incumbent is not None and node.basis is None:  # the group root
+            tally["lp_objective"], tally["lp_integral"] = bound, point is not None
         if sol.r is None:
             continue
         if bound + FEAS_TOL <= cut:
@@ -213,7 +199,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
                 exact = None if incumbent is None else inst.n * (1 - report.zeta_group)
             if _admits(pre.floors, report) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
                 if exact is None:
-                    return [(None, keep, report)], root
+                    return [(None, keep, report)]
                 if exact > found[-1][0]:
                     cut = float(exact)
                     found.append((exact, keep, report))
@@ -228,7 +214,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, tally: Counter,
         zero_hi[j], one_lo[j] = 0.0, 1.0
         stack.append(BranchNode(node.lo, zero_hi, sol.basis))
         stack.append(BranchNode(one_lo, node.hi, sol.basis))
-    return found, root
+    return found
 
 
 def solve_group_exact(inst: Instance) -> RunRecord:
@@ -242,14 +228,14 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     bound (`_branch_and_bound`) from the conventional policy's keep vector
     as the first incumbent.
     """
+    limit = _node_limit()
     pre = presolve_group(inst)
     seed, _ = _conventional(inst)
     report = metrics.evaluate(inst, seed)
     incumbent = (inst.n * (1 - report.zeta_group), seed, report)
     tally = Counter()
-    found, root = _branch_and_bound(inst, pre, tally, incumbent)
+    found = _branch_and_bound(inst, pre, limit, tally, incumbent)
     best_obj, best_keep, best_report = found[-1]
-    rows, cols = pre.lp.A.shape
     return RunRecord(
         policy="group-exact",
         keep=best_keep,
@@ -257,10 +243,6 @@ def solve_group_exact(inst: Instance) -> RunRecord:
         objective=best_obj,
         diagnostics=SolverDiagnostics(
             **tally,
-            lp_objective=root[0],
-            lp_integral=root[1],
-            lp_rows=rows,
-            lp_cols=cols,
             best_bound=float(best_obj),  # the search closed: no open node is left
             incumbent_trace=tuple(e for e, _, _ in found),
         ),
@@ -277,27 +259,20 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
     over-cap authors, so the levels are walked up from t_lb and the first
     feasible one is the optimum. Node and LP counts are summed over the
     levels, and `DESKFAIR_NODE_LIMIT` caps their sum; `lp_rows` and
-    `lp_cols` give the last level's LP, None when it needed none.
+    `lp_cols` give the last level LP searched, None when no level needed one.
     """
+    limit = _node_limit()
     sizes = [inst.paper_count(i) for i in range(inst.n)]
     tally = Counter()
     t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
     while True:
         floors = [s - (s * t.numerator) // t.denominator for s in sizes]
-        found, shape = _decide(inst, floors, tally)
+        found = _decide(inst, floors, limit, tally)
         if found:  # at the latest at t = 1, which sets no floor
             break
         # the next level: the smallest k/s above t
         t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
-    witness, report = found
-    rows, cols = shape or (None, None)
-    return RunRecord(
-        policy="individual-exact",
-        keep=witness,
-        report=report,
-        objective=t,
-        diagnostics=SolverDiagnostics(**tally, lp_rows=rows, lp_cols=cols),
-    )
+    return RunRecord("individual-exact", *found, objective=t, diagnostics=SolverDiagnostics(**tally))
 
 
 def solve_ideal_feasibility(inst: Instance) -> RunRecord:
@@ -305,16 +280,15 @@ def solve_ideal_feasibility(inst: Instance) -> RunRecord:
     papers, or a record with keep None when no such vector exists: one
     feasibility question (`_decide`) with floors min(x, own count) under
     the cap x. `lp_rows` and `lp_cols` are None when it needed no LP."""
+    limit = _node_limit()
     floors = [min(inst.x, inst.paper_count(i)) for i in range(inst.n)]
     tally = Counter()
-    found, shape = _decide(inst, floors, tally)
-    rows, cols = shape or (None, None)
-    diagnostics = SolverDiagnostics(**tally, lp_rows=rows, lp_cols=cols)
+    found = _decide(inst, floors, limit, tally)
+    diagnostics = SolverDiagnostics(**tally)
     if not found:
         return RunRecord("ideal", None, None, diagnostics=diagnostics,
                          note="no keep set leaves every author at exactly min(x, own count)")
-    witness, report = found
-    return RunRecord("ideal", witness, report, diagnostics=diagnostics)
+    return RunRecord("ideal", *found, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -431,5 +405,5 @@ def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None
 def decide_cover(inst: Instance) -> tuple[bool, tuple[int, ...] | None]:
     """The covering question a `reduce_set_cover` instance poses, decided as
     floors 1 under its cap: (True, 0-based witness set indices) or (False, None)."""
-    found, _ = _decide(inst, [1] * inst.n, Counter())
+    found = _decide(inst, [1] * inst.n, _node_limit(), Counter())
     return (True, found[0].kept_indices()) if found else (False, None)

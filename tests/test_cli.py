@@ -123,6 +123,39 @@ def test_input_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "--input is required"),
+    (["compare"], "--input is required"),
+    (["check-ideal"], "--input is required"),
+    (["reduce-setcover"], "--input is required"),
+    (["audit-integrality"], "audit-integrality needs --input or --family"),
+    (["gen"], "gen needs --family"),
+    (["gen", "--family", "random", "--n", "3"], "--family random needs --m, --density, --limit"),
+    (["gen", "--family", "case-study"], "--family case-study needs --case"),
+    (["solve", "--input", "{cvpr}", "--limit", "0"], "submission cap must be >= 1, got 0"),
+    (["reduce-setcover", "--input", "{no_universe}"], "missing required field 'universe_size'"),
+    (["reduce-setcover", "--input", "{no_budget}"],
+     "budget missing: supply --budget or a 'budget' field"),
+], ids=["solve-no-input", "compare-no-input", "check-ideal-no-input", "reduce-setcover-no-input",
+        "audit-no-source", "gen-no-family", "random-missing-flags", "case-study-no-case",
+        "limit-zero", "setcover-no-universe", "setcover-no-budget"])
+def test_missing_or_bad_arguments_exit_one_with_one_line(argv, message, cvpr_file, tmp_path,
+                                                         capsys):
+    no_universe, no_budget = tmp_path / "no_universe.json", tmp_path / "no_budget.json"
+    no_universe.write_text('{"sets": [[1]], "budget": 1}')
+    no_budget.write_text('{"universe_size": 1, "sets": [[1]]}')
+    argv = [a.format(cvpr=cvpr_file, no_universe=no_universe, no_budget=no_budget) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"deskfair: error: {message}\n"
+
+
+def test_no_subcommand_prints_the_help_and_exits_one(capsys):
+    assert main([]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: deskfair") and err == ""
+
+
 def test_non_string_ids_exit_one_with_one_line(tmp_path, capsys):
     path = tmp_path / "int_authors.json"
     path.write_text(json.dumps({"x": 1, "authors": [1, 2], "papers": [{"id": "p", "authors": [1, 2]}]}))
@@ -246,19 +279,28 @@ def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys
     assert err.count("\n") == 1
 
 
-def test_bad_node_limit_names_the_variable(triangle_file, monkeypatch, capsys):
+def assert_node_limit_rejected(cvpr_file, capsys, message):
+    # every exact solve reads the limit at its start, even on cvpr26, where
+    # individual-exact and ideal are settled before any search
+    for policy in POLICIES:
+        code = main(["solve", "--input", cvpr_file, "--policy", policy])
+        out, err = capsys.readouterr()
+        if policy in ("conventional", "roulette"):  # no search: the limit is not read
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and out == "", policy
+            assert err == f"deskfair: error: DESKFAIR_NODE_LIMIT {message}\n"
+
+
+def test_bad_node_limit_names_the_variable(cvpr_file, monkeypatch, capsys):
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", "abc")
-    assert main(["solve", "--input", triangle_file, "--policy", "group-exact"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "deskfair: error: DESKFAIR_NODE_LIMIT must be an integer, got 'abc'\n"
+    assert_node_limit_rejected(cvpr_file, capsys, "must be an integer, got 'abc'")
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
-def test_node_limit_below_one_names_the_variable(limit, triangle_file, monkeypatch, capsys):
+def test_node_limit_below_one_names_the_variable(limit, cvpr_file, monkeypatch, capsys):
     monkeypatch.setenv("DESKFAIR_NODE_LIMIT", limit)
-    assert main(["solve", "--input", triangle_file, "--policy", "group-exact"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"deskfair: error: DESKFAIR_NODE_LIMIT must be at least 1, got '{limit}'\n"
+    assert_node_limit_rejected(cvpr_file, capsys, f"must be at least 1, got '{limit}'")
 
 
 @pytest.mark.parametrize("bug", [KeyError(7), ValueError("keep vector must contain only 0/1")],
@@ -368,6 +410,14 @@ def test_compare_outputs(cvpr_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_output_with_a_suffix_names_both_files(cvpr_file, tmp_path, capsys):
+    assert main(["compare", "--input", cvpr_file, "--policy", "conventional",
+                 "--output", str(tmp_path / "cmp.json")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("cmp*")) == ["cmp.csv", "cmp.json"]
+    assert [r["policy"] for r in read_json(tmp_path / "cmp.json")["rows"]] == ["conventional"]
+    capsys.readouterr()
+
+
 def test_compare_selected_policies(cvpr_file, tmp_path, capsys):
     base = tmp_path / "two"
     assert main(["compare", "--input", cvpr_file, "--policy", "conventional,group-exact",
@@ -430,6 +480,13 @@ def test_check_ideal_infeasible(tmp_path, capsys):
     dump_instance(gen_leave_one_out(5), path)
     assert main(["check-ideal", "--input", str(path)]) == 2
     assert "INFEASIBLE" in capsys.readouterr().out
+
+
+def test_check_ideal_infeasible_writes_its_output(triangle_file, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["check-ideal", "--input", triangle_file, "--output", str(out)]) == 2
+    assert read_json(out) == {"feasible": False}
+    assert capsys.readouterr().out == "INFEASIBLE\n"
 
 
 def test_check_ideal_all_compliant_keeps_all(tmp_path, capsys):

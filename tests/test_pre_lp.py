@@ -92,7 +92,7 @@ def test_pre_lp_stage_matches_brute_force(inst, data):
         kept = evaluate(inst, witness).kept_counts
         assert all(f <= k <= inst.x for f, k in zip(floors, kept))
     # the whole question, and the solvers that ask it, equal brute force
-    found, _ = solvers._decide(inst, floors, Counter())
+    found = solvers._decide(inst, floors, solvers.DEFAULT_NODE_LIMIT, Counter())
     assert (found is not None) == feasible.any()
     if found is not None:
         assert all(f <= k <= inst.x for f, k in zip(floors, found[1].kept_counts))

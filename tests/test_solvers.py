@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskfair import metrics, solvers
 from deskfair.cli import main, run_policy
@@ -23,7 +25,7 @@ from deskfair.solvers import (
     solve_individual_exact,
 )
 
-from conftest import dense, pre_lp_off, random_instance
+from conftest import dense, instances, pre_lp_off, random_instance
 
 
 def rejected_ids(inst, keep):
@@ -82,21 +84,38 @@ def test_individual_exact_under_cap_keeps_all():
 
 
 @pytest.mark.parametrize("inst, searched, settled", [
-    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 8), (0, 0, 0)),
-    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 21), (0, 0, 0)),
-    (gen_random(12, 24, 3, 0.2, 2), (1, 1, 5), (0, 0, 0)),
-    (gen_leave_one_out(6), (8, 8, 22), (3, 3, 12)),
+    (gen_random(12, 24, 3, 0.2, 0), (1, 1, 8), (0, 0, 0, None, None)),
+    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 21), (0, 0, 0, None, None)),
+    (gen_random(12, 24, 3, 0.2, 2), (1, 1, 5), (0, 0, 0, None, None)),
+    (gen_leave_one_out(6), (8, 8, 22), (3, 3, 12, 12, 6)),
 ], ids=["random0", "random1", "random2", "leave-one-out6"])
 def test_individual_search_path_is_pinned(inst, searched, settled):
     # (node_count, lp_calls, lp_pivots) of the level walk, summed over
     # levels: every level searched by branch and bound, then with the
     # pre-LP stage, where a greedy witness settles each t_lb level of the
-    # random instances and the last level of leave-one-out
+    # random instances and the last level of leave-one-out. With the stage,
+    # (lp_rows, lp_cols) are the last LP searched: leave-one-out's lower
+    # levels' LP, and none for the random instances.
     with pre_lp_off():
         d = solve_individual_exact(inst).diagnostics
     assert (d.node_count, d.lp_calls, d.lp_pivots) == searched
     d = solve_individual_exact(inst).diagnostics
-    assert (d.node_count, d.lp_calls, d.lp_pivots) == settled
+    assert (d.node_count, d.lp_calls, d.lp_pivots, d.lp_rows, d.lp_cols) == settled
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances(max_n=5, max_m=9), pre_lp=st.booleans())
+def test_diagnostics_are_consistent(inst, pre_lp):
+    with contextlib.nullcontext() if pre_lp else pre_lp_off():
+        records = [run_policy(inst, p) for p in ("group-exact", "group-lp", "individual-exact", "ideal")]
+    for rec in records:
+        d = rec.diagnostics
+        assert d.lp_calls == d.node_count and d.nodes_pruned <= d.node_count
+        assert (d.lp_rows is None) == (d.lp_cols is None) == (d.lp_calls == 0)
+        if rec.policy.startswith("group"):
+            assert d.best_bound == float(rec.objective) and d.incumbent_trace[-1] == rec.objective
+        else:
+            assert d.lp_objective is d.lp_integral is d.best_bound is None
 
 
 def test_thousand_paper_author_solves_without_recursion(tmp_path, no_pre_lp):
