@@ -8,7 +8,7 @@ decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
 from __future__ import annotations
 
 import io
-from dataclasses import asdict
+from dataclasses import fields
 
 from .instance import Instance
 from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
@@ -21,7 +21,10 @@ CSV_HEADER = (
 
 
 def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:
-    return {**asdict(diag), "incumbent_trace": [rational_field(v) for v in diag.incumbent_trace]}
+    # every field but the trace is a scalar: no deep copy, one trace render
+    out = {f.name: getattr(diag, f.name) for f in fields(diag)}
+    out["incumbent_trace"] = [rational_field(v) for v in diag.incumbent_trace]
+    return out
 
 
 def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:

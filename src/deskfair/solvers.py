@@ -139,13 +139,15 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
     because every c_j > 0 and is dual feasible whatever the signs of the
     rows; every child warm-starts from its parent's optimal basis. Each
     node's solution is snapped once (`snap_binary`); an infeasible node
-    closes. A fractional node branches on its most fractional variable,
-    first on ties, and explores r_j = 1 first. An integral vertex is
-    expanded to a full keep vector and evaluated once (`metrics.evaluate`;
-    a vertex equal to the incumbent reuses its report), and that report
-    certifies it: it must meet the question's cap and floors in integers
-    (`_admits`). An uncertifiable vertex (numerics went sour) splits on a
-    free variable instead of being trusted or dropped.
+    closes. A fractional node branches on the column that carries the most
+    objective, the largest c_j * min(r_j, 1 - r_j) over the columns
+    `snap_binary` calls fractional, first on ties, and explores r_j = 1
+    first. An integral vertex is expanded to a full keep vector and
+    evaluated once (`metrics.evaluate`; a vertex equal to the incumbent
+    reuses its report), and that report certifies it: it must meet the
+    question's cap and floors in integers (`_admits`). An uncertifiable
+    vertex (numerics went sour) splits on a free variable instead of being
+    trusted or dropped.
 
     - `incumbent` None asks for feasibility: the search stops at the first
       certified vertex.
@@ -209,7 +211,8 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
                 continue
             j = free[0]
         else:
-            j = int(np.argmax(np.minimum(sol.r, 1.0 - sol.r)))  # most fractional, first on ties
+            frac = np.minimum(sol.r, 1.0 - sol.r)  # c_j-weighted, over snap_binary's fractional columns
+            j = int(np.argmax(np.where(frac > INT_TOL, lp0.c * frac, -1.0)))
         zero_hi, one_lo = node.hi.copy(), node.lo.copy()
         zero_hi[j], one_lo[j] = 0.0, 1.0
         stack.append(BranchNode(node.lo, zero_hi, sol.basis))

@@ -85,7 +85,7 @@ def test_individual_exact_under_cap_keeps_all():
 
 @pytest.mark.parametrize("inst, searched, settled", [
     (gen_random(12, 24, 3, 0.2, 0), (1, 1, 8), (0, 0, 0, None, None)),
-    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 21), (0, 0, 0, None, None)),
+    (gen_random(12, 24, 3, 0.2, 1), (3, 3, 20), (0, 0, 0, None, None)),
     (gen_random(12, 24, 3, 0.2, 2), (1, 1, 5), (0, 0, 0, None, None)),
     (gen_leave_one_out(6), (8, 8, 22), (3, 3, 12, 12, 6)),
 ], ids=["random0", "random1", "random2", "leave-one-out6"])
@@ -430,8 +430,28 @@ def test_decide_set_cover_matches_brute_force():
 
 def test_search_counts_pruned_nodes_and_dual_pivots():
     d = solve_group_exact(gen_random(12, 24, 2, 0.2, 22)).diagnostics
-    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (17, 6, 17)
-    assert (d.lp_pivots, d.lp_bound_flips) == (73, 27)
+    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (7, 2, 7)
+    assert (d.lp_pivots, d.lp_bound_flips) == (43, 26)
+
+
+def test_branches_on_the_fractional_column_with_the_most_objective(lp_calls):
+    # The root LP leaves six papers at 1/2. Paper 10 is the most fractional
+    # (r exactly 0.5, c = 7/12); paper 21 (r a hair below 0.5, c = 73/90)
+    # carries the most objective, so the first child fixes it at 1.
+    inst = gen_random(12, 24, 2, 0.2, 22)
+    pre = presolve_group(inst)
+    solve_group_exact(inst)
+    (root,), (child,) = lp_calls[:2]
+    k = pre.cols.index(21)
+    assert (root.lo[k], root.hi[k]) == (0.0, 1.0)
+    assert (child.lo[k], child.hi[k]) == (1.0, 1.0)
+    assert np.array_equal(np.flatnonzero(child.lo != root.lo), [k])
+
+
+def test_weighted_branching_pins_group_tree_size():
+    # 548 nodes under most-fractional branching
+    total = sum(solve_group_exact(gen_random(25, 50, 3, 0.1, s)).diagnostics.node_count for s in range(20))
+    assert total == 162
 
 
 def test_incumbent_trace_strictly_improves():
