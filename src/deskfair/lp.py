@@ -13,10 +13,11 @@ B^-1 [A | I | b] with the basic values x_B as one more column and the
 reduced costs d as one more row, so a pivot is one division of the pivot
 row and one rank-1 update; pricing and the ratio test read it with numpy,
 and the ratio walk and the per-pivot bookkeeping run on Python floats and
-lists. An optimal solve returns `r` and its final
-`Basis`; an infeasible one returns `r` None. Every structural column is
-boxed (finite `lo` and `hi`) and every slack has cost 0 and lower bound 0,
-so a basis that puts every nonbasic column at the bound its cost favours is
+lists. An optimal solve returns `r` and its final `Basis`; a closed one
+returns `r` None: infeasible, or cut off at a caller's `cutoff` (the
+objective limit of branch and bound). Every structural column is boxed
+(finite `lo` and `hi`) and every slack has cost 0 and lower bound 0, so a
+basis that puts every nonbasic column at the bound its cost favours is
 dual feasible, and the dual loop alone reaches the optimum. There are two
 starts:
 
@@ -38,7 +39,8 @@ ratio, and each one whose whole range cannot close the row's gap flips to
 its other bound without a pivot. From the cold start, a row k papers over
 its cap then takes one pivot and k - 1 flips where a short step takes k
 pivots. A final check of the reduced costs makes sure no basis is reported
-optimal unless it is dual feasible. The reduced costs d = c - c_B B^-1 A
+optimal, or closes a solve at the cutoff, unless it is dual feasible. The
+reduced costs d = c - c_B B^-1 A
 are computed once per solve and carried across pivots by the pivot row;
 that final check recomputes them in full, so rounding in the carried d can
 reorder tied ratios but never pass a basis that is not dual feasible.
@@ -49,7 +51,7 @@ an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -60,6 +62,7 @@ from .instance import Instance, KeepVector, SolverStopped
 FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
 PIVOT_TOL = 1e-12   # pivot degeneracy
+DENSE_UPDATE_CELLS = 4096  # a working array this small takes the rank-1 update over every row
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +105,11 @@ class LinearProgram:
             raise ValueError(f"lo and hi must have shape ({cols},)")
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValueError("bounds must be finite")
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             raise ValueError("lower bound exceeds upper bound")
 
     def with_bounds(self, lo, hi) -> "LinearProgram":
-        return replace(self, lo=np.asarray(lo, float), hi=np.asarray(hi, float))
+        return LinearProgram(self.c, self.A, self.b, np.asarray(lo, float), np.asarray(hi, float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +131,13 @@ class Basis:
 
 @dataclass(frozen=True)
 class LpSolution:
-    r: np.ndarray | None        # clipped to [lo, hi]; None iff the LP is infeasible
-    objective_value: float      # nan when infeasible
-    iteration_count: int        # pivots, infeasible solves included
+    """The result of one `solve_lp`. `r` is None iff the solve closed without
+    an optimum: either the LP is infeasible, with `objective_value` NaN, or
+    the solve was cut off, with `objective_value` the bound it closed at."""
+
+    r: np.ndarray | None        # clipped to [lo, hi]
+    objective_value: float      # c.r; nan when infeasible, the dual bound when cut off
+    iteration_count: int        # pivots, closed solves included
     basis: Basis | None = None  # set on every optimal solve
     bound_flips: int = 0        # long-step flips: no pivot, not in iteration_count
 
@@ -245,9 +252,9 @@ class GroupPresolve:
 def _propagate(inst: Instance, floors, value: list[int]) -> bool:
     """Bound propagation to a fixpoint, in place on `value`, in integers.
 
-    With k_i of author i's papers fixed as kept and f_i free, the cap row
-    leaves x - k_i for the free papers and the floor row asks for
-    floors[i] - k_i of them:
+    With k_i of author i's papers fixed as kept (at 1; a paper fixed at 0
+    counts in neither) and f_i free, the cap row leaves x - k_i for the
+    free papers and the floor row asks for floors[i] - k_i of them:
     - a cap right-hand side below 0, or a net floor above f_i, meets no
       point in [0, 1]^m: returns False;
     - a net floor equal to f_i fixes the free papers at 1;
@@ -263,7 +270,7 @@ def _propagate(inst: Instance, floors, value: list[int]) -> bool:
         for j in papers:
             if value[j] == FREE:
                 free[i] += 1
-            else:
+            elif value[j] == 1:
                 kept[i] += 1
     queue = list(range(inst.n))
     while queue:
@@ -298,7 +305,8 @@ def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPres
     return GroupPresolve(inst, tuple(value), None if floors is None else tuple(floors), refuted)
 
 
-def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: Basis | None = None,
+             cutoff: float = float("-inf")) -> LpSolution:
     """Bounded dual simplex, deterministic, from the cold start or a warm one.
 
     `start` is a dual feasible basis of an LP with the same c, A and b, in
@@ -314,18 +322,26 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     toward its bound in (|d_j / alpha_j|, j) order, flipping each column
     whose range leaves more than FEAS_TOL of the row's gap open and entering
     the first that closes it; when all of them flip and the row is still out
-    of bounds, the LP is infeasible. The reduced costs d and the basic
-    values are computed once and carried by the rank-1 update of each pivot.
+    of bounds, the LP is infeasible. The reduced costs d, the basic values
+    and the dual objective c.x of the basic solution are computed once and
+    carried by the rank-1 update of each pivot (and each flip's d_j * step).
     A primal feasible basis is optimal if it is dual feasible, which the
     start must be; the check recomputes d in full, and a movable nonbasic
     column whose reduced cost has the wrong sign by more than FEAS_TOL
     raises `SolverStopped`. So does a pivot past the iteration cap,
     50 * (variables + rows), which counts pivots; flips are counted apart
     in `bound_flips`.
+
+    `cutoff` is the objective limit of branch and bound: the dual objective
+    of every basis the loop reaches bounds the optimum from above, so once
+    it is at most cutoff - FEAS_TOL, recomputed from the basic solution,
+    the solve runs the same dual feasibility check and closes with `r`
+    None and that bound as its objective, optimal or not.
     """
     n_rows, n_struct = lp.A.shape
     n_all = n_struct + n_rows
     last = n_all + 1  # W's x_B column
+    limit = cutoff - FEAS_TOL
 
     lo = np.concatenate([lp.lo, np.zeros(n_rows)])
     hi = np.concatenate([lp.hi, np.full(n_rows, np.inf)])
@@ -333,7 +349,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     movable = hi - lo > PIVOT_TOL
 
     # The one working array W: rows 0..n_rows-1 hold B^-1 [A | I | b | x_B],
-    # row n_rows holds the reduced costs d = c - c_B B^-1 A under [A | I].
+    # row n_rows holds the reduced costs d = c - c_B B^-1 A under [A | I] and,
+    # in its x_B cell, -c.x of the basic solution x.
     W = np.zeros((n_rows + 1, n_all + 2))
     if start is None:
         W[lp.A.row, lp.A.col] = lp.A.value
@@ -350,22 +367,41 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     T[:, last] = T[:, n_all] - T[:, :n_all] @ nonbasic
     W[n_rows, :n_all] = c - c[basic] @ T[:, :n_all]
     xB, d = T[:, last], W[n_rows, :n_all]
+    W[n_rows, last] = -(c @ nonbasic + c[basic] @ xB)
 
     # Per-row and per-column state, written in place on each pivot: the basic
     # rows' FEAS_TOL-shifted bounds, and each column's direction, +1 (-1) for
     # a movable nonbasic column at its lower (upper) bound and 0 otherwise.
-    # The ratio walk reads Python lists.
+    # The ratio walk reads Python lists, and the statuses stay lists until
+    # the loop ends.
     lo_tol, hi_tol = lo[basic] - FEAS_TOL, hi[basic] + FEAS_TOL
     direction = np.where(at_upper, -1.0, 1.0) * movable
     direction[basic] = 0.0
     lo_l, hi_l, span = lo.tolist(), hi.tolist(), (hi - lo).tolist()
-    basic = basic.tolist()
+    basic, at_upper = basic.tolist(), at_upper.tolist()
+    dense = W.size <= DENSE_UPDATE_CELLS
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
+    bound = float("nan")
+
+    def basic_solution() -> np.ndarray:
+        """x: each nonbasic column at its bound, each basic one at its x_B."""
+        x = np.where(at_upper, hi, lo)
+        x[basic] = xB
+        return x
 
     # Dual simplex: pivot until every basic value is back within its bounds
-    # (an LP without rows has none).
-    while n_rows:
+    # (an LP without rows has none), or until the cutoff closes the solve.
+    while True:
+        if -W[n_rows, last] <= limit:
+            # The carried objective drifts by rounding, so the cutoff reads
+            # it recomputed, and refreshes it when it does not close.
+            bound = float(lp.c @ basic_solution()[:n_struct])
+            if bound <= limit:
+                break
+            W[n_rows, last] = -bound
+        if not n_rows:
+            break
         # Dantzig pricing: the row farthest outside its bounds leaves.
         violation = np.maximum(lo_tol - xB, xB - hi_tol)
         row = int(violation.argmax())
@@ -386,33 +422,45 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         # no point within the bounds fits the row.
         order = candidates[abs(d[candidates] / alpha[candidates]).argsort(kind="stable")]
         entering = -1
-        for j, a, sign in zip(order.tolist(), alpha[order].tolist(), direction[order].tolist()):
+        flipped, steps = [], []
+        for j, a in zip(order.tolist(), alpha[order].tolist()):
             if abs(x_row - target) <= abs(a) * span[j] + FEAS_TOL:
                 entering = j
                 break
-            step = sign * span[j]
+            step = -span[j] if at_upper[j] else span[j]  # a candidate's direction times its span
             xB -= step * T[:, j]
             x_row -= step * a
             at_upper[j] = not at_upper[j]
-            direction[j] = -direction[j]
-            bound_flips += 1
+            flipped.append(j)
+            steps.append(step)
         if entering < 0:
-            return LpSolution(None, float("nan"), iteration, bound_flips=bound_flips)
+            return LpSolution(None, float("nan"), iteration, bound_flips=bound_flips + len(flipped))
+        if flipped:
+            direction[flipped] = -direction[flipped]
+            W[n_rows, last] -= d[flipped] @ steps
+            bound_flips += len(flipped)
         iteration += 1
         if iteration > max_iter:
             raise SolverStopped(f"no optimum after {max_iter} pivots")
         p = float(T[row, entering])
         if abs(p) < PIVOT_TOL:
             raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
-        # One rank-1 update moves x_B with the basis: the pivot row's x_B
-        # cell holds its gap, which the division turns into the entering
-        # column's step, and that step from its bound is its value.
+        # One rank-1 update moves x_B and c.x with the basis: the pivot row's
+        # x_B cell holds its gap, which the division turns into the entering
+        # column's step, and that step from its bound is its value. A small W
+        # is updated whole, where a row without an entry in the entering
+        # column takes x - 0 * y, its own values; a large one only in the
+        # rows the entering column touches, where one numpy call over every
+        # row would cost more than finding them.
         xB[row] = x_row - target
         W[row] /= p
         col = W[:, entering].copy()
         col[row] = 0.0
-        others = col.nonzero()[0]
-        W[others] -= col[others, None] * W[row]
+        if dense:
+            W -= col[:, None] * W[row]
+        else:
+            others = col.nonzero()[0]
+            W[others] -= col[others, None] * W[row]
         xB[row] += (hi_l if at_upper[entering] else lo_l)[entering]
         at_upper[leaving] = not below
         direction[leaving] = (1.0 if below else -1.0) if movable[leaving] else 0.0
@@ -420,8 +468,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         basic[row] = entering
         lo_tol[row], hi_tol[row] = lo_l[entering] - FEAS_TOL, hi_l[entering] + FEAS_TOL
 
-    # d drifts by rounding across pivots, so the optimality check recomputes it.
+    # d drifts by rounding across pivots, so the optimality check recomputes
+    # it; a cut-off basis passes the same check before its bound is trusted.
     basic = np.array(basic, dtype=np.intp)
+    at_upper = np.array(at_upper, dtype=bool)
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     d = c - c[basic] @ T[:, :n_all]
@@ -430,10 +480,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         j = int(np.argmax(wrong))
         raise SolverStopped(
             f"basis is not dual feasible: column {j} has reduced cost {d[j]:.3e}")
+    if bound <= limit:
+        return LpSolution(None, bound, iteration, bound_flips=bound_flips)
 
-    x = np.where(at_upper, hi, lo)
-    x[basic] = xB
-    r = np.clip(x[:n_struct], lp.lo, lp.hi)
+    r = np.clip(basic_solution()[:n_struct], lp.lo, lp.hi)
     return LpSolution(
         r=r,
         objective_value=float(lp.c @ r),

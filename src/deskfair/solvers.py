@@ -155,10 +155,12 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
       asks for the maximum of the group objective, the total kept fraction
       n(1 - zeta_group): a certified vertex's exact objective must also
       match its float bound within 1e-6, and a node whose float bound plus
-      1e-9 does not beat the incumbent is pruned after its own LP. A
-      child's bound is at most its parent's, so this one test also closes
-      every node whose parent's bound already fails it, at the cost of one
-      warm LP.
+      1e-9 does not beat the incumbent is pruned. A child's LP takes the
+      incumbent as its cutoff and closes as soon as its dual bound fails
+      that test, often long before its optimum; the root's LP runs to its
+      optimum, and the test follows it. A child's bound is at most its
+      parent's, so the cutoff also closes every node whose parent's bound
+      already fails it, on its warm start, without a pivot.
 
     `tally` is the solve's `SolverDiagnostics` in the making, keyed by its
     fields: it sums the node, pruning, LP and pivot counts over every search
@@ -179,7 +181,9 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
         tally["node_count"] += 1
         if tally["node_count"] > limit:
             raise SolverStopped(f"branch and bound exceeded {limit} nodes")
-        sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis)
+        # the root LP runs to its optimum: its value is the reported relaxation bound
+        cutoff = float("-inf") if node.basis is None else cut - pre.offset
+        sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis, cutoff=cutoff)
         tally["lp_calls"] += 1
         tally["lp_pivots"] += sol.iteration_count
         tally["lp_bound_flips"] += sol.bound_flips
@@ -187,9 +191,9 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
         point = snap_binary(sol)
         if incumbent is not None and node.basis is None:  # the group root
             tally["lp_objective"], tally["lp_integral"] = bound, point is not None
-        if sol.r is None:
+        if sol.r is None and np.isnan(bound):  # infeasible
             continue
-        if bound + FEAS_TOL <= cut:
+        if sol.r is None or bound + FEAS_TOL <= cut:  # cut off in its LP, or after it
             tally["nodes_pruned"] += 1
             continue
         if point is not None:

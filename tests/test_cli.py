@@ -234,7 +234,7 @@ def assert_input_error(path, policy):
 
 
 @given(malformed_instances(), st.sampled_from(POLICIES))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, policy):
     path = tmp_path_factory.getbasetemp() / "malformed.json"
     path.write_text(json.dumps(raw))

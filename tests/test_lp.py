@@ -204,6 +204,73 @@ def test_floor_lps_match_highs_cold_and_warm(inst, data, fixings):
     check_cold_and_warm(full.lp, fixings)
 
 
+def fixed_child(inst, fixings):
+    """The relaxation of `inst`, its cold optimum, and the child LP with the
+    papers of `fixings` fixed, or None when HiGHS finds that child
+    infeasible; with the child's HiGHS optimum."""
+    lp = build_group_relaxation(inst)
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    for j, value in fixings:
+        lo[j % inst.m] = hi[j % inst.m] = value
+    child = lp.with_bounds(lo, hi)
+    optimal, objective = highs(child)
+    return solve_lp(lp), (child if optimal else None), objective
+
+
+def same_solution(a, b):
+    return (np.array_equal(a.r, b.r) and a.objective_value == b.objective_value
+            and np.array_equal(a.basis.T, b.basis.T) and np.array_equal(a.basis.basic, b.basis.basic)
+            and np.array_equal(a.basis.at_upper, b.basis.at_upper)
+            and (a.iteration_count, a.bound_flips) == (b.iteration_count, b.bound_flips))
+
+
+@given(instances(max_n=6, max_m=10),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4),
+       st.floats(0.0, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_cutoff_below_the_optimum_changes_nothing(inst, fixings, margin):
+    # every dual bound the loop passes is at least the optimum, so a cutoff
+    # at or below optimum - FEAS_TOL never closes: the same path, cold and warm
+    root, child, objective = fixed_child(inst, fixings)
+    if child is None:
+        return
+    cutoff = objective - FEAS_TOL - margin
+    for start in (None, root.basis):
+        assert same_solution(solve_lp(child, start=start, cutoff=cutoff), solve_lp(child, start=start))
+
+
+@given(instances(max_n=6, max_m=10),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4),
+       st.floats(2 * FEAS_TOL, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_cutoff_above_the_optimum_closes_at_a_valid_bound(inst, fixings, margin):
+    # the solve closes, at the latest at the optimum, with a dual bound that
+    # is at least the optimum and at most cutoff - FEAS_TOL, and never after
+    # more pivots than the full solve
+    root, child, objective = fixed_child(inst, fixings)
+    if child is None:
+        return
+    cutoff = objective + FEAS_TOL + margin
+    for start in (None, root.basis):
+        sol = solve_lp(child, start=start, cutoff=cutoff)
+        assert sol.r is None and sol.basis is None
+        assert objective - 1e-9 <= sol.objective_value <= cutoff - FEAS_TOL
+        assert sol.iteration_count <= solve_lp(child, start=start).iteration_count
+
+
+def test_cutoff_closes_a_warm_child_without_a_pivot(triangle):
+    # the triangle's root is r = 1/2 at 3/2, every paper basic; fixing p1
+    # at 1 leaves the parent's basic solution, whose dual bound 3/2 is
+    # already below a cutoff of 2: the child closes on its start
+    lp = build_group_relaxation(triangle)
+    root = solve_lp(lp)
+    child = lp.with_bounds([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    sol = solve_lp(child, start=root.basis, cutoff=2.0)
+    assert sol.r is None and (sol.iteration_count, sol.bound_flips) == (0, 0)
+    assert sol.objective_value == pytest.approx(1.5, abs=1e-12)
+    assert solve_lp(child, start=root.basis).objective_value == pytest.approx(1.0, abs=FEAS_TOL)
+
+
 def test_warm_start_detects_infeasible_child(triangle):
     lp = build_group_relaxation(triangle)
     root = solve_lp(lp)

@@ -108,6 +108,31 @@ def test_pre_lp_stage_matches_brute_force(inst, data):
         assert min(kept) >= 1 and max(kept) <= inst.x
 
 
+@given(instances(max_n=6, max_m=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_propagation_from_fixed_zeros_matches_brute_force(inst, data):
+    # a start with papers already fixed at 0 (and some at 1): a paper at 0
+    # counts as neither kept nor free, so over the keep vectors that agree
+    # with the start, propagation refutes only when none meets the cap and
+    # floors, and fixes a paper only at the value every one gives it
+    value = data.draw(st.lists(st.sampled_from([FREE, 0, 1]), min_size=inst.m, max_size=inst.m)
+                      .filter(lambda v: 0 in v))
+    floors = floors_of(data, inst)
+    brute = BruteForce(inst)
+    agree = brute.meets(floors)
+    for j, v in enumerate(value):
+        if v != FREE:
+            agree &= brute.bits[j] == v
+    propagated = list(value)
+    if not lp._propagate(inst, floors, propagated):
+        assert not agree.any()
+        return
+    for j, v in enumerate(propagated):
+        assert value[j] == FREE or v == value[j]
+        if v != FREE:
+            assert (brute.bits[j][agree] == v).all()
+
+
 def test_thousand_paper_author_settles_without_lp(lp_calls, monkeypatch):
     # the greedy witness certifies t_lb = 1075/1100 = 43/44 and the ideal
     builds = spy_on(monkeypatch, lp._rows_lp)

@@ -431,7 +431,9 @@ def test_decide_set_cover_matches_brute_force():
 def test_search_counts_pruned_nodes_and_dual_pivots():
     d = solve_group_exact(gen_random(12, 24, 2, 0.2, 22)).diagnostics
     assert (d.node_count, d.nodes_pruned, d.lp_calls) == (7, 2, 7)
-    assert (d.lp_pivots, d.lp_bound_flips) == (43, 26)
+    # the children close at the incumbent's cutoff: (43, 26) when each ran
+    # to its optimum
+    assert (d.lp_pivots, d.lp_bound_flips) == (35, 24)
 
 
 def test_branches_on_the_fractional_column_with_the_most_objective(lp_calls):
