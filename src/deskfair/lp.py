@@ -62,7 +62,6 @@ from .instance import Instance, KeepVector, SolverStopped
 FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
 PIVOT_TOL = 1e-12   # pivot degeneracy
-DENSE_UPDATE_CELLS = 4096  # a working array this small takes the rank-1 update over every row
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,7 @@ class LinearProgram:
             raise ValueError(f"lo and hi must have shape ({cols},)")
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValueError("bounds must be finite")
-        if (self.lo > self.hi).any():
+        if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
 
     def with_bounds(self, lo, hi) -> "LinearProgram":
@@ -379,7 +378,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     direction[basic] = 0.0
     lo_l, hi_l, span = lo.tolist(), hi.tolist(), (hi - lo).tolist()
     basic, at_upper = basic.tolist(), at_upper.tolist()
-    dense = W.size <= DENSE_UPDATE_CELLS
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
     bound = float("nan")
@@ -447,19 +445,19 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
             raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
         # One rank-1 update moves x_B and c.x with the basis: the pivot row's
         # x_B cell holds its gap, which the division turns into the entering
-        # column's step, and that step from its bound is its value. A small W
-        # is updated whole, where a row without an entry in the entering
-        # column takes x - 0 * y, its own values; a large one only in the
-        # rows the entering column touches, where one numpy call over every
-        # row would cost more than finding them.
+        # column's step, and that step from its bound is its value. When the
+        # entering column has an entry in more than half of W's rows, all of
+        # W takes the update in one call, where a row without an entry takes
+        # x - 0 * y, its own values; else only the rows with one, whose
+        # gather and scatter cost about twice as much per row.
         xB[row] = x_row - target
         W[row] /= p
         col = W[:, entering].copy()
         col[row] = 0.0
-        if dense:
+        others = col.nonzero()[0]
+        if 2 * len(others) > len(W):
             W -= col[:, None] * W[row]
         else:
-            others = col.nonzero()[0]
             W[others] -= col[others, None] * W[row]
         xB[row] += (hi_l if at_upper[entering] else lo_l)[entering]
         at_upper[leaving] = not below
