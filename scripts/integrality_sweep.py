@@ -8,8 +8,9 @@ The observed rate for the default parameters is recorded in docs/numerics.md.
 import argparse
 import random
 
+from deskfair import solvers
 from deskfair.generators import gen_random
-from deskfair.solvers import integrality_audit
+from deskfair.reports import audit_to_dict
 
 
 def main():
@@ -31,13 +32,14 @@ def main():
         x = rng.randint(1, args.max_x)
         density = rng.choice([0.3, 0.6])
         inst = gen_random(n, m, x, density, trial)
-        audit = integrality_audit(inst)
-        if audit.is_counterexample:
+        record = solvers.solve_group_exact(inst)
+        audit = audit_to_dict(record)
+        if audit["counterexample"]:
             hits += 1
-            max_gap = max(max_gap, audit.gap)
+            max_gap = max(max_gap, audit["gap"])
             if args.verbose:
                 print(f"counterexample: n={n} m={m} x={x} density={density} seed={trial} "
-                      f"lp={audit.lp_objective:.6f} ilp={audit.ilp_objective} gap={audit.gap:.6f}")
+                      f"lp={audit['lp_objective']:.6f} ilp={record.objective} gap={audit['gap']:.6f}")
     print(f"instances={args.count} counterexamples={hits} "
           f"rate={hits / args.count:.3f} max_gap={max_gap:.6f}")
 

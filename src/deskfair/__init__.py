@@ -27,10 +27,8 @@ from .policies import (
 )
 from .lp import LinearProgram, LpSolution, build_group_relaxation, solve_lp, to_mps
 from .solvers import (
-    IntegralityAudit,
     SetCoverInstance,
     decide_set_cover,
-    integrality_audit,
     reduce_set_cover,
     solve_group_exact,
     solve_ideal_feasibility,

@@ -33,10 +33,14 @@ from .instance import (
 )
 from .jsontext import dumps_indented
 from .lp import build_group_relaxation, to_mps
-from .metrics import rational_field
 from .policies import RunRecord
-from .reports import comparison_table, comparison_to_csv, comparison_to_text, run_record_to_dict
-from .solvers import IntegralityAudit
+from .reports import (
+    audit_to_dict,
+    comparison_table,
+    comparison_to_csv,
+    comparison_to_text,
+    run_record_to_dict,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,40 +166,25 @@ def cmd_check_ideal(args) -> int:
     return 0
 
 
-def _audit_to_dict(audit: IntegralityAudit) -> dict:
-    return {
-        "lp_objective": audit.lp_objective,
-        "ilp_objective": rational_field(audit.ilp_objective),
-        "gap": audit.gap,
-        "lp_integral": audit.lp_integral,
-        "counterexample": audit.is_counterexample,
-    }
-
-
 def cmd_audit_integrality(args) -> int:
     if args.count is not None and args.count < 1:
         raise InstanceError(f"--count must be at least 1, got {args.count}")
     if args.input:
         _reject_unread(args, "--input", ())
-        inst = _load_input(args)
-        audit = solvers.integrality_audit(inst)
-        _write_json(args.output, _audit_to_dict(audit))
+        _write_json(args.output, audit_to_dict(solvers.solve_group_exact(_load_input(args))))
         return 0
     if not args.family:
         raise InstanceError("audit-integrality needs --input or --family")
-    instances = _sweep_instances(args, args.count or 1)
     details = []
-    counterexamples = 0
-    for label, inst in instances:
-        audit = solvers.integrality_audit(inst)
-        counterexamples += int(audit.is_counterexample)
-        entry = _audit_to_dict(audit)
+    for label, inst in _sweep_instances(args, args.count or 1):
+        entry = audit_to_dict(solvers.solve_group_exact(inst))
         entry["instance"] = label
         details.append(entry)
+    counterexamples = sum(entry["counterexample"] for entry in details)
     payload = {
         "instances": len(details),
         "counterexamples": counterexamples,
-        "counterexample_rate": counterexamples / len(details) if details else 0.0,
+        "counterexample_rate": counterexamples / len(details),
         "details": details,
     }
     _write_json(args.output, payload)

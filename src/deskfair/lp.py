@@ -168,8 +168,12 @@ def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
 def build_group_relaxation(inst: Instance) -> LinearProgram:
     """LP relaxation of mean-cost minimization, phrased as maximizing the
     total kept fraction: c_j sums 1/|papers of i| over paper j's authors,
-    rows cap each author's kept papers at x, and 0 <= r <= 1."""
-    rows = [(papers, 1.0, inst.x) for papers in inst.author_papers]
+    rows cap each author's kept papers at x, and 0 <= r <= 1. A cap row's
+    right-hand side is min(x, m): no author has more than m papers, so the
+    LP is the same, and a cap too large for a float, or for the MPS dump's
+    12 digits, never reaches it."""
+    rhs = min(inst.x, inst.m)
+    rows = [(papers, 1.0, rhs) for papers in inst.author_papers]
     return _rows_lp(_group_coefficients(inst), range(inst.m), rows)
 
 
@@ -440,9 +444,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
         iteration += 1
         if iteration > max_iter:
             raise SolverStopped(f"no optimum after {max_iter} pivots")
+        # |p| > PIVOT_TOL: entering is a candidate, and flips write only x_B
         p = float(T[row, entering])
-        if abs(p) < PIVOT_TOL:
-            raise SolverStopped(f"pivot magnitude {abs(p):.3e} below tolerance")
         # One rank-1 update moves x_B and c.x with the basis: the pivot row's
         # x_B cell holds its gap, which the division turns into the entering
         # column's step, and that step from its bound is its value. When the

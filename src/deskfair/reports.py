@@ -1,8 +1,10 @@
-"""Serialization of solve runs and policy comparison tables.
+"""Serialization of solve runs, integrality audit entries and policy
+comparison tables.
 
 Exact rationals travel as "num/den" strings (authoritative) with a 12-digit
 decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
-"." decimal separator, fixed header.
+"." decimal separator, fixed header, and a cell quoted only when it holds a
+comma, a double quote or a line break.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import io
 from dataclasses import fields
 
 from .instance import Instance
+from .lp import INT_TOL
 from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
 from .policies import RunRecord, SolverDiagnostics
 
@@ -49,6 +52,21 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
     return out
 
 
+def audit_to_dict(record: RunRecord) -> dict:
+    """The relaxation-integrality audit entry of a `group-exact` record: its
+    root LP optimum against its exact optimum. A gap above INT_TOL marks a
+    counterexample, an instance whose relaxation is not exact."""
+    diag = record.diagnostics
+    gap = diag.lp_objective - float(record.objective)
+    return {
+        "lp_objective": diag.lp_objective,
+        "ilp_objective": rational_field(record.objective),
+        "gap": gap,
+        "lp_integral": diag.lp_integral,
+        "counterexample": gap > INT_TOL,
+    }
+
+
 def comparison_table(inst: Instance, records: list[RunRecord]) -> dict:
     """Per-policy outcomes on one shared instance: the instance summary and
     one row per record, keyed and ordered by `CSV_HEADER`, every cell a
@@ -82,12 +100,20 @@ def _diag_cell(rec: RunRecord, field: str) -> str:
     return str(getattr(rec.diagnostics, field)) if rec.diagnostics else ""
 
 
+def _csv_cell(text: str) -> str:
+    # RFC 4180 quoting. `csv.writer` with LF line endings leaves a lone CR
+    # unquoted (Python 3.10 and 3.11), which `csv.reader` then rejects.
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def comparison_to_csv(table: dict) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     columns = CSV_HEADER.split(",")
     for row in table["rows"]:
-        buf.write(",".join(row[col] for col in columns) + "\n")
+        buf.write(",".join(_csv_cell(row[col]) for col in columns) + "\n")
     return buf.getvalue()
 
 

@@ -299,35 +299,6 @@ def solve_ideal_feasibility(inst: Instance) -> RunRecord:
 
 
 @dataclass(frozen=True)
-class IntegralityAudit:
-    lp_objective: float
-    ilp_objective: Fraction
-    gap: float
-    lp_integral: bool
-
-    @property
-    def is_counterexample(self) -> bool:
-        return self.gap > INT_TOL
-
-
-def integrality_audit(inst: Instance) -> IntegralityAudit:
-    """Compare the relaxation optimum against the exact binary optimum.
-
-    A positive gap exhibits an instance where the relaxation is *not* exact,
-    i.e. rounding the LP cannot be trusted on that instance. The relaxation
-    figures are those of the exact solve's root LP.
-    """
-    exact = solve_group_exact(inst)
-    diag = exact.diagnostics
-    return IntegralityAudit(
-        lp_objective=diag.lp_objective,
-        ilp_objective=exact.objective,
-        gap=diag.lp_objective - float(exact.objective),
-        lp_integral=diag.lp_integral,
-    )
-
-
-@dataclass(frozen=True)
 class SetCoverInstance:
     """Decision problem: can at most `budget` of the sets cover the universe
     {1, ..., universe_size}?"""

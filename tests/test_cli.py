@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -410,6 +411,24 @@ def test_compare_outputs(cvpr_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_csv_quotes_ids_with_commas_quotes_and_line_breaks(tmp_path, capsys):
+    odd = ["p;2\nq", 'x,"y', "a\rb"]
+    papers = [{"id": "p1", "authors": ["a1"]}, {"id": odd[0], "authors": ["a1", "a2"]},
+              {"id": odd[1], "authors": ["a1"]}, {"id": odd[2], "authors": ["a1"]},
+              {"id": "p5", "authors": ["a2"]}]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"x": 1, "authors": ["a1", "a2"], "papers": papers}))
+    assert main(["compare", "--input", str(path), "--policy", ",".join(POLICIES),
+                 "--output", str(tmp_path / "cmp")]) == 0
+    rows = read_json(tmp_path / "cmp.json")["rows"]
+    assert all(any(i in row["rejected_papers"] for row in rows) for i in odd)
+    with open(tmp_path / "cmp.csv", encoding="utf-8", newline="") as fh:
+        cells = list(csv.reader(fh))
+    columns = CSV_HEADER.split(",")
+    assert cells == [columns] + [[row[col] for col in columns] for row in rows]
+    capsys.readouterr()
+
+
 def test_compare_output_with_a_suffix_names_both_files(cvpr_file, tmp_path, capsys):
     assert main(["compare", "--input", cvpr_file, "--policy", "conventional",
                  "--output", str(tmp_path / "cmp.json")]) == 0
@@ -663,6 +682,20 @@ def test_dump_lp_for_any_policy(cvpr_file, tmp_path):
         assert main(["solve", "--input", cvpr_file, "--policy", policy,
                      "--dump-lp", str(dumps[policy]), "--output", str(tmp_path / "out.json")]) == 0
     assert dumps["conventional"].read_bytes() == dumps["group-exact"].read_bytes()
+
+
+@pytest.mark.parametrize("cap", [10**400, 123456789012345], ids=["past-a-float", "past-12-digits"])
+def test_dump_lp_of_a_cap_above_the_paper_count_is_the_dump_at_that_count(cap, tmp_path):
+    dumps = []
+    for x in (cap, 3):  # the triangle has 3 papers
+        doc = instance_to_dict(gen_triangle())
+        doc["x"] = x
+        path = tmp_path / f"triangle-{len(dumps)}.json"
+        path.write_text(json.dumps(doc))
+        dumps.append(tmp_path / f"triangle-{len(dumps)}.mps")
+        assert main(["solve", "--input", str(path), "--dump-lp", str(dumps[-1]),
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
 
 @pytest.mark.parametrize("inst", [gen_triangle(), gen_case_study("cvpr26")], ids=["triangle", "cvpr26"])

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskfair.jsontext import dumps_indented
@@ -27,6 +27,7 @@ JSON_VALUES = st.recursive(
 
 
 @given(JSON_VALUES)
+@example(float("inf"))  # the random draws may never reach it
 @settings(max_examples=400)
 def test_matches_json_dumps_indent_two(value):
     assert dumps_indented(value) == json.dumps(value, indent=2)

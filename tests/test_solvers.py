@@ -1,6 +1,9 @@
 import contextlib
 import itertools
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +18,10 @@ from deskfair.instance import InstanceError, SolverStopped, dump_instance, valid
 from deskfair.lp import FEAS_TOL, build_group_relaxation, presolve_group, solve_lp
 from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
+from deskfair.reports import audit_to_dict
 from deskfair.solvers import (
     SetCoverInstance,
     decide_set_cover,
-    integrality_audit,
     reduce_set_cover,
     solve_group_exact,
     solve_ideal_feasibility,
@@ -262,32 +265,55 @@ def test_presolve_solves_only_binding_rows(cvpr26, lp_calls):
 
 
 def test_integrality_audit_triangle(triangle):
-    audit = integrality_audit(triangle)
-    assert audit.lp_objective == pytest.approx(1.5, abs=1e-9)
-    assert audit.ilp_objective == 1
-    assert audit.gap == pytest.approx(0.5, abs=1e-6)
-    assert not audit.lp_integral
-    assert audit.is_counterexample
+    audit = audit_to_dict(solve_group_exact(triangle))
+    assert audit["lp_objective"] == pytest.approx(1.5, abs=1e-9)
+    assert Fraction(audit["ilp_objective"]["rational"]) == 1
+    assert audit["gap"] == pytest.approx(0.5, abs=1e-6)
+    assert not audit["lp_integral"]
+    assert audit["counterexample"]
 
 
 def test_integrality_audit_case_study(cvpr26):
-    audit = integrality_audit(cvpr26)
-    assert audit.gap == pytest.approx(0.0, abs=1e-6)
-    assert audit.lp_integral
-    assert not audit.is_counterexample
+    audit = audit_to_dict(solve_group_exact(cvpr26))
+    assert audit["gap"] == pytest.approx(0.0, abs=1e-6)
+    assert audit["lp_integral"]
+    assert not audit["counterexample"]
 
 
-def test_integrality_audit_reuses_exact_root(triangle, lp_calls):
+def test_integrality_audit_reuses_exact_root(triangle, lp_calls, tmp_path):
     exact_calls = solve_group_exact(triangle).diagnostics.lp_calls
+    path = tmp_path / "triangle.json"
+    dump_instance(triangle, path)
     lp_calls.clear()
-    integrality_audit(triangle)
+    assert main(["audit-integrality", "--input", str(path),
+                 "--output", str(tmp_path / "audit.json")]) == 0
     assert len(lp_calls) == exact_calls
 
 
 def test_integrality_audit_slack_cap():
     inst = gen_random(3, 4, 2, 0.5, 3).with_cap(4)
-    audit = integrality_audit(inst)
-    assert audit.gap == pytest.approx(0.0, abs=1e-6)
+    audit = audit_to_dict(solve_group_exact(inst))
+    assert audit["gap"] == pytest.approx(0.0, abs=1e-6)
+
+
+@given(st.integers(1, 8), st.integers(1, 20), st.integers(1, 4), st.sampled_from([0.2, 0.5]),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_audit_entry_is_read_off_the_group_exact_solve_json(n, m, x, density, seed):
+    inst = gen_random(n, m, x, density, seed)
+    audit = audit_to_dict(solve_group_exact(inst))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "inst.json"), os.path.join(tmp, "solve.json")
+        dump_instance(inst, path)
+        assert main(["solve", "--input", path, "--policy", "group-exact", "--output", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            solved = json.load(fh)
+    assert audit["lp_objective"] == solved["diagnostics"]["lp_objective"]
+    assert audit["lp_integral"] == solved["diagnostics"]["lp_integral"]
+    assert audit["ilp_objective"] == solved["objective"]
+    gap = audit["lp_objective"] - float(Fraction(audit["ilp_objective"]["rational"]))
+    assert audit["gap"] == gap
+    assert audit["counterexample"] == (gap > 1e-6)
 
 
 # two disjoint triangles: the LP covers them with six halves within the
