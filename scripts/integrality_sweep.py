@@ -22,6 +22,10 @@ def main():
     parser.add_argument("--seed", type=int, default=424242)
     parser.add_argument("--verbose", action="store_true", help="print every counterexample")
     args = parser.parse_args()
+    for flag, least in (("count", 1), ("max_n", 2), ("max_m", 2), ("max_x", 1)):
+        value = getattr(args, flag)
+        if value < least:
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
 
     rng = random.Random(args.seed)
     hits = 0

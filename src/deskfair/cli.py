@@ -39,6 +39,7 @@ from .reports import (
     comparison_table,
     comparison_to_csv,
     comparison_to_text,
+    printable,
     run_record_to_dict,
 )
 
@@ -161,8 +162,8 @@ def cmd_check_ideal(args) -> int:
             "feasible": True, "kept_papers": kept, "rejected_papers": rejected,
         })
     print("IDEAL FEASIBLE")
-    print("keep:   " + (" ".join(kept) if kept else "(none)"))
-    print("reject: " + (" ".join(rejected) if rejected else "(none)"))
+    print("keep:   " + (" ".join(map(printable, kept)) if kept else "(none)"))
+    print("reject: " + (" ".join(map(printable, rejected)) if rejected else "(none)"))
     return 0
 
 

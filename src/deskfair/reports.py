@@ -117,10 +117,19 @@ def comparison_to_csv(table: dict) -> str:
     return buf.getvalue()
 
 
+def printable(text: str) -> str:
+    """`text` for a terminal: each non-printable character (a line break, a
+    tab, a control or format character) written as its Python escape, such
+    as \\n or \\x85; printable text is left as it is."""
+    if text.isprintable():
+        return text
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+
+
 def comparison_to_text(table: dict) -> str:
-    """Fixed-width rendering for terminals."""
+    """Fixed-width rendering for terminals, every cell through `printable`."""
     cols = ["policy", "kept_count", "rejected_papers", "zeta_ind", "zeta_group", "ideal"]
-    rows = [[row[c] for c in cols] for row in table["rows"]]
+    rows = [[printable(row[c]) for c in cols] for row in table["rows"]]
     widths = [max(len(c), *(len(r[k]) for r in rows)) if rows else len(c)
               for k, c in enumerate(cols)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]

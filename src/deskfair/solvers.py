@@ -28,7 +28,6 @@ from .instance import Instance, InstanceError, KeepVector, SolverStopped, requir
 from .lp import (
     FEAS_TOL,
     INT_TOL,
-    Basis,
     GroupPresolve,
     presolve_group,
     snap_binary,
@@ -51,13 +50,6 @@ def _node_limit() -> int:
     if limit < 1:
         raise InstanceError(f"DESKFAIR_NODE_LIMIT must be at least 1, got {raw!r}")
     return limit
-
-
-@dataclass(frozen=True, eq=False)
-class BranchNode:
-    lo: np.ndarray   # bounds of the reduced LP's columns: fixed at one where
-    hi: np.ndarray   # lo is 1, fixed at zero where hi is 0
-    basis: Basis | None  # the parent's optimum; None at the root: the cold start
 
 
 def _admits(floors, report: metrics.FairnessReport) -> bool:
@@ -114,7 +106,8 @@ def _decide(inst: Instance, floors: list[int], limit: int, tally: Counter):
     2. else `_greedy_witness` repairs keep-all, and a witness that
        `metrics.evaluate` and `_admits` certify is a "yes";
     3. else `_branch_and_bound` searches the propagated LP, under `limit`
-       nodes, into `tally`.
+       nodes, into `tally`, and its first certified vertex is the answer.
+       The search is dropped there, with its open nodes.
 
     Returns the (keep vector, report) witness, or None for a "no".
     """
@@ -126,14 +119,17 @@ def _decide(inst: Instance, floors: list[int], limit: int, tally: Counter):
         report = metrics.evaluate(inst, keep)
         if _admits(floors, report):
             return keep, report
-    found = _branch_and_bound(inst, pre, limit, tally)
-    return found[0][1:] if found else None
+    found = next(_branch_and_bound(inst, pre, limit, tally), None)
+    return found[1:] if found else None
 
 
 def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Counter,
                       incumbent: tuple[Fraction, KeepVector, metrics.FairnessReport] | None = None):
     """Depth-first LP branch and bound over the presolved LP; the one search
-    loop of this module.
+    loop of this module. A generator: it yields each certified vertex that
+    beats the best so far, as an (exact objective, keep vector, report)
+    triple, and its caller decides when to stop. The best so far starts as
+    `incumbent`, a certified triple, or None: nothing to beat.
 
     The root LP takes `solve_lp`'s cold start, which keeps every paper
     because every c_j > 0 and is dual feasible whatever the signs of the
@@ -143,53 +139,45 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
     objective, the largest c_j * min(r_j, 1 - r_j) over the columns
     `snap_binary` calls fractional, first on ties, and explores r_j = 1
     first. An integral vertex is expanded to a full keep vector and
-    evaluated once (`metrics.evaluate`; a vertex equal to the incumbent
-    reuses its report), and that report certifies it: it must meet the
-    question's cap and floors in integers (`_admits`). An uncertifiable
-    vertex (numerics went sour) splits on a free variable instead of being
-    trusted or dropped.
-
-    - `incumbent` None asks for feasibility: the search stops at the first
-      certified vertex.
-    - `incumbent` a certified (exact objective, keep vector, report) triple
-      asks for the maximum of the group objective, the total kept fraction
-      n(1 - zeta_group): a certified vertex's exact objective must also
-      match its float bound within 1e-6, and a node whose float bound plus
-      1e-9 does not beat the incumbent is pruned. A child's LP takes the
-      incumbent as its cutoff and closes as soon as its dual bound fails
-      that test, often long before its optimum; the root's LP runs to its
-      optimum, and the test follows it. A child's bound is at most its
-      parent's, so the cutoff also closes every node whose parent's bound
-      already fails it, on its warm start, without a pivot.
+    evaluated once (`metrics.evaluate`; a vertex equal to the best reuses
+    its report). It is certified when that report meets the question's cap
+    and floors in integers (`_admits`) and its exact group objective, the
+    total kept fraction n(1 - zeta_group), matches its float bound within
+    1e-6. An uncertifiable vertex (numerics went sour) splits on a free
+    variable instead of being trusted or dropped. A node whose float bound
+    plus 1e-9 does not beat the best is pruned. A child's LP takes the best
+    as its cutoff and closes as soon as its dual bound fails that test,
+    often long before its optimum; the root's LP runs to its optimum, and
+    the test follows it. A child's bound is at most its parent's, so the
+    cutoff also closes every node whose parent's bound already fails it,
+    on its warm start, without a pivot.
 
     `tally` is the solve's `SolverDiagnostics` in the making, keyed by its
     fields: it sums the node, pruning, LP and pivot counts over every search
     of one solve, and `limit` caps its node count. Each search writes the
     size of its LP (`lp_rows`, `lp_cols`), so the tally keeps the last LP
-    searched; a group search also writes its root LP's bound and whether
-    that LP was integral. Returns the certified vertices, as (exact
-    objective, keep vector, report) triples: the incumbent and then each
-    improvement in order, or the one witness with objective None.
+    searched; a question with no floors also writes its root LP's bound and
+    whether that LP was integral.
     """
     lp0 = pre.lp
     tally["lp_rows"], tally["lp_cols"] = lp0.A.shape
-    found = [] if incumbent is None else [incumbent]
-    cut = float(incumbent[0]) if found else float("-inf")  # a node must beat it
-    stack = [BranchNode(lp0.lo, lp0.hi, None)]
+    best = incumbent or (float("-inf"), None, None)  # nothing to beat
+    cut = float(best[0])  # a node must beat it
+    stack = [(lp0.lo, lp0.hi, None)]  # column bounds and the parent's optimal basis
     while stack:
-        node = stack.pop()
+        lo, hi, basis = stack.pop()
         tally["node_count"] += 1
         if tally["node_count"] > limit:
             raise SolverStopped(f"branch and bound exceeded {limit} nodes")
         # the root LP runs to its optimum: its value is the reported relaxation bound
-        cutoff = float("-inf") if node.basis is None else cut - pre.offset
-        sol = solve_lp(lp0.with_bounds(node.lo, node.hi), start=node.basis, cutoff=cutoff)
+        cutoff = float("-inf") if basis is None else cut - pre.offset
+        sol = solve_lp(lp0.with_bounds(lo, hi), start=basis, cutoff=cutoff)
         tally["lp_calls"] += 1
         tally["lp_pivots"] += sol.iteration_count
         tally["lp_bound_flips"] += sol.bound_flips
         bound = sol.objective_value + pre.offset
         point = snap_binary(sol)
-        if incumbent is not None and node.basis is None:  # the group root
+        if pre.floors is None and basis is None:  # the group root
             tally["lp_objective"], tally["lp_integral"] = bound, point is not None
         if sol.r is None and np.isnan(bound):  # infeasible
             continue
@@ -198,30 +186,27 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
             continue
         if point is not None:
             keep = pre.expand(point)
-            if found and keep == found[-1][1]:
-                exact, _, report = found[-1]
+            if keep == best[1]:
+                exact, _, report = best
             else:
                 report = metrics.evaluate(inst, keep)
-                exact = None if incumbent is None else inst.n * (1 - report.zeta_group)
-            if _admits(pre.floors, report) and (exact is None or abs(bound - float(exact)) <= INT_TOL):
-                if exact is None:
-                    return [(None, keep, report)]
-                if exact > found[-1][0]:
-                    cut = float(exact)
-                    found.append((exact, keep, report))
+                exact = inst.n * (1 - report.zeta_group)
+            if _admits(pre.floors, report) and abs(bound - float(exact)) <= INT_TOL:
+                if exact > best[0]:
+                    best, cut = (exact, keep, report), float(exact)
+                    yield best
                 continue
-            free = np.flatnonzero(node.lo < node.hi)
+            free = np.flatnonzero(lo < hi)
             if free.size == 0:
                 continue
             j = free[0]
         else:
             frac = np.minimum(sol.r, 1.0 - sol.r)  # c_j-weighted, over snap_binary's fractional columns
             j = int(np.argmax(np.where(frac > INT_TOL, lp0.c * frac, -1.0)))
-        zero_hi, one_lo = node.hi.copy(), node.lo.copy()
+        zero_hi, one_lo = hi.copy(), lo.copy()
         zero_hi[j], one_lo[j] = 0.0, 1.0
-        stack.append(BranchNode(node.lo, zero_hi, sol.basis))
-        stack.append(BranchNode(one_lo, node.hi, sol.basis))
-    return found
+        stack.append((lo, zero_hi, sol.basis))
+        stack.append((one_lo, hi, sol.basis))
 
 
 def solve_group_exact(inst: Instance) -> RunRecord:
@@ -233,7 +218,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     relaxation optimum is expanded to a full keep vector, re-certified in
     exact rationals on the full instance and returned; otherwise branch and
     bound (`_branch_and_bound`) from the conventional policy's keep vector
-    as the first incumbent.
+    as the first incumbent, whose last yield is the optimum.
     """
     limit = _node_limit()
     pre = presolve_group(inst)
@@ -241,7 +226,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     report = metrics.evaluate(inst, seed)
     incumbent = (inst.n * (1 - report.zeta_group), seed, report)
     tally = Counter()
-    found = _branch_and_bound(inst, pre, limit, tally, incumbent)
+    found = [incumbent, *_branch_and_bound(inst, pre, limit, tally, incumbent)]
     best_obj, best_keep, best_report = found[-1]
     return RunRecord(
         policy="group-exact",

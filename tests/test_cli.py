@@ -429,6 +429,32 @@ def test_compare_csv_quotes_ids_with_commas_quotes_and_line_breaks(tmp_path, cap
     capsys.readouterr()
 
 
+def test_compare_table_escapes_line_breaks_in_ids(tmp_path, capsys):
+    papers = [{"id": "p1", "authors": ["a1"]}, {"id": "p;2\nq", "authors": ["a1", "a2"]},
+              {"id": "a\rb", "authors": ["a1"]}, {"id": "p5", "authors": ["a2"]}]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"x": 1, "authors": ["a1", "a2"], "papers": papers}))
+    assert main(["compare", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    lines = out.splitlines()
+    assert len(lines) == 1 + 5
+    assert len({len(line) for line in lines}) == 1  # widths of the escaped cells
+    assert "p;2\\nq" in out and "a\\rb" in out
+
+
+def test_check_ideal_escapes_line_breaks_in_ids(tmp_path, capsys):
+    papers = [{"id": i, "authors": ["a"]} for i in ("p\n1", "q\r2", "p3")]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"x": 2, "authors": ["a"], "papers": papers}))
+    assert main(["check-ideal", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "IDEAL FEASIBLE"
+    listed = " ".join(lines[1:]).split()
+    assert sorted(listed) == ["keep:", "p3", "p\\n1", "q\\r2", "reject:"]
+
+
 def test_compare_output_with_a_suffix_names_both_files(cvpr_file, tmp_path, capsys):
     assert main(["compare", "--input", cvpr_file, "--policy", "conventional",
                  "--output", str(tmp_path / "cmp.json")]) == 0

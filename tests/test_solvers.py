@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from deskfair.instance import InstanceError, SolverStopped, dump_instance, valid
 from deskfair.lp import FEAS_TOL, build_group_relaxation, presolve_group, solve_lp
 from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
+from deskfair.policies import _conventional
 from deskfair.reports import audit_to_dict
 from deskfair.solvers import (
     SetCoverInstance,
@@ -490,3 +492,21 @@ def test_incumbent_trace_strictly_improves():
         assert trace[-1] == res.objective == inst.n * (1 - zeta_group(inst, res.keep))
         assert res.diagnostics.best_bound == float(res.objective)
         assert all(a < b for a, b in zip(trace, trace[1:]))
+
+
+def test_group_search_yields_each_incumbent_as_it_is_certified():
+    inst = gen_random(40, 80, 3, 0.1, 1)
+    solved = solve_group_exact(inst).diagnostics
+    seed, _ = _conventional(inst)
+    report = evaluate(inst, seed)
+    incumbent = (inst.n * (1 - report.zeta_group), seed, report)
+    assert solved.incumbent_trace[0] == incumbent[0]
+    tally = Counter()
+    search = solvers._branch_and_bound(inst, presolve_group(inst), 10**6, tally, incumbent)
+    first = next(search)
+    nodes_at_first = tally["node_count"]
+    found = [first, *search]
+    assert [e for e, _, _ in found] == list(solved.incumbent_trace[1:])
+    assert nodes_at_first < tally["node_count"] == solved.node_count
+    for exact, keep, report in found:
+        assert report == evaluate(inst, keep) and exact == inst.n * (1 - report.zeta_group)
