@@ -14,6 +14,8 @@ import functools
 import sys
 import time
 from dataclasses import replace
+from itertools import compress
+from operator import not_
 
 from . import policies, solvers
 from .generators import (
@@ -155,8 +157,8 @@ def cmd_check_ideal(args) -> int:
             _write_json(args.output, {"feasible": False})
         print("INFEASIBLE")
         return 2
-    kept = [inst.paper_ids[j] for j in witness.kept_indices()]
-    rejected = [inst.paper_ids[j] for j in witness.rejected_indices()]
+    kept = list(compress(inst.paper_ids, witness.values))
+    rejected = list(compress(inst.paper_ids, map(not_, witness.values)))
     if args.output:
         _write_json(args.output, {
             "feasible": True, "kept_papers": kept, "rejected_papers": rejected,

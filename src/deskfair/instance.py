@@ -11,8 +11,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
 
 from .jsontext import dumps_indented
 
@@ -264,19 +264,20 @@ class KeepVector:
 
     def __post_init__(self):
         values = tuple(self.values)  # a generator would be spent by the check
-        # check the raw values before int() could truncate 0.5 or 1.7
-        if not all(v in (0, 1) for v in values):
+        # check the raw values before int() could truncate 0.5 or 1.7; an
+        # equality test, unlike a set, also refuses an unhashable value
+        if not all(map((0, 1).__contains__, values)):
             raise ValueError("keep vector must contain only 0/1")
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        object.__setattr__(self, "values", tuple(map(int, values)))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def kept_indices(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.values) if v == 1)
+        return tuple(compress(range(len(self.values)), self.values))
 
     def rejected_indices(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.values) if v != 1)
+        return tuple(compress(range(len(self.values)), map(not_, self.values)))
 
 
 def author_categories(inst: Instance) -> tuple[AuthorCategory, ...]:

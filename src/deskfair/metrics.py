@@ -14,7 +14,7 @@ author: many authors share a paper count and a rejected count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from .instance import Instance, KeepVector
@@ -93,13 +93,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
 def rational_decimal(value: Fraction) -> str:
     """Informational decimal rendering: 12 significant digits, round-half-even."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(d)
+    return str(_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def rational_field(value: Fraction) -> dict:

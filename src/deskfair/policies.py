@@ -110,16 +110,21 @@ def roulette_reject(inst: Instance, seed: int = 0) -> RunRecord:
     keep = [1] * inst.m
     counts = [inst.paper_count(i) for i in range(inst.n)]
     over = [i for i, k in enumerate(counts) if k > inst.x]
+    # only an author over the cap at the start can be drawn from: their kept
+    # papers in ascending order, each rejection removed where it appears
+    kept = {i: list(inst.author_papers[i]) for i in over}
     trace = []
     while True:
         victim = _victim(counts, inst.x, over)
         if victim is None:
             break
-        candidates = [j for j in inst.author_papers[victim] if keep[j]]
+        candidates = kept[victim]
         j = candidates[rng.randrange(len(candidates))]
         keep[j] = 0
         for i in inst.paper_authors[j]:
             counts[i] -= 1
+            if i in kept:
+                kept[i].remove(j)
         trace.append(
             (inst.paper_ids[j], "reject",
              f"author {inst.author_ids[victim]} over the cap by {counts[victim] + 1 - inst.x}")

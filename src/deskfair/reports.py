@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import fields
+from itertools import compress
+from operator import not_
 
 from .instance import Instance
 from .lp import INT_TOL
@@ -38,15 +40,16 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
         "feasible_outcome": record.keep is not None,
     }
     if record.keep is not None:
-        out["keep"] = list(record.keep.values)
-        out["kept_papers"] = [inst.paper_ids[j] for j in record.keep.kept_indices()]
-        out["rejected_papers"] = [inst.paper_ids[j] for j in record.keep.rejected_indices()]
+        values = record.keep.values
+        out["keep"] = list(values)
+        out["kept_papers"] = list(compress(inst.paper_ids, values))
+        out["rejected_papers"] = list(compress(inst.paper_ids, map(not_, values)))
         out["report"] = report_to_dict(record.report)
     out["objective"] = rational_field(record.objective) if record.objective is not None else None
     out["diagnostics"] = _diagnostics_to_dict(record.diagnostics) if record.diagnostics else None
     out["runtime_ms"] = record.runtime_ms
     if record.trace is not None:
-        out["trace"] = [list(t) for t in record.trace]
+        out["trace"] = record.trace
     if record.note is not None:
         out["note"] = record.note
     return out
@@ -84,8 +87,8 @@ def comparison_table(inst: Instance, records: list[RunRecord]) -> dict:
         if rec.keep is not None:
             rep = rec.report
             row.update(
-                kept_count=str(len(rec.keep.kept_indices())),
-                rejected_papers=";".join(inst.paper_ids[j] for j in rec.keep.rejected_indices()),
+                kept_count=str(sum(rec.keep.values)),
+                rejected_papers=";".join(compress(inst.paper_ids, map(not_, rec.keep.values))),
                 zeta_ind=format_rational(rep.zeta_ind),
                 zeta_ind_decimal=rational_decimal(rep.zeta_ind),
                 zeta_group=format_rational(rep.zeta_group),

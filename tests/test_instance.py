@@ -295,8 +295,12 @@ def test_keepvector_modes():
         KeepVector([0.5])
     with pytest.raises(ValueError):
         KeepVector([2])
+    # an unhashable value is refused like any other, not with a TypeError
+    with pytest.raises(ValueError):
+        KeepVector([[1]])
     keep = KeepVector([0.0, 1.0, True, False])
     assert keep.values == (0, 1, 1, 0) and all(type(v) is int for v in keep.values)
+    assert KeepVector([1.0, True, 0]).values == (1, 1, 0)
 
 
 @given(instances())

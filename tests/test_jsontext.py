@@ -21,6 +21,9 @@ JSON_VALUES = st.recursive(
         | st.lists(INTS, max_size=5)
         | st.lists(STRINGS, max_size=5)
         | st.lists(st.one_of(INTS, STRINGS, st.booleans()), max_size=5)
+        # rows of one width, as a solve's trace: the one-layout path
+        | st.integers(1, 3).flatmap(lambda k: st.lists(
+            st.lists(STRINGS, min_size=k, max_size=k) | st.tuples(*[STRINGS] * k), max_size=4))
     ),
     max_leaves=20,
 )
@@ -46,6 +49,31 @@ SHARED_LIST = [1, "a", None]
     [SHARED_DICT, [SHARED_DICT, [SHARED_DICT]], SHARED_DICT],
 ], ids=["one dict 1000 times", "one list repeated", "dict at two depths", "dict at three depths"])
 def test_shared_objects_match_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+ROW = ("p1", "reject", "author a1 over the cap by 1")
+
+
+# A list of rows of one width holding only strings is laid out once; every
+# other list of lists goes through the general path.
+@pytest.mark.parametrize("value", [
+    [["a", "b"], ["c", "d"], ["e", "f"]],
+    [["a", "b"], ["c"], ["d", "e", "f"]],
+    [["a", 1], ["b", "c"]],
+    [["a", None], ["b", "c"]],
+    [["a", ["b"]], ["c", "d"]],
+    [["a"], [], ["b"]],
+    [[], []],
+    [["only", "row"]],
+    {"trace": [ROW]},
+    [["a", "b"], ("c", "d"), ["e", "f"]],
+    [ROW] * 5,
+    {"trace": [["100%", "%s", "%(k)s"], ['"quoted"', "two\nlines", "caf\u00e9 \U0001F600"]]},
+], ids=["equal width", "unequal width", "int cell", "None cell", "nested list cell",
+        "empty row among others", "only empty rows", "single row", "single row in a dict",
+        "lists and tuples mixed", "one row repeated", "percent, quote, newline, non-ASCII"])
+def test_rows_match_json_dumps(value):
     assert dumps_indented(value) == json.dumps(value, indent=2)
 
 

@@ -201,8 +201,16 @@ def reference_expectation(inst, keep=None, counts=None, prob=Fraction(1)):
 
 
 def test_roulette_matches_the_full_scan_victim_rule():
-    for seed in range(120):
-        inst = random_instance(seed, max_n=10, max_m=30, max_x=3)
+    # a and b, both over the cap, share p1, p2 and p5: a draw for one victim
+    # takes the paper off the other's kept list (under rng seeds 7 and
+    # 12345, the draws then switch victim)
+    shared = validate_instance({"x": 1, "authors": ["a", "b", "c"], "papers": [
+        {"id": "p1", "authors": ["a", "b"]}, {"id": "p2", "authors": ["b", "a", "c"]},
+        {"id": "p3", "authors": ["a"]}, {"id": "p4", "authors": ["b"]},
+        {"id": "p5", "authors": ["a", "b"]},
+    ]})
+    cases = [shared] + [random_instance(seed, max_n=10, max_m=30, max_x=3) for seed in range(120)]
+    for inst in cases:
         for rng_seed in (0, 1, 7, 12345):
             out = roulette_reject(inst, rng_seed)
             assert (out.keep.values, out.trace) == reference_roulette(inst, rng_seed)
