@@ -34,7 +34,7 @@ from .instance import (
     load_json,
 )
 from .jsontext import dumps_indented
-from .lp import build_group_relaxation, to_mps
+from .lp import to_mps
 from .policies import RunRecord
 from .reports import (
     audit_to_dict,
@@ -91,7 +91,7 @@ def run_policy(inst: Instance, policy: str, seed: int | None = None) -> RunRecor
 
 
 def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
     inst = _load_input(args)
     policy = _check_policy(args.policy or "group-exact")
     if args.dump_lp:  # the relaxation depends on the instance only
-        _write_text(args.dump_lp, to_mps(build_group_relaxation(inst)))
+        _write_text(args.dump_lp, to_mps(solvers.build_group_relaxation(inst)))
     record = run_policy(inst, policy, seed=args.seed)
     _write_json(args.output, run_record_to_dict(record, inst))
     if record.keep is None:

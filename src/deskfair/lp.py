@@ -1,4 +1,4 @@
-"""Bounded-variable dual simplex, the mean-cost relaxation and the presolve.
+"""Bounded-variable dual simplex over sparse, boxed LPs, and an MPS writer.
 
 The solver is deliberately self-contained and vertex-based: basic feasible
 solutions land on extreme points of the polytope, which is exactly what the
@@ -46,18 +46,17 @@ that final check recomputes them in full, so rounding in the carried d can
 reorder tied ratios but never pass a basis that is not dual feasible.
 
 Solutions are float arrays; `snap_binary`, the one integrality test, rounds
-an integral one to 0/1, which `GroupPresolve.expand` turns into a `KeepVector`.
+an integral one to a 0/1 array. The LPs of the keep-set question, the
+relaxation and its presolve, are built in `solvers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .instance import Instance, KeepVector, SolverStopped
+from .instance import SolverStopped
 
 FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
@@ -139,173 +138,6 @@ class LpSolution:
     iteration_count: int        # pivots, closed solves included
     basis: Basis | None = None  # set on every optimal solve
     bound_flips: int = 0        # long-step flips: no pivot, not in iteration_count
-
-
-def _group_coefficients(inst: Instance) -> np.ndarray:
-    """c_j: the sum of 1/|papers of i| over paper j's authors i, so c.r is
-    the total kept fraction of keep vector r. `bincount` adds each paper's
-    terms in author-list order, the order of a Python `sum` over the list."""
-    sizes = np.fromiter(map(len, inst.paper_authors), np.intp, inst.m)
-    authors = np.fromiter(chain.from_iterable(inst.paper_authors), np.intp, int(sizes.sum()))
-    inv_sizes = 1.0 / np.fromiter(map(len, inst.author_papers), float, inst.n)
-    return np.bincount(np.repeat(np.arange(inst.m), sizes), weights=inv_sizes[authors],
-                       minlength=inst.m)
-
-
-def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
-    """The LP maximizing c.r over the ascending paper indices `cols` subject
-    to `rows`, each a (papers, sign, rhs) row sign * sum_{j in papers} r_j <=
-    rhs whose papers ascend and all lie in `cols`."""
-    cols = list(cols)
-    sizes = [len(papers) for papers, _, _ in rows]
-    papers = np.fromiter(chain.from_iterable(p for p, _, _ in rows), np.intp, sum(sizes))
-    A = SparseMatrix((len(rows), len(cols)), np.repeat(np.arange(len(rows)), sizes),
-                     np.searchsorted(cols, papers), np.repeat([s for _, s, _ in rows], sizes))
-    b = np.array([rhs for _, _, rhs in rows], dtype=float)
-    return LinearProgram(c[cols], A, b, lo=np.zeros(len(cols)), hi=np.ones(len(cols)))
-
-
-def build_group_relaxation(inst: Instance) -> LinearProgram:
-    """LP relaxation of mean-cost minimization, phrased as maximizing the
-    total kept fraction: c_j sums 1/|papers of i| over paper j's authors,
-    rows cap each author's kept papers at x, and 0 <= r <= 1. A cap row's
-    right-hand side is min(x, m): no author has more than m papers, so the
-    LP is the same, and a cap too large for a float, or for the MPS dump's
-    12 digits, never reaches it."""
-    rhs = min(inst.x, inst.m)
-    rows = [(papers, 1.0, rhs) for papers in inst.author_papers]
-    return _rows_lp(_group_coefficients(inst), range(inst.m), rows)
-
-
-FREE = -1  # a paper that is a column of the reduced LP, not fixed
-
-
-@dataclass(frozen=True, eq=False)
-class GroupPresolve:
-    """The relaxation of one keep-vector question, reduced to the rows that
-    can bind.
-
-    Every question caps each author at x papers, and may also ask author i
-    to keep at least `floors[i]` papers. A cap row holds for every r in
-    [0, 1]^m when its author has at most x papers, so it is not kept. A
-    paper in no kept cap row then only raises kept counts and c.r
-    (c_j > 0), so some optimum, and some feasible point if there is one,
-    keeps it: it is fixed at r_j = 1 and dropped, and each floor is taken
-    net of the author's fixed papers. The group relaxation is the question
-    with no floors. A question with floors is then propagated
-    (`_propagate`): papers its rows force to one value are fixed too, and
-    a question whose rows no point meets is `refuted`.
-
-    The columns, the rows, the LP and the offset are built on first use, so
-    a question settled without them builds none of them.
-    """
-
-    inst: Instance
-    value: tuple[int, ...]  # per paper: 1 fixed kept, 0 fixed rejected, FREE a column
-    floors: tuple[int, ...] | None = None
-    refuted: bool = False   # no 0/1 point, and no LP point, meets the rows
-
-    @cached_property
-    def cols(self) -> tuple[int, ...]:
-        """Paper index of each reduced column, ascending."""
-        return tuple([j for j, v in enumerate(self.value) if v == FREE])
-
-    @cached_property
-    def _relaxation(self) -> tuple[LinearProgram, float]:
-        """Over the free papers, a row kept count <= x - (fixed kept) for
-        each author with more than x papers whose row can still bind, then
-        -(kept count) <= -(net floor) for each author whose floor net of the
-        fixed kept papers stays positive; and the offset."""
-        inst, value = self.inst, self.value
-        cap_rows, floor_rows = [], []
-        for i, papers in enumerate(inst.author_papers):
-            capped = len(papers) > inst.x
-            if not capped and self.floors is None:
-                continue
-            values = [value[j] for j in papers]
-            free = [j for j, v in zip(papers, values) if v == FREE]
-            if not free:
-                continue
-            kept = values.count(1)
-            if capped and inst.x - kept < len(free):
-                cap_rows.append((free, 1.0, inst.x - kept))
-            if self.floors is not None and self.floors[i] > kept:
-                floor_rows.append((free, -1.0, kept - self.floors[i]))
-        c = _group_coefficients(inst)
-        fixed_kept = np.fromiter(value, np.intp, inst.m) == 1
-        return _rows_lp(c, self.cols, cap_rows + floor_rows), float(c[fixed_kept].sum())
-
-    @property
-    def lp(self) -> LinearProgram:
-        return self._relaxation[0]
-
-    @property
-    def offset(self) -> float:
-        """c.r of the papers fixed as kept."""
-        return self._relaxation[1]
-
-    def expand(self, reduced: np.ndarray) -> KeepVector:
-        """Full-length binary keep vector: fixed papers at their value, the
-        rest from the reduced 0/1 array (see `snap_binary`)."""
-        values = np.array(self.value, dtype=int)
-        values[list(self.cols)] = reduced
-        return KeepVector(values.tolist())
-
-
-def _propagate(inst: Instance, floors, value: list[int]) -> bool:
-    """Bound propagation to a fixpoint, in place on `value`, in integers.
-
-    With k_i of author i's papers fixed as kept (at 1; a paper fixed at 0
-    counts in neither) and f_i free, the cap row leaves x - k_i for the
-    free papers and the floor row asks for floors[i] - k_i of them:
-    - a cap right-hand side below 0, or a net floor above f_i, meets no
-      point in [0, 1]^m: returns False;
-    - a net floor equal to f_i fixes the free papers at 1;
-    - a cap right-hand side of 0 fixes them at 0.
-    Each fixing is implied by the rows themselves, for every LP point as for
-    every 0/1 one. A fixed paper updates its authors' counts and queues
-    them again. Each author fixes its papers at most once, so the whole
-    propagation is O(slots)."""
-    x = inst.x
-    kept = [0] * inst.n
-    free = [0] * inst.n
-    for i, papers in enumerate(inst.author_papers):
-        for j in papers:
-            if value[j] == FREE:
-                free[i] += 1
-            elif value[j] == 1:
-                kept[i] += 1
-    queue = list(range(inst.n))
-    while queue:
-        i = queue.pop()
-        net = floors[i] - kept[i]
-        if kept[i] > x or net > free[i]:
-            return False
-        if free[i] and (kept[i] == x or net == free[i]):
-            v = 0 if kept[i] == x else 1
-            for j in inst.author_papers[i]:
-                if value[j] == FREE:
-                    value[j] = v
-                    for a in inst.paper_authors[j]:
-                        free[a] -= 1
-                        kept[a] += v
-                        queue.append(a)
-    return True
-
-
-def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPresolve:
-    """Reduced relaxation (see `GroupPresolve`), built straight from the
-    paper lists without the full n x m matrix: the papers of the authors
-    with more than x papers are the free columns, and every other paper is
-    fixed as kept. With floors, `_propagate` then fixes more papers, or
-    refutes the question, in O(slots)."""
-    value = [1] * inst.m
-    for papers in inst.author_papers:
-        if len(papers) > inst.x:
-            for j in papers:
-                value[j] = FREE
-    refuted = floors is not None and not _propagate(inst, floors, value)
-    return GroupPresolve(inst, tuple(value), None if floors is None else tuple(floors), refuted)
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None,

@@ -1,9 +1,16 @@
 """Exact optimization of the fairness metrics and set-cover reduction tools.
 
-Every exact question runs one depth-first LP branch and bound
-(`_branch_and_bound`) over a presolved LP (`lp.presolve_group`), with float
-LP bounds and keep vectors certified exactly, so no float value is ever
-reported as an optimum. Mean-cost optimization maximizes over it from the
+Every exact question is one keep-vector question: a cap of x kept papers
+per author and, for individual fairness, a floor per author. Its LP
+relaxation maximizes the total kept fraction over 0 <= r <= 1
+(`build_group_relaxation`, the full relaxation that `--dump-lp` writes).
+`presolve_group` reduces it to the rows that can bind (`GroupPresolve`)
+and, with floors, propagates the bounds in integers (`_propagate`).
+
+Every question runs one depth-first branch and bound (`_branch_and_bound`)
+over its presolved LP, solved by `lp.solve_lp`, with float LP bounds and
+keep vectors certified exactly, so no float value is ever reported as an
+optimum. Mean-cost optimization maximizes over it from the
 conventional keep set. Worst-case-cost optimization walks the finite set of
 achievable cost levels up from an exact lower bound and asks a feasibility
 question per level; collateral-free keep sets and set cover are one
@@ -20,6 +27,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -28,8 +37,8 @@ from .instance import Instance, InstanceError, KeepVector, SolverStopped, requir
 from .lp import (
     FEAS_TOL,
     INT_TOL,
-    GroupPresolve,
-    presolve_group,
+    LinearProgram,
+    SparseMatrix,
     snap_binary,
     solve_lp,
 )
@@ -50,6 +59,174 @@ def _node_limit() -> int:
     if limit < 1:
         raise InstanceError(f"DESKFAIR_NODE_LIMIT must be at least 1, got {raw!r}")
     return limit
+
+
+def _group_coefficients(inst: Instance) -> np.ndarray:
+    """c_j: the sum of 1/|papers of i| over paper j's authors i, so c.r is
+    the total kept fraction of keep vector r. `bincount` adds each paper's
+    terms in author-list order, the order of a Python `sum` over the list."""
+    sizes = np.fromiter(map(len, inst.paper_authors), np.intp, inst.m)
+    authors = np.fromiter(chain.from_iterable(inst.paper_authors), np.intp, int(sizes.sum()))
+    inv_sizes = 1.0 / np.fromiter(map(len, inst.author_papers), float, inst.n)
+    return np.bincount(np.repeat(np.arange(inst.m), sizes), weights=inv_sizes[authors],
+                       minlength=inst.m)
+
+
+def _rows_lp(c: np.ndarray, cols, rows) -> LinearProgram:
+    """The LP maximizing c.r over the ascending paper indices `cols` subject
+    to `rows`, each a (papers, sign, rhs) row sign * sum_{j in papers} r_j <=
+    rhs whose papers ascend and all lie in `cols`."""
+    cols = list(cols)
+    sizes = [len(papers) for papers, _, _ in rows]
+    papers = np.fromiter(chain.from_iterable(p for p, _, _ in rows), np.intp, sum(sizes))
+    A = SparseMatrix((len(rows), len(cols)), np.repeat(np.arange(len(rows)), sizes),
+                     np.searchsorted(cols, papers), np.repeat([s for _, s, _ in rows], sizes))
+    b = np.array([rhs for _, _, rhs in rows], dtype=float)
+    return LinearProgram(c[cols], A, b, lo=np.zeros(len(cols)), hi=np.ones(len(cols)))
+
+
+def build_group_relaxation(inst: Instance) -> LinearProgram:
+    """LP relaxation of mean-cost minimization, phrased as maximizing the
+    total kept fraction: c_j sums 1/|papers of i| over paper j's authors,
+    rows cap each author's kept papers at x, and 0 <= r <= 1. A cap row's
+    right-hand side is min(x, m): no author has more than m papers, so the
+    LP is the same, and a cap too large for a float, or for the MPS dump's
+    12 digits, never reaches it."""
+    rhs = min(inst.x, inst.m)
+    rows = [(papers, 1.0, rhs) for papers in inst.author_papers]
+    return _rows_lp(_group_coefficients(inst), range(inst.m), rows)
+
+
+FREE = -1  # a paper that is a column of the reduced LP, not fixed
+
+
+@dataclass(frozen=True, eq=False)
+class GroupPresolve:
+    """The relaxation of one keep-vector question, reduced to the rows that
+    can bind.
+
+    Every question caps each author at x papers, and may also ask author i
+    to keep at least `floors[i]` papers. A cap row holds for every r in
+    [0, 1]^m when its author has at most x papers, so it is not kept. A
+    paper in no kept cap row then only raises kept counts and c.r
+    (c_j > 0), so some optimum, and some feasible point if there is one,
+    keeps it: it is fixed at r_j = 1 and dropped, and each floor is taken
+    net of the author's fixed papers. The group relaxation is the question
+    with no floors. A question with floors is then propagated
+    (`_propagate`): papers its rows force to one value are fixed too, and
+    a question whose rows no point meets is `refuted`.
+
+    The columns, the rows, the LP and the offset are built on first use, so
+    a question settled without them builds none of them.
+    """
+
+    inst: Instance
+    value: tuple[int, ...]  # per paper: 1 fixed kept, 0 fixed rejected, FREE a column
+    floors: tuple[int, ...] | None = None
+    refuted: bool = False   # no 0/1 point, and no LP point, meets the rows
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Paper index of each reduced column, ascending."""
+        return tuple([j for j, v in enumerate(self.value) if v == FREE])
+
+    @cached_property
+    def _relaxation(self) -> tuple[LinearProgram, float]:
+        """Over the free papers, a row kept count <= x - (fixed kept) for
+        each author with more than x papers whose row can still bind, then
+        -(kept count) <= -(net floor) for each author whose floor net of the
+        fixed kept papers stays positive; and the offset."""
+        inst, value = self.inst, self.value
+        cap_rows, floor_rows = [], []
+        for i, papers in enumerate(inst.author_papers):
+            capped = len(papers) > inst.x
+            if not capped and self.floors is None:
+                continue
+            values = [value[j] for j in papers]
+            free = [j for j, v in zip(papers, values) if v == FREE]
+            if not free:
+                continue
+            kept = values.count(1)
+            if capped and inst.x - kept < len(free):
+                cap_rows.append((free, 1.0, inst.x - kept))
+            if self.floors is not None and self.floors[i] > kept:
+                floor_rows.append((free, -1.0, kept - self.floors[i]))
+        c = _group_coefficients(inst)
+        fixed_kept = np.fromiter(value, np.intp, inst.m) == 1
+        return _rows_lp(c, self.cols, cap_rows + floor_rows), float(c[fixed_kept].sum())
+
+    @property
+    def lp(self) -> LinearProgram:
+        return self._relaxation[0]
+
+    @property
+    def offset(self) -> float:
+        """c.r of the papers fixed as kept."""
+        return self._relaxation[1]
+
+    def expand(self, reduced: np.ndarray) -> KeepVector:
+        """Full-length binary keep vector: fixed papers at their value, the
+        rest from the reduced 0/1 array (see `snap_binary`)."""
+        values = np.array(self.value, dtype=int)
+        values[list(self.cols)] = reduced
+        return KeepVector(values.tolist())
+
+
+def _propagate(inst: Instance, floors, value: list[int]) -> bool:
+    """Bound propagation to a fixpoint, in place on `value`, in integers.
+
+    With k_i of author i's papers fixed as kept (at 1; a paper fixed at 0
+    counts in neither) and f_i free, the cap row leaves x - k_i for the
+    free papers and the floor row asks for floors[i] - k_i of them:
+    - a cap right-hand side below 0, or a net floor above f_i, meets no
+      point in [0, 1]^m: returns False;
+    - a net floor equal to f_i fixes the free papers at 1;
+    - a cap right-hand side of 0 fixes them at 0.
+    Each fixing is implied by the rows themselves, for every LP point as for
+    every 0/1 one. A fixed paper updates its authors' counts and queues
+    them again. Each author fixes its papers at most once, so the whole
+    propagation is O(slots)."""
+    x = inst.x
+    kept = [0] * inst.n
+    free = [0] * inst.n
+    for i, papers in enumerate(inst.author_papers):
+        for j in papers:
+            if value[j] == FREE:
+                free[i] += 1
+            elif value[j] == 1:
+                kept[i] += 1
+    queue = list(range(inst.n))
+    while queue:
+        i = queue.pop()
+        net = floors[i] - kept[i]
+        if kept[i] > x or net > free[i]:
+            return False
+        if free[i] and (kept[i] == x or net == free[i]):
+            v = 0 if kept[i] == x else 1
+            for j in inst.author_papers[i]:
+                if value[j] == FREE:
+                    value[j] = v
+                    for a in inst.paper_authors[j]:
+                        free[a] -= 1
+                        kept[a] += v
+                        queue.append(a)
+    return True
+
+
+def presolve_group(inst: Instance, floors: list[int] | None = None) -> GroupPresolve:
+    """Reduced relaxation (see `GroupPresolve`), built straight from the
+    paper lists without the full n x m matrix: the papers of the authors
+    with more than x papers are the free columns, and every other paper is
+    fixed as kept. With floors, `_propagate` then fixes more papers, or
+    refutes the question, in O(slots)."""
+    value = [1] * inst.m
+    for papers in inst.author_papers:
+        if len(papers) > inst.x:
+            for j in papers:
+                value[j] = FREE
+    refuted = floors is not None and not _propagate(inst, floors, value)
+    return GroupPresolve(inst, tuple(value), None if floors is None else tuple(floors), refuted)
+
 
 
 def _admits(floors, report: metrics.FairnessReport) -> bool:
@@ -119,11 +296,11 @@ def _decide(inst: Instance, floors: list[int], limit: int, tally: Counter):
         report = metrics.evaluate(inst, keep)
         if _admits(floors, report):
             return keep, report
-    found = next(_branch_and_bound(inst, pre, limit, tally), None)
+    found = next(_branch_and_bound(pre, limit, tally), None)
     return found[1:] if found else None
 
 
-def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Counter,
+def _branch_and_bound(pre: GroupPresolve, limit: int, tally: Counter,
                       incumbent: tuple[Fraction, KeepVector, metrics.FairnessReport] | None = None):
     """Depth-first LP branch and bound over the presolved LP; the one search
     loop of this module. A generator: it yields each certified vertex that
@@ -159,7 +336,7 @@ def _branch_and_bound(inst: Instance, pre: GroupPresolve, limit: int, tally: Cou
     searched; a question with no floors also writes its root LP's bound and
     whether that LP was integral.
     """
-    lp0 = pre.lp
+    inst, lp0 = pre.inst, pre.lp
     tally["lp_rows"], tally["lp_cols"] = lp0.A.shape
     best = incumbent or (float("-inf"), None, None)  # nothing to beat
     cut = float(best[0])  # a node must beat it
@@ -213,7 +390,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     """Binary keep vector maximizing the total kept fraction subject to the cap.
 
     Equivalently minimizes the mean cost. The relaxation is first presolved
-    (`lp.presolve_group`) to the over-cap authors' rows and papers; the fixed
+    (`presolve_group`) to the over-cap authors' rows and papers; the fixed
     papers' objective is added to every float bound. LP-first: an integral
     relaxation optimum is expanded to a full keep vector, re-certified in
     exact rationals on the full instance and returned; otherwise branch and
@@ -226,7 +403,7 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     report = metrics.evaluate(inst, seed)
     incumbent = (inst.n * (1 - report.zeta_group), seed, report)
     tally = Counter()
-    found = [incumbent, *_branch_and_bound(inst, pre, limit, tally, incumbent)]
+    found = [incumbent, *_branch_and_bound(pre, limit, tally, incumbent)]
     best_obj, best_keep, best_report = found[-1]
     return RunRecord(
         policy="group-exact",

@@ -117,10 +117,10 @@ def lp_calls(monkeypatch):
 def pre_lp_off():
     """Send every feasibility question straight to branch and bound over the
     unpropagated LP: no bound propagation and no greedy witness."""
-    from deskfair import lp, solvers
+    from deskfair import solvers
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_propagate", lambda inst, floors, value: True)
+        mp.setattr(solvers, "_propagate", lambda inst, floors, value: True)
         mp.setattr(solvers, "_greedy_witness", lambda inst, floors: None)
         yield
 

@@ -245,6 +245,7 @@ def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, polic
 @pytest.mark.parametrize("text, message", [
     # valid shapes, but no author: every cost and the mean are 0/0
     ('{"x": 1, "authors": [], "papers": []}', "no authors and no papers"),
+    ('{"authors": [], "papers": []}', "missing required field 'x'"),
     # nested past the JSON parser's recursion limit
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
     # an integer literal past Python's digit limit for int parsing
@@ -256,7 +257,7 @@ def test_malformed_instances_exit_one_with_one_line(tmp_path_factory, raw, polic
      "paper id '\\ud800' is not encodable as UTF-8"),
     (r'{"x": 1, "authors": ["\udc00"], "papers": [{"id": "p", "authors": ["\udc00"]}]}',
      "author id '\\udc00' is not encodable as UTF-8"),
-], ids=["empty", "deep", "long int", "surrogate paper id", "surrogate author id"])
+], ids=["empty", "no cap", "deep", "long int", "surrogate paper id", "surrogate author id"])
 def test_malformed_instance_cases(tmp_path, text, message):
     path = tmp_path / "malformed.json"
     path.write_text(text)
@@ -688,7 +689,7 @@ def test_reduce_setcover_malformed_input_exits_one(tmp_path, text, message):
 
 
 def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
-    builds = spy_on(monkeypatch, lp.build_group_relaxation)
+    builds = spy_on(monkeypatch, solvers.build_group_relaxation)
     mps = tmp_path / "relax.mps"
     out = tmp_path / "out.json"
     assert main(["solve", "--input", cvpr_file, "--policy", "group-lp",
@@ -699,6 +700,17 @@ def test_dump_lp(cvpr_file, tmp_path, monkeypatch):
     assert " L  R2" in text  # the full LP: the under-cap author keeps its row
     doc = read_json(out)
     assert doc["note"].startswith("relaxation optimum integral")
+
+
+def test_a_dash_names_a_file_like_any_other_path(triangle_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--input", triangle_file, "--output", "-"]) == 0
+    assert capsys.readouterr().out == ""
+    text = (tmp_path / "-").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert main(["solve", "--input", triangle_file, "--dump-lp", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["policy"] == "group-exact"  # the solve JSON alone
+    assert (tmp_path / "-").read_text() == lp.to_mps(solvers.build_group_relaxation(gen_triangle()))
 
 
 def test_dump_lp_for_any_policy(cvpr_file, tmp_path):
@@ -813,3 +825,22 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["cli", "generators", "instance", "jsontext", "lp", "metrics",
+                                    "oracle", "policies", "reports", "solvers"])
+def test_every_module_imports_on_its_own(module):
+    # the package namespace imports nothing, so an import cycle shows only
+    # when a module of the cycle is the first one imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import json, sys, deskfair.{module}; "
+         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('deskfair.')), "
+         "'numpy' in sys.modules]))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    loaded, numpy = json.loads(done.stdout)
+    if module == "lp":
+        assert set(loaded) <= {"deskfair.lp", "deskfair.instance", "deskfair.jsontext"}
+    if module == "instance":
+        assert not numpy

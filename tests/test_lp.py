@@ -14,14 +14,13 @@ from deskfair.lp import (
     Basis,
     LinearProgram,
     SparseMatrix,
-    build_group_relaxation,
-    presolve_group,
     snap_binary,
     solve_lp,
     to_mps,
 )
 from deskfair.metrics import zeta_group
 from deskfair.oracle import enumerate_optimal
+from deskfair.solvers import build_group_relaxation, presolve_group
 
 from conftest import dense, instances, pre_lp_off, random_instance
 
@@ -367,6 +366,9 @@ def test_bound_sanity():
     with pytest.raises(ValueError):  # lo and hi must match A's two columns
         LinearProgram(c=np.ones(2), A=ones_row(2), b=np.ones(1),
                       lo=np.zeros(3), hi=np.ones(3))
+    for c, b in [(np.ones(3), np.ones(1)), (np.ones(2), np.ones(2))]:  # c: A's 2 columns, b: its 1 row
+        with pytest.raises(ValueError, match="c and b must have shapes"):
+            LinearProgram(c=c, A=ones_row(2), b=b, lo=np.zeros(2), hi=np.ones(2))
     for row, col, value in [
         ([0], [1], [1.0]),             # column 1 of a 1 x 1 matrix
         ([0, 0], [0, 0], [1.0, 1.0]),  # one cell twice

@@ -11,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deskfair import lp, solvers
+from deskfair import solvers
 from deskfair.cli import main
 from deskfair.instance import KeepVector, dump_instance, validate_instance
-from deskfair.lp import FREE, presolve_group
 from deskfair.metrics import evaluate
 from deskfair.oracle import enumerate_optimal
-from deskfair.solvers import decide_cover, solve_ideal_feasibility, solve_individual_exact
+from deskfair.solvers import (
+    FREE,
+    decide_cover,
+    presolve_group,
+    solve_ideal_feasibility,
+    solve_individual_exact,
+)
 
 from conftest import instances, spy_on
 
@@ -124,7 +129,7 @@ def test_propagation_from_fixed_zeros_matches_brute_force(inst, data):
         if v != FREE:
             agree &= brute.bits[j] == v
     propagated = list(value)
-    if not lp._propagate(inst, floors, propagated):
+    if not solvers._propagate(inst, floors, propagated):
         assert not agree.any()
         return
     for j, v in enumerate(propagated):
@@ -135,7 +140,7 @@ def test_propagation_from_fixed_zeros_matches_brute_force(inst, data):
 
 def test_thousand_paper_author_settles_without_lp(lp_calls, monkeypatch):
     # the greedy witness certifies t_lb = 1075/1100 = 43/44 and the ideal
-    builds = spy_on(monkeypatch, lp._rows_lp)
+    builds = spy_on(monkeypatch, solvers._rows_lp)
     inst = validate_instance({"x": 25, "authors": ["a1"],
                               "papers": [{"id": f"p{j}", "authors": ["a1"]} for j in range(1100)]})
     res = solve_individual_exact(inst)
@@ -155,7 +160,7 @@ SHARED_PAIR = validate_instance({"x": 1, "authors": ["a1", "a2", "a3"], "papers"
 
 
 def test_propagation_refutes_ideal_without_lp(lp_calls, monkeypatch, tmp_path):
-    builds = spy_on(monkeypatch, lp._rows_lp)
+    builds = spy_on(monkeypatch, solvers._rows_lp)
     floors = [1, 1, 1]
     pre = presolve_group(SHARED_PAIR, floors)
     assert pre.refuted

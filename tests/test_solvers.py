@@ -16,14 +16,16 @@ from deskfair import metrics, solvers
 from deskfair.cli import main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import InstanceError, SolverStopped, dump_instance, validate_instance
-from deskfair.lp import FEAS_TOL, build_group_relaxation, presolve_group, solve_lp
+from deskfair.lp import FEAS_TOL, solve_lp
 from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal
 from deskfair.policies import _conventional
 from deskfair.reports import audit_to_dict
 from deskfair.solvers import (
     SetCoverInstance,
+    build_group_relaxation,
     decide_set_cover,
+    presolve_group,
     reduce_set_cover,
     solve_group_exact,
     solve_ideal_feasibility,
@@ -502,7 +504,7 @@ def test_group_search_yields_each_incumbent_as_it_is_certified():
     incumbent = (inst.n * (1 - report.zeta_group), seed, report)
     assert solved.incumbent_trace[0] == incumbent[0]
     tally = Counter()
-    search = solvers._branch_and_bound(inst, presolve_group(inst), 10**6, tally, incumbent)
+    search = solvers._branch_and_bound(presolve_group(inst), 10**6, tally, incumbent)
     first = next(search)
     nodes_at_first = tally["node_count"]
     found = [first, *search]
