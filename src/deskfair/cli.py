@@ -14,8 +14,6 @@ import functools
 import sys
 import time
 from dataclasses import replace
-from itertools import compress
-from operator import not_
 
 from . import policies, solvers
 from .generators import (
@@ -43,6 +41,7 @@ from .reports import (
     comparison_to_text,
     printable,
     run_record_to_dict,
+    split_papers,
 )
 
 
@@ -157,8 +156,7 @@ def cmd_check_ideal(args) -> int:
             _write_json(args.output, {"feasible": False})
         print("INFEASIBLE")
         return 2
-    kept = list(compress(inst.paper_ids, witness.values))
-    rejected = list(compress(inst.paper_ids, map(not_, witness.values)))
+    kept, rejected = split_papers(inst, witness)
     if args.output:
         _write_json(args.output, {
             "feasible": True, "kept_papers": kept, "rejected_papers": rejected,
@@ -170,8 +168,6 @@ def cmd_check_ideal(args) -> int:
 
 
 def cmd_audit_integrality(args) -> int:
-    if args.count is not None and args.count < 1:
-        raise InstanceError(f"--count must be at least 1, got {args.count}")
     if args.input:
         _reject_unread(args, "--input", ())
         _write_json(args.output, audit_to_dict(solvers.solve_group_exact(_load_input(args))))
@@ -179,7 +175,7 @@ def cmd_audit_integrality(args) -> int:
     if not args.family:
         raise InstanceError("audit-integrality needs --input or --family")
     details = []
-    for label, inst in _sweep_instances(args, args.count or 1):
+    for label, inst in _sweep_instances(args, 1 if args.count is None else args.count):
         entry = audit_to_dict(solvers.solve_group_exact(inst))
         entry["instance"] = label
         details.append(entry)
@@ -209,21 +205,26 @@ def _reject_unread(args, source: str, reads) -> None:
 
 def _sweep_instances(args, count: int):
     """`count` instances of the `--family` family, each labelled with its cap
-    (`--limit`, if given); only the random family has more than one."""
+    (`--limit`, if given); only the random family has more than one, and it
+    builds each as the caller reads it. The flags given and `count` are
+    checked before this returns, the random family's values by `gen_random`
+    as it builds the first instance."""
     family = args.family
     if family not in _FAMILY_READS:
         raise InstanceError(f"unknown family {family!r}")
     _reject_unread(args, f"--family {family}", ("family", *_FAMILY_READS[family]))
     if family == "random":
+        if count < 1:
+            raise InstanceError(f"--count must be at least 1, got {count}")
         missing = [f for f in ("n", "m", "density", "limit") if getattr(args, f) is None]
         if missing:
             raise InstanceError(f"--family random needs --{', --'.join(missing)}")
         base = args.seed if args.seed is not None else 0
-        return [
+        return (
             (f"random(n={args.n},m={args.m},x={args.limit},density={args.density},seed={base + i})",
              gen_random(args.n, args.m, args.limit, args.density, base + i))
             for i in range(count)
-        ]
+        )
     params = ""
     if family == "triangle":
         name, inst = "triangle", gen_triangle()

@@ -14,7 +14,7 @@ from dataclasses import fields
 from itertools import compress
 from operator import not_
 
-from .instance import Instance
+from .instance import Instance, KeepVector
 from .lp import INT_TOL
 from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
 from .policies import RunRecord, SolverDiagnostics
@@ -32,6 +32,13 @@ def _diagnostics_to_dict(diag: SolverDiagnostics) -> dict:
     return out
 
 
+def split_papers(inst: Instance, keep: KeepVector) -> tuple[list[str], list[str]]:
+    """The ids of the papers `keep` keeps and of those it rejects, each in
+    paper order."""
+    values = keep.values
+    return list(compress(inst.paper_ids, values)), list(compress(inst.paper_ids, map(not_, values)))
+
+
 def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
     out = {
         "policy": record.policy,
@@ -40,10 +47,8 @@ def run_record_to_dict(record: RunRecord, inst: Instance) -> dict:
         "feasible_outcome": record.keep is not None,
     }
     if record.keep is not None:
-        values = record.keep.values
-        out["keep"] = list(values)
-        out["kept_papers"] = list(compress(inst.paper_ids, values))
-        out["rejected_papers"] = list(compress(inst.paper_ids, map(not_, values)))
+        out["keep"] = list(record.keep.values)
+        out["kept_papers"], out["rejected_papers"] = split_papers(inst, record.keep)
         out["report"] = report_to_dict(record.report)
     out["objective"] = rational_field(record.objective) if record.objective is not None else None
     out["diagnostics"] = _diagnostics_to_dict(record.diagnostics) if record.diagnostics else None
@@ -88,7 +93,7 @@ def comparison_table(inst: Instance, records: list[RunRecord]) -> dict:
             rep = rec.report
             row.update(
                 kept_count=str(sum(rec.keep.values)),
-                rejected_papers=";".join(compress(inst.paper_ids, map(not_, rec.keep.values))),
+                rejected_papers=";".join(split_papers(inst, rec.keep)[1]),
                 zeta_ind=format_rational(rep.zeta_ind),
                 zeta_ind_decimal=rational_decimal(rep.zeta_ind),
                 zeta_group=format_rational(rep.zeta_group),

@@ -432,15 +432,17 @@ def solve_individual_exact(inst: Instance) -> RunRecord:
     """
     limit = _node_limit()
     sizes = [inst.paper_count(i) for i in range(inst.n)]
+    distinct = set(sizes)  # a level's floor depends on the paper count alone
     tally = Counter()
-    t = max((Fraction(s - inst.x, s) for s in sizes if s > inst.x), default=Fraction(0))
+    t = max((Fraction(s - inst.x, s) for s in distinct if s > inst.x), default=Fraction(0))
     while True:
-        floors = [s - (s * t.numerator) // t.denominator for s in sizes]
-        found = _decide(inst, floors, limit, tally)
+        num, den = t.numerator, t.denominator
+        floor_of = {s: s - (s * num) // den for s in distinct}
+        found = _decide(inst, list(map(floor_of.__getitem__, sizes)), limit, tally)
         if found:  # at the latest at t = 1, which sets no floor
             break
         # the next level: the smallest k/s above t
-        t = min(Fraction((s * t.numerator) // t.denominator + 1, s) for s in set(sizes))
+        t = min(Fraction((s * num) // den + 1, s) for s in distinct)
     return RunRecord("individual-exact", *found, objective=t, diagnostics=SolverDiagnostics(**tally))
 
 

@@ -133,12 +133,15 @@ def test_input_errors_exit_one(tmp_path, capsys):
     (["gen"], "gen needs --family"),
     (["gen", "--family", "random", "--n", "3"], "--family random needs --m, --density, --limit"),
     (["gen", "--family", "case-study"], "--family case-study needs --case"),
+    (["audit-integrality", "--family", "random", "--count", "3", "--n", "4", "--m", "6",
+      "--density", "1.5", "--limit", "2"], "density must be in (0, 1], got 1.5"),
     (["solve", "--input", "{cvpr}", "--limit", "0"], "submission cap must be >= 1, got 0"),
     (["reduce-setcover", "--input", "{no_universe}"], "missing required field 'universe_size'"),
     (["reduce-setcover", "--input", "{no_budget}"],
      "budget missing: supply --budget or a 'budget' field"),
 ], ids=["solve-no-input", "compare-no-input", "check-ideal-no-input", "reduce-setcover-no-input",
         "audit-no-source", "gen-no-family", "random-missing-flags", "case-study-no-case",
+        "audit-random-bad-density",
         "limit-zero", "setcover-no-universe", "setcover-no-budget"])
 def test_missing_or_bad_arguments_exit_one_with_one_line(argv, message, cvpr_file, tmp_path,
                                                          capsys):
@@ -379,9 +382,12 @@ def test_unread_flags_are_rejected(argv, flag, cvpr_file, tmp_path, capsys):
      "--m, --count"),
     (["audit-integrality", "--input", "{cvpr}", "--family", "triangle"], "--family"),
     (["audit-integrality", "--input", "{cvpr}", "--count", "2"], "--count"),
+    (["audit-integrality", "--input", "{cvpr}", "--count", "0"], "--count"),
+    (["audit-integrality", "--family", "triangle", "--count", "0"], "--count"),
     (["audit-integrality", "--input", "{cvpr}", "--n", "4"], "--n"),
 ], ids=["gen-triangle", "gen-case-study", "gen-random", "audit-leave-one-out",
-        "audit-input-family", "audit-input-count", "audit-input-n"])
+        "audit-input-family", "audit-input-count", "audit-input-count-0",
+        "audit-triangle-count-0", "audit-input-n"])
 def test_family_flags_the_family_does_not_read_are_rejected(argv, flags, cvpr_file, tmp_path,
                                                              capsys):
     out = tmp_path / "out.json"
@@ -579,6 +585,20 @@ def test_audit_sweep(tmp_path):
     assert doc["instances"] == 6
     assert 0.0 <= doc["counterexample_rate"] <= 1.0
     assert len(doc["details"]) == 6
+
+
+# the two sweeps whose counts docs/numerics.md records and CI checks
+@pytest.mark.parametrize("flags, counterexamples", [
+    ("--n 25 --m 50 --density 0.1 --limit 3", 88),
+    ("--n 6 --m 12 --density 0.5 --limit 2", 16),
+], ids=["n25", "n6"])
+def test_audit_sweep_counts_the_recorded_counterexamples(flags, counterexamples, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["audit-integrality", "--family", "random", "--count", "200", *flags.split(),
+                 "--output", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["instances"] == len(doc["details"]) == 200
+    assert doc["counterexamples"] == counterexamples
 
 
 def test_gen_deterministic_bytes(tmp_path):

@@ -160,6 +160,19 @@ def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve, n
     assert zeta_ind(cvpr26, keep) == Fraction(1, 26)
 
 
+def test_an_uncertifiable_vertex_with_no_free_column_closes(monkeypatch, triangle):
+    # every solved node comes back as all kept, which breaks the cap: the
+    # search splits until no column is free, and each such leaf closes
+    monkeypatch.setattr(solvers, "snap_binary",
+                        lambda sol: None if sol.r is None else np.ones_like(sol.r))
+    record = solve_group_exact(triangle)
+    assert record.keep == _conventional(triangle)[0]
+    assert record.objective == 1 and record.diagnostics.incumbent_trace == (1,)
+    assert record.diagnostics.node_count == 13
+    with pre_lp_off():
+        assert solve_ideal_feasibility(triangle).keep is None
+
+
 @pytest.mark.parametrize("policy", ["group-exact", "individual-exact", "ideal"])
 @pytest.mark.parametrize("name", ["cvpr26", "appc2", "triangle"])
 def test_a_solve_counts_each_keep_vector_once(policy, name, monkeypatch):
