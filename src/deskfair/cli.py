@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import policies, solvers
+from . import policies
 from .generators import (
     case_study_names,
     gen_case_study,
@@ -32,7 +32,6 @@ from .instance import (
     load_json,
 )
 from .jsontext import dumps_indented
-from .lp import to_mps
 from .policies import RunRecord
 from .reports import (
     audit_to_dict,
@@ -53,8 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _solvers():
+    """The `solvers` module, imported on first use: it loads numpy, which
+    the baseline policies, `gen` and a malformed instance do without."""
+    from . import solvers
+
+    return solvers
+
+
 def _group_lp(inst: Instance, seed: int | None) -> RunRecord:
-    record = solvers.solve_group_exact(inst)
+    record = _solvers().solve_group_exact(inst)
     note = ("relaxation optimum integral; certified exactly" if record.diagnostics.lp_integral
             else "relaxation optimum fractional; fell back to exact search")
     return replace(record, policy="group-lp", note=note)
@@ -66,9 +73,9 @@ _RUNNERS = {
     "conventional": lambda inst, seed: policies.conventional_desk_reject(inst),
     "roulette": lambda inst, seed: policies.roulette_reject(inst, 0 if seed is None else seed),
     "group-lp": _group_lp,
-    "group-exact": lambda inst, seed: solvers.solve_group_exact(inst),
-    "individual-exact": lambda inst, seed: solvers.solve_individual_exact(inst),
-    "ideal": lambda inst, seed: solvers.solve_ideal_feasibility(inst),
+    "group-exact": lambda inst, seed: _solvers().solve_group_exact(inst),
+    "individual-exact": lambda inst, seed: _solvers().solve_individual_exact(inst),
+    "ideal": lambda inst, seed: _solvers().solve_ideal_feasibility(inst),
 }
 POLICIES = tuple(_RUNNERS)
 
@@ -118,7 +125,9 @@ def cmd_solve(args) -> int:
     inst = _load_input(args)
     policy = _check_policy(args.policy or "group-exact")
     if args.dump_lp:  # the relaxation depends on the instance only
-        _write_text(args.dump_lp, to_mps(solvers.build_group_relaxation(inst)))
+        from .lp import to_mps
+
+        _write_text(args.dump_lp, to_mps(_solvers().build_group_relaxation(inst)))
     record = run_policy(inst, policy, seed=args.seed)
     _write_json(args.output, run_record_to_dict(record, inst))
     if record.keep is None:
@@ -170,13 +179,13 @@ def cmd_check_ideal(args) -> int:
 def cmd_audit_integrality(args) -> int:
     if args.input:
         _reject_unread(args, "--input", ())
-        _write_json(args.output, audit_to_dict(solvers.solve_group_exact(_load_input(args))))
+        _write_json(args.output, audit_to_dict(_solvers().solve_group_exact(_load_input(args))))
         return 0
     if not args.family:
         raise InstanceError("audit-integrality needs --input or --family")
     details = []
     for label, inst in _sweep_instances(args, 1 if args.count is None else args.count):
-        entry = audit_to_dict(solvers.solve_group_exact(inst))
+        entry = audit_to_dict(_solvers().solve_group_exact(inst))
         entry["instance"] = label
         details.append(entry)
     counterexamples = sum(entry["counterexample"] for entry in details)
@@ -252,6 +261,7 @@ def cmd_gen(args) -> int:
 def cmd_reduce_setcover(args) -> int:
     if not args.input:
         raise InstanceError("--input is required")
+    solvers = _solvers()
     sc = solvers.set_cover_from_json(load_json(args.input), budget=args.budget)
     inst = solvers.reduce_set_cover(sc)
     payload = {"instance": instance_to_dict(inst), "budget": sc.budget}

@@ -15,7 +15,6 @@ from itertools import compress
 from operator import not_
 
 from .instance import Instance, KeepVector
-from .lp import INT_TOL
 from .metrics import format_rational, rational_decimal, rational_field, report_to_dict
 from .policies import RunRecord, SolverDiagnostics
 
@@ -64,6 +63,8 @@ def audit_to_dict(record: RunRecord) -> dict:
     """The relaxation-integrality audit entry of a `group-exact` record: its
     root LP optimum against its exact optimum. A gap above INT_TOL marks a
     counterexample, an instance whose relaxation is not exact."""
+    from .lp import INT_TOL  # at module level it would load numpy with `reports`
+
     diag = record.diagnostics
     gap = diag.lp_objective - float(record.objective)
     return {

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -834,24 +835,44 @@ def test_parser_is_built_once_and_keeps_no_state(cvpr_file, capsys):
     assert err.endswith("deskfair: error: unrecognized arguments: --bogus\n")
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(triangle_file, tmp_path):
     # import scipy.optimize raises peak RSS from 29 MB to 77 MB, so no scipy
     # module may reach the runtime path; this process has scipy loaded by
-    # the LP cross-checks, so a fresh interpreter looks
+    # the LP cross-checks, so a fresh interpreter looks. numpy loads with
+    # the first exact solve: the baseline policies, gen and a malformed
+    # instance run without it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, deskfair.cli; "
-         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    bad = tmp_path / "malformed.json"
+    bad.write_text('{"x": 1,')
+    out = str(tmp_path / "out.json")
+    script = textwrap.dedent("""\
+        import json, sys
+        from deskfair.cli import main
+        triangle, bad, out = sys.argv[1:]
+        codes = [main(["solve", "--input", triangle, "--policy", p, "--output", out])
+                 for p in ("conventional", "roulette")]
+        codes.append(main(["gen", "--family", "triangle", "--output", out]))
+        codes.append(main(["solve", "--input", bad]))
+        before = "numpy" in sys.modules
+        codes.append(main(["solve", "--input", triangle, "--policy", "group-exact", "--output", out]))
+        print(json.dumps([codes, before, "numpy" in sys.modules,
+                          sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+    """)
+    done = subprocess.run([sys.executable, "-c", script, triangle_file, str(bad), out],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    codes, numpy_before, numpy_after, scipy = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 1, 0]
+    assert not numpy_before and numpy_after
+    assert scipy == []
 
 
 @pytest.mark.parametrize("module", ["cli", "generators", "instance", "jsontext", "lp", "metrics",
                                     "oracle", "policies", "reports", "solvers"])
 def test_every_module_imports_on_its_own(module):
     # the package namespace imports nothing, so an import cycle shows only
-    # when a module of the cycle is the first one imported
+    # when a module of the cycle is the first one imported; only the LP
+    # layer and the exact solvers load numpy
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -862,5 +883,4 @@ def test_every_module_imports_on_its_own(module):
     loaded, numpy = json.loads(done.stdout)
     if module == "lp":
         assert set(loaded) <= {"deskfair.lp", "deskfair.instance", "deskfair.jsontext"}
-    if module == "instance":
-        assert not numpy
+    assert numpy == (module in ("lp", "solvers"))
