@@ -15,14 +15,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import policies
-from .generators import (
-    case_study_names,
-    gen_case_study,
-    gen_leave_one_out,
-    gen_random,
-    gen_triangle,
-)
+from . import generators, policies
 from .instance import (
     Instance,
     InstanceError,
@@ -34,6 +27,7 @@ from .instance import (
 from .jsontext import dumps_indented
 from .policies import RunRecord
 from .reports import (
+    audit_sweep_to_dict,
     audit_to_dict,
     comparison_table,
     comparison_to_csv,
@@ -60,19 +54,12 @@ def _solvers():
     return solvers
 
 
-def _group_lp(inst: Instance, seed: int | None) -> RunRecord:
-    record = _solvers().solve_group_exact(inst)
-    note = ("relaxation optimum integral; certified exactly" if record.diagnostics.lp_integral
-            else "relaxation optimum fractional; fell back to exact search")
-    return replace(record, policy="group-lp", note=note)
-
-
 # Each runner looks its entry point up through the module at call time, so a
 # wrapper patched onto the module attribute (a tracer, a test spy) sees the call.
 _RUNNERS = {
     "conventional": lambda inst, seed: policies.conventional_desk_reject(inst),
     "roulette": lambda inst, seed: policies.roulette_reject(inst, 0 if seed is None else seed),
-    "group-lp": _group_lp,
+    "group-lp": lambda inst, seed: _solvers().solve_group_lp(inst),
     "group-exact": lambda inst, seed: _solvers().solve_group_exact(inst),
     "individual-exact": lambda inst, seed: _solvers().solve_individual_exact(inst),
     "ideal": lambda inst, seed: _solvers().solve_ideal_feasibility(inst),
@@ -97,15 +84,13 @@ def run_policy(inst: Instance, policy: str, seed: int | None = None) -> RunRecor
 
 
 def _write_text(path: str | None, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _write_json(path: str | None, payload: dict):
@@ -147,10 +132,7 @@ def cmd_compare(args) -> int:
     records = [run_policy(inst, p, seed=args.seed) for p in names]
     table = comparison_table(inst, records)
     if args.output:
-        base = args.output
-        for suffix in (".json", ".csv"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
+        base = args.output.removesuffix(".json").removesuffix(".csv")
         _write_json(base + ".json", table)
         _write_text(base + ".csv", comparison_to_csv(table))
     print(comparison_to_text(table))
@@ -183,25 +165,10 @@ def cmd_audit_integrality(args) -> int:
         return 0
     if not args.family:
         raise InstanceError("audit-integrality needs --input or --family")
-    details = []
-    for label, inst in _sweep_instances(args, 1 if args.count is None else args.count):
-        entry = audit_to_dict(_solvers().solve_group_exact(inst))
-        entry["instance"] = label
-        details.append(entry)
-    counterexamples = sum(entry["counterexample"] for entry in details)
-    payload = {
-        "instances": len(details),
-        "counterexamples": counterexamples,
-        "counterexample_rate": counterexamples / len(details),
-        "details": details,
-    }
-    _write_json(args.output, payload)
+    instances = _sweep_instances(args, 1 if args.count is None else args.count)
+    audited = ((label, _solvers().solve_group_exact(inst)) for label, inst in instances)
+    _write_json(args.output, audit_sweep_to_dict(audited))
     return 0
-
-
-# The family flags each family reads besides --limit, which every family reads.
-_FAMILY_READS = {"random": ("seed", "n", "m", "density", "count"), "triangle": (),
-                 "leave-one-out": ("n",), "case-study": ("case",)}
 
 
 def _reject_unread(args, source: str, reads) -> None:
@@ -212,42 +179,48 @@ def _reject_unread(args, source: str, reads) -> None:
         raise InstanceError(f"{source} does not read --{', --'.join(unread)}")
 
 
-def _sweep_instances(args, count: int):
-    """`count` instances of the `--family` family, each labelled with its cap
-    (`--limit`, if given); only the random family has more than one, and it
-    builds each as the caller reads it. The flags given and `count` are
-    checked before this returns, the random family's values by `gen_random`
-    as it builds the first instance."""
-    family = args.family
-    if family not in _FAMILY_READS:
-        raise InstanceError(f"unknown family {family!r}")
-    _reject_unread(args, f"--family {family}", ("family", *_FAMILY_READS[family]))
-    if family == "random":
-        if count < 1:
-            raise InstanceError(f"--count must be at least 1, got {count}")
-        missing = [f for f in ("n", "m", "density", "limit") if getattr(args, f) is None]
-        if missing:
-            raise InstanceError(f"--family random needs --{', --'.join(missing)}")
-        base = args.seed if args.seed is not None else 0
-        return (
-            (f"random(n={args.n},m={args.m},x={args.limit},density={args.density},seed={base + i})",
-             gen_random(args.n, args.m, args.limit, args.density, base + i))
-            for i in range(count)
-        )
-    params = ""
-    if family == "triangle":
-        name, inst = "triangle", gen_triangle()
-    elif family == "leave-one-out":
-        if args.n is None:
-            raise InstanceError("--family leave-one-out needs --n")
-        name, inst, params = "leave_one_out", gen_leave_one_out(args.n), f"n={args.n},"
-    else:
-        if not args.case:
-            raise InstanceError("--family case-study needs --case")
-        name, inst = args.case, gen_case_study(args.case)
+def _capped(args, name: str, inst: Instance, params: str = "") -> list[tuple[str, Instance]]:
+    """The one instance of a fixed family, under `--limit` if given, labelled with its cap."""
     if args.limit is not None:
         inst = inst.with_cap(args.limit)
     return [(f"{name}({params}x={inst.x})", inst)]
+
+
+# Each instance family: the flags it reads besides --limit, which every
+# family reads; the flags it needs, each missing when not given or empty;
+# and its builder, which takes the flags and the count and returns the
+# (label, instance) pairs. The random family builds each instance as the
+# caller reads it, from seed --seed (default 0) up, and `gen_random` checks
+# the values as it builds the first.
+_FAMILIES = {
+    "triangle": ((), (), lambda a, count: _capped(a, "triangle", generators.gen_triangle())),
+    "leave-one-out": (("n",), ("n",), lambda a, count: _capped(
+        a, "leave_one_out", generators.gen_leave_one_out(a.n), f"n={a.n},")),
+    "case-study": (("case",), ("case",),
+                   lambda a, count: _capped(a, a.case, generators.gen_case_study(a.case))),
+    "random": (("seed", "n", "m", "density", "count"), ("n", "m", "density", "limit"),
+               lambda a, count: (
+                   (f"random(n={a.n},m={a.m},x={a.limit},density={a.density},seed={seed})",
+                    generators.gen_random(a.n, a.m, a.limit, a.density, seed))
+                   for seed in range(a.seed or 0, (a.seed or 0) + count))),
+}
+
+
+def _sweep_instances(args, count: int):
+    """`count` (label, instance) pairs of the `--family` family, each label
+    carrying the cap. The flags given and `count` are checked first, in
+    this order: the family, the flags it does not read, `count`, then the
+    flags it needs."""
+    if args.family not in _FAMILIES:
+        raise InstanceError(f"unknown family {args.family!r}")
+    reads, needs, build = _FAMILIES[args.family]
+    _reject_unread(args, f"--family {args.family}", ("family", *reads))
+    if count < 1:
+        raise InstanceError(f"--count must be at least 1, got {count}")
+    missing = [f for f in needs if getattr(args, f) in (None, "")]
+    if missing:
+        raise InstanceError(f"--family {args.family} needs --{', --'.join(missing)}")
+    return build(args, count)
 
 
 def cmd_gen(args) -> int:
@@ -261,12 +234,11 @@ def cmd_gen(args) -> int:
 def cmd_reduce_setcover(args) -> int:
     if not args.input:
         raise InstanceError("--input is required")
-    solvers = _solvers()
-    sc = solvers.set_cover_from_json(load_json(args.input), budget=args.budget)
-    inst = solvers.reduce_set_cover(sc)
+    sc = generators.set_cover_from_json(load_json(args.input), budget=args.budget)
+    inst = generators.reduce_set_cover(sc)
     payload = {"instance": instance_to_dict(inst), "budget": sc.budget}
-    if args.decide:
-        answer, witness = solvers.decide_cover(inst)
+    if args.decide:  # the only path of this command that loads numpy
+        answer, witness = _solvers().decide_cover(inst)
         payload["decision"] = {
             "coverable": answer,
             "witness_sets": [inst.paper_ids[j] for j in witness] if witness is not None else None,
@@ -286,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output": {"help": "write the result here instead of stdout"},
         "--seed": {"type": int, "help": "seed for roulette or the random family (default 0)"},
         "--limit": {"type": int, "help": "override the submission cap x"},
-        "--family": {"help": "instance family: triangle, leave-one-out, case-study, random"},
-        "--case": {"help": f"case-study name: {', '.join(case_study_names())}"},
+        "--family": {"help": f"instance family: {', '.join(_FAMILIES)}"},
+        "--case": {"help": f"case-study name: {', '.join(generators.case_study_names())}"},
         "--n": {"type": int},
         "--m": {"type": int},
         "--density": {"type": float},

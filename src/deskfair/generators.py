@@ -1,4 +1,5 @@
-"""Instance families: hard instances, case studies, and seeded random corpora.
+"""Instance families: hard instances, case studies, seeded random corpora,
+and the set-cover reduction behind the hardness of individual fairness.
 
 Every generator routes through :func:`validate_instance`, so anything produced
 here satisfies the full data-model contract.
@@ -7,8 +8,9 @@ here satisfies the full data-model contract.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from .instance import Instance, InstanceError, validate_instance
+from .instance import Instance, InstanceError, require_int, validate_instance
 
 
 def _make(authors, papers, x) -> Instance:
@@ -124,3 +126,72 @@ def gen_random(n: int, m: int, x: int, density: float, seed: int) -> Instance:
     ]
     return _make(authors, papers, x)
 
+
+@dataclass(frozen=True)
+class SetCoverInstance:
+    """Decision problem: can at most `budget` of the sets cover the universe
+    {1, ..., universe_size}?"""
+
+    universe_size: int
+    sets: tuple[frozenset[int], ...]
+    budget: int
+
+    def __post_init__(self):
+        if self.universe_size < 1:
+            raise InstanceError("universe must be non-empty")
+        if self.budget < 1:
+            raise InstanceError("budget must be positive")
+        for k, s in enumerate(self.sets):
+            if not s:
+                raise InstanceError(f"set #{k} is empty")
+            if min(s) < 1 or max(s) > self.universe_size:
+                raise InstanceError(f"set #{k} leaves the universe")
+
+
+def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
+    """Build a SetCoverInstance from a parsed JSON-shaped mapping.
+
+    Expects ``{"universe_size": int, "sets": [[int...]...], "budget": int}``;
+    a ``budget`` argument replaces the field. As in
+    :func:`~deskfair.instance.validate_instance`, nothing is coerced: a
+    bool, a float or a numeric string is not an integer. Raises
+    :class:`InstanceError` on the first wrong type or value found.
+    """
+    if not isinstance(raw, dict):
+        raise InstanceError(f"set-cover description must be an object, got {type(raw).__name__}")
+    try:
+        universe_size = raw["universe_size"]
+        sets = raw["sets"]
+    except KeyError as e:
+        raise InstanceError(f"missing required field {e.args[0]!r}") from None
+    if budget is None:
+        if "budget" not in raw:
+            raise InstanceError("budget missing: supply --budget or a 'budget' field")
+        budget = raw["budget"]
+    require_int(universe_size, "'universe_size'")
+    require_int(budget, "'budget'")
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise InstanceError("'sets' must be an array of arrays")
+    for k, s in enumerate(sets):
+        for e in s:
+            require_int(e, f"an element of set #{k}")
+    return SetCoverInstance(universe_size, tuple(frozenset(s) for s in sets), budget)
+
+
+def reduce_set_cover(sc: SetCoverInstance) -> Instance:
+    """Encode set cover as a submission-limit instance: universe elements
+    become authors `e1..en`, sets become papers `s1..sm`, one more author
+    `budget` writes every paper, and the cap is x = K = `sc.budget`. The
+    budget author's cap is then the budget, at most K papers kept, and an
+    element author's cap never binds before it. So at most K sets cover the
+    universe exactly when some keep vector leaves every author a paper,
+    that is, when the least worst-case cost is below 1. Raises
+    :class:`InstanceError` when some element lies in no set.
+    """
+    covered = set().union(*sc.sets)
+    missing = next((e for e in range(1, sc.universe_size + 1) if e not in covered), None)
+    if missing is not None:
+        raise InstanceError(f"element {missing} lies in no set")
+    authors = [f"e{i}" for i in range(1, sc.universe_size + 1)] + ["budget"]
+    papers = [(f"s{j + 1}", [f"e{i}" for i in sorted(s)] + ["budget"]) for j, s in enumerate(sc.sets)]
+    return _make(authors, papers, sc.budget)

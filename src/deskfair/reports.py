@@ -1,5 +1,5 @@
-"""Serialization of solve runs, integrality audit entries and policy
-comparison tables.
+"""Serialization of solve runs, integrality audits (one entry, or a sweep
+of them) and policy comparison tables.
 
 Exact rationals travel as "num/den" strings (authoritative) with a 12-digit
 decimal alongside for humans. CSV output is bit-stable: UTF-8, LF endings,
@@ -73,6 +73,21 @@ def audit_to_dict(record: RunRecord) -> dict:
         "gap": gap,
         "lp_integral": diag.lp_integral,
         "counterexample": gap > INT_TOL,
+    }
+
+
+def audit_sweep_to_dict(audited) -> dict:
+    """The integrality sweep of (label, `group-exact` record) pairs, read
+    one at a time: the instance and counterexample counts, the
+    counterexample rate and, per instance, its `audit_to_dict` entry with
+    its `instance` label."""
+    details = [{**audit_to_dict(record), "instance": label} for label, record in audited]
+    counterexamples = sum(entry["counterexample"] for entry in details)
+    return {
+        "instances": len(details),
+        "counterexamples": counterexamples,
+        "counterexample_rate": counterexamples / len(details),
+        "details": details,
     }
 
 

@@ -1,4 +1,4 @@
-"""Exact optimization of the fairness metrics and set-cover reduction tools.
+"""Exact optimization of the fairness metrics, and the set-cover decision.
 
 Every exact question is one keep-vector question: a cap of x kept papers
 per author and, for individual fairness, a floor per author. Its LP
@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from . import metrics
-from .instance import Instance, InstanceError, KeepVector, SolverStopped, require_int, validate_instance
+from . import generators, metrics
+from .instance import Instance, InstanceError, KeepVector, SolverStopped
 from .lp import (
     FEAS_TOL,
     INT_TOL,
@@ -418,6 +418,16 @@ def solve_group_exact(inst: Instance) -> RunRecord:
     )
 
 
+def solve_group_lp(inst: Instance) -> RunRecord:
+    """The `solve_group_exact` record as policy group-lp, with a note that
+    says whether its relaxation optimum was integral, and so certified
+    exactly, or fractional, so that the exact search ran."""
+    record = solve_group_exact(inst)
+    note = ("relaxation optimum integral; certified exactly" if record.diagnostics.lp_integral
+            else "relaxation optimum fractional; fell back to exact search")
+    return replace(record, policy="group-lp", note=note)
+
+
 def solve_individual_exact(inst: Instance) -> RunRecord:
     """Binary keep vector minimizing the worst-case cost subject to the cap.
 
@@ -462,90 +472,19 @@ def solve_ideal_feasibility(inst: Instance) -> RunRecord:
     return RunRecord("ideal", *found, diagnostics=diagnostics)
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
-    """Decision problem: can at most `budget` of the sets cover the universe
-    {1, ..., universe_size}?"""
-
-    universe_size: int
-    sets: tuple[frozenset[int], ...]
-    budget: int
-
-    def __post_init__(self):
-        if self.universe_size < 1:
-            raise InstanceError("universe must be non-empty")
-        if self.budget < 1:
-            raise InstanceError("budget must be positive")
-        for k, s in enumerate(self.sets):
-            if not s:
-                raise InstanceError(f"set #{k} is empty")
-            if min(s) < 1 or max(s) > self.universe_size:
-                raise InstanceError(f"set #{k} leaves the universe")
-
-
-def set_cover_from_json(raw, budget: int | None = None) -> SetCoverInstance:
-    """Build a SetCoverInstance from a parsed JSON-shaped mapping.
-
-    Expects ``{"universe_size": int, "sets": [[int...]...], "budget": int}``;
-    a ``budget`` argument replaces the field. As in
-    :func:`~deskfair.instance.validate_instance`, nothing is coerced: a
-    bool, a float or a numeric string is not an integer. Raises
-    :class:`InstanceError` on the first wrong type or value found.
-    """
-    if not isinstance(raw, dict):
-        raise InstanceError(f"set-cover description must be an object, got {type(raw).__name__}")
+def decide_set_cover(sc: generators.SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
+    """`decide_cover` of the `generators.reduce_set_cover` instance; (False,
+    None) if an element is in no set."""
     try:
-        universe_size = raw["universe_size"]
-        sets = raw["sets"]
-    except KeyError as e:
-        raise InstanceError(f"missing required field {e.args[0]!r}") from None
-    if budget is None:
-        if "budget" not in raw:
-            raise InstanceError("budget missing: supply --budget or a 'budget' field")
-        budget = raw["budget"]
-    require_int(universe_size, "'universe_size'")
-    require_int(budget, "'budget'")
-    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
-        raise InstanceError("'sets' must be an array of arrays")
-    for k, s in enumerate(sets):
-        for e in s:
-            require_int(e, f"an element of set #{k}")
-    return SetCoverInstance(universe_size, tuple(frozenset(s) for s in sets), budget)
-
-
-def reduce_set_cover(sc: SetCoverInstance) -> Instance:
-    """Encode set cover as a submission-limit instance: universe elements
-    become authors `e1..en`, sets become papers `s1..sm`, one more author
-    `budget` writes every paper, and the cap is x = K = `sc.budget`. The
-    budget author's cap is then the budget, at most K papers kept, and an
-    element author's cap never binds before it. So at most K sets cover the
-    universe exactly when some keep vector leaves every author a paper,
-    that is, when the least worst-case cost is below 1. Raises
-    :class:`InstanceError` when some element lies in no set.
-    """
-    covered = set().union(*sc.sets)
-    missing = next((e for e in range(1, sc.universe_size + 1) if e not in covered), None)
-    if missing is not None:
-        raise InstanceError(f"element {missing} lies in no set")
-    authors = [f"e{i}" for i in range(1, sc.universe_size + 1)] + ["budget"]
-    papers = [
-        {"id": f"s{j + 1}", "authors": [f"e{i}" for i in sorted(s)] + ["budget"]}
-        for j, s in enumerate(sc.sets)
-    ]
-    return validate_instance({"x": sc.budget, "authors": authors, "papers": papers})
-
-
-def decide_set_cover(sc: SetCoverInstance) -> tuple[bool, tuple[int, ...] | None]:
-    """`decide_cover` of the reduced instance; (False, None) if an element is in no set."""
-    try:
-        inst = reduce_set_cover(sc)
+        inst = generators.reduce_set_cover(sc)
     except InstanceError:  # a valid SetCoverInstance reduces unless an element is in no set
         return False, None
     return decide_cover(inst)
 
 
 def decide_cover(inst: Instance) -> tuple[bool, tuple[int, ...] | None]:
-    """The covering question a `reduce_set_cover` instance poses, decided as
-    floors 1 under its cap: (True, 0-based witness set indices) or (False, None)."""
+    """The covering question a `generators.reduce_set_cover` instance
+    poses, decided as floors 1 under its cap: (True, 0-based witness set
+    indices) or (False, None)."""
     found = _decide(inst, [1] * inst.n, _node_limit(), Counter())
     return (True, found[0].kept_indices()) if found else (False, None)

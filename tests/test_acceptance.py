@@ -13,7 +13,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from deskfair.cli import main as cli_main
-from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
+from deskfair.generators import (
+    SetCoverInstance,
+    gen_case_study,
+    gen_leave_one_out,
+    gen_random,
+    gen_triangle,
+)
 from deskfair.instance import dump_instance, instance_to_dict, validate_instance
 from deskfair.metrics import evaluate, zeta_group, zeta_ind
 from deskfair.oracle import enumerate_optimal, remaining_counts_table
@@ -24,7 +30,6 @@ from deskfair.policies import (
     roulette_reject,
 )
 from deskfair.solvers import (
-    SetCoverInstance,
     decide_set_cover,
     solve_group_exact,
     solve_ideal_feasibility,

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deskfair import lp, policies, solvers
-from deskfair.cli import POLICIES, build_parser, main, run_policy
+from deskfair import generators, lp, policies, solvers
+from deskfair.cli import _FAMILIES, POLICIES, build_parser, main, run_policy
 from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
 from deskfair.instance import dump_instance, instance_to_dict
 from deskfair.policies import RunRecord
@@ -134,6 +134,10 @@ def test_input_errors_exit_one(tmp_path, capsys):
     (["gen"], "gen needs --family"),
     (["gen", "--family", "random", "--n", "3"], "--family random needs --m, --density, --limit"),
     (["gen", "--family", "case-study"], "--family case-study needs --case"),
+    (["gen", "--family", "case-study", "--case", ""], "--family case-study needs --case"),
+    (["gen", "--family", "leave-one-out", "--n", "0"], "leave-one-out needs n >= 3, got 0"),
+    (["audit-integrality", "--family", "random", "--count", "0", "--m", "6", "--density", "0.5",
+      "--limit", "2"], "--count must be at least 1, got 0"),
     (["audit-integrality", "--family", "random", "--count", "3", "--n", "4", "--m", "6",
       "--density", "1.5", "--limit", "2"], "density must be in (0, 1], got 1.5"),
     (["solve", "--input", "{cvpr}", "--limit", "0"], "submission cap must be >= 1, got 0"),
@@ -142,6 +146,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
      "budget missing: supply --budget or a 'budget' field"),
 ], ids=["solve-no-input", "compare-no-input", "check-ideal-no-input", "reduce-setcover-no-input",
         "audit-no-source", "gen-no-family", "random-missing-flags", "case-study-no-case",
+        "case-study-empty-case", "leave-one-out-n-0", "random-count-0-before-missing-n",
         "audit-random-bad-density",
         "limit-zero", "setcover-no-universe", "setcover-no-budget"])
 def test_missing_or_bad_arguments_exit_one_with_one_line(argv, message, cvpr_file, tmp_path,
@@ -334,7 +339,7 @@ def test_unknown_policy_exits_one(cvpr_file, monkeypatch, capsys):
 ENTRY_POINTS = {
     "conventional": (policies, "conventional_desk_reject"),
     "roulette": (policies, "roulette_reject"),
-    "group-lp": (solvers, "solve_group_exact"),
+    "group-lp": (solvers, "solve_group_lp"),
     "group-exact": (solvers, "solve_group_exact"),
     "individual-exact": (solvers, "solve_individual_exact"),
     "ideal": (solvers, "solve_ideal_feasibility"),
@@ -398,6 +403,35 @@ def test_family_flags_the_family_does_not_read_are_rejected(argv, flags, cvpr_fi
     stdout, err = capsys.readouterr()
     source = "--input" if "--input" in argv else f"--family {argv[2]}"
     assert stdout == "" and err == f"deskfair: error: {source} does not read {flags}\n"
+
+
+# a value for each family flag and --limit that every family accepts
+FAMILY_FLAG_VALUES = {"case": "cvpr26", "seed": "1", "n": "5", "m": "6", "density": "0.5",
+                      "count": "2", "limit": "2"}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_each_family_needs_its_flags_and_rejects_the_rest(family, tmp_path, capsys):
+    reads, needs, _ = _FAMILIES[family]
+    out = tmp_path / "out.json"
+
+    def run(*flags):
+        argv = ["audit-integrality", "--family", family, "--output", str(out)]
+        for flag in flags:
+            argv += [f"--{flag}", FAMILY_FLAG_VALUES[flag]]
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        return code, err
+
+    assert run(*needs) == (0, "")
+    out.unlink()
+    for flag in needs:
+        assert run(*(f for f in needs if f != flag)) == (
+            1, f"deskfair: error: --family {family} needs --{flag}\n")
+    for flag in FAMILY_FLAG_VALUES.keys() - {"limit", *reads}:
+        assert run(*needs, flag) == (1, f"deskfair: error: --family {family} does not read --{flag}\n")
+    assert not out.exists()
 
 
 def test_compare_outputs(cvpr_file, tmp_path, capsys):
@@ -669,7 +703,7 @@ def test_reduce_setcover(tmp_path):
 
 
 def test_reduce_setcover_decides_on_the_emitted_instance(tmp_path, monkeypatch):
-    builds = spy_on(monkeypatch, solvers.reduce_set_cover)
+    builds = spy_on(monkeypatch, generators.reduce_set_cover)
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"universe_size": 3, "sets": [[1, 2], [2, 3], [3]], "budget": 2}))
     out = tmp_path / "red.json"
@@ -839,31 +873,37 @@ def test_cli_import_loads_no_scipy(triangle_file, tmp_path):
     # import scipy.optimize raises peak RSS from 29 MB to 77 MB, so no scipy
     # module may reach the runtime path; this process has scipy loaded by
     # the LP cross-checks, so a fresh interpreter looks. numpy loads with
-    # the first exact solve: the baseline policies, gen and a malformed
-    # instance run without it.
+    # the first exact solve or set-cover decision: the baseline policies,
+    # gen, a malformed instance and reduce-setcover without --decide run
+    # without it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     bad = tmp_path / "malformed.json"
     bad.write_text('{"x": 1,')
+    setcover = tmp_path / "sc.json"
+    setcover.write_text('{"universe_size": 3, "sets": [[1, 2], [2, 3], [3]], "budget": 2}')
     out = str(tmp_path / "out.json")
     script = textwrap.dedent("""\
         import json, sys
         from deskfair.cli import main
-        triangle, bad, out = sys.argv[1:]
+        triangle, bad, setcover, out = sys.argv[1:]
         codes = [main(["solve", "--input", triangle, "--policy", p, "--output", out])
                  for p in ("conventional", "roulette")]
         codes.append(main(["gen", "--family", "triangle", "--output", out]))
         codes.append(main(["solve", "--input", bad]))
+        codes.append(main(["reduce-setcover", "--input", setcover, "--output", out]))
         before = "numpy" in sys.modules
+        codes.append(main(["reduce-setcover", "--input", setcover, "--decide", "--output", out]))
+        decided = "numpy" in sys.modules
         codes.append(main(["solve", "--input", triangle, "--policy", "group-exact", "--output", out]))
-        print(json.dumps([codes, before, "numpy" in sys.modules,
+        print(json.dumps([codes, before, decided,
                           sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
     """)
-    done = subprocess.run([sys.executable, "-c", script, triangle_file, str(bad), out],
+    done = subprocess.run([sys.executable, "-c", script, triangle_file, str(bad), str(setcover), out],
                           env=env, capture_output=True, text=True, timeout=60, check=True)
-    codes, numpy_before, numpy_after, scipy = json.loads(done.stdout)
-    assert codes == [0, 0, 0, 1, 0]
-    assert not numpy_before and numpy_after
+    codes, numpy_before, numpy_after_decide, scipy = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 1, 0, 0, 0]
+    assert not numpy_before and numpy_after_decide
     assert scipy == []
 
 

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from deskfair import metrics, solvers
 from deskfair.cli import main, run_policy
-from deskfair.generators import gen_case_study, gen_leave_one_out, gen_random, gen_triangle
+from deskfair.generators import (
+    SetCoverInstance,
+    gen_case_study,
+    gen_leave_one_out,
+    gen_random,
+    gen_triangle,
+    reduce_set_cover,
+)
 from deskfair.instance import InstanceError, SolverStopped, dump_instance, validate_instance
 from deskfair.lp import FEAS_TOL, solve_lp
 from deskfair.metrics import evaluate, zeta_group, zeta_ind
@@ -22,11 +29,9 @@ from deskfair.oracle import enumerate_optimal
 from deskfair.policies import _conventional
 from deskfair.reports import audit_to_dict
 from deskfair.solvers import (
-    SetCoverInstance,
     build_group_relaxation,
     decide_set_cover,
     presolve_group,
-    reduce_set_cover,
     solve_group_exact,
     solve_ideal_feasibility,
     solve_individual_exact,
