@@ -62,6 +62,12 @@ FEAS_TOL = 1e-9     # feasibility / optimality
 INT_TOL = 1e-6      # integrality snap
 PIVOT_TOL = 1e-12   # pivot degeneracy
 
+# The rank-1 update over the k rows with an entry costs about GATHER_ROW_COST
+# times the whole update's work per row, plus a fixed cost worth
+# GATHER_FIXED_CELLS cells of the whole update (measured; docs/numerics.md).
+GATHER_ROW_COST = 2.2
+GATHER_FIXED_CELLS = 2300
+
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
@@ -115,16 +121,24 @@ class Basis:
     """A simplex start: the final state of an optimal solve, to warm-start a
     related LP.
 
-    `T` is the tableau B^-1 [A | I | b]: structural columns, slack columns and
-    the right-hand-side column. `basic` holds the variable basic in each row,
-    `at_upper` marks the nonbasic variables sitting at their upper bound. The
-    bounds themselves are not part of it: a warm solve takes them from its own
-    LP. Never mutated; a warm solve works on a copy.
+    `W` is the solve's working array: the tableau `T` = B^-1 [A | I | b]
+    (structural columns, slack columns and the right-hand-side column) with
+    the basic values as one more column, and below it the reduced costs
+    d = c - c_B B^-1 A that the solve's closing check recomputed. `basic`
+    holds the variable basic in each row, `at_upper` marks the nonbasic
+    variables sitting at their upper bound. The bounds themselves are not
+    part of it: a warm solve takes them from its own LP, and recomputes
+    the basic values and the objective cell under them. Never mutated; a
+    warm solve works on a copy.
     """
 
-    T: np.ndarray
+    W: np.ndarray
     basic: np.ndarray
     at_upper: np.ndarray
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.W[:-1, :-1]
 
 
 @dataclass(frozen=True)
@@ -186,21 +200,23 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     # The one working array W: rows 0..n_rows-1 hold B^-1 [A | I | b | x_B],
     # row n_rows holds the reduced costs d = c - c_B B^-1 A under [A | I] and,
     # in its x_B cell, -c.x of the basic solution x.
-    W = np.zeros((n_rows + 1, n_all + 2))
+    # A warm start copies its basis's array, d included, and so skips the
+    # product that d takes on the cold start.
     if start is None:
+        W = np.zeros((n_rows + 1, n_all + 2))
         W[lp.A.row, lp.A.col] = lp.A.value
         W[np.arange(n_rows), np.arange(n_struct, n_all)] = 1.0
         W[:n_rows, n_all] = lp.b
         basic = np.arange(n_struct, n_all)
         at_upper = np.concatenate([lp.c >= 0, np.zeros(n_rows, dtype=bool)])
+        W[n_rows, :n_all] = c - c[basic] @ W[:n_rows, :n_all]
     else:
-        W[:n_rows, :last] = start.T
+        W = start.W.copy()
         basic, at_upper = start.basic.copy(), start.at_upper.copy()
     T = W[:n_rows]
     nonbasic = np.where(at_upper, hi, lo)
     nonbasic[basic] = 0.0
     T[:, last] = T[:, n_all] - T[:, :n_all] @ nonbasic
-    W[n_rows, :n_all] = c - c[basic] @ T[:, :n_all]
     xB, d = T[:, last], W[n_rows, :n_all]
     W[n_rows, last] = -(c @ nonbasic + c[basic] @ xB)
 
@@ -214,6 +230,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     direction[basic] = 0.0
     lo_l, hi_l, span = lo.tolist(), hi.tolist(), (hi - lo).tolist()
     basic, at_upper = basic.tolist(), at_upper.tolist()
+    gather_below = (len(W) - GATHER_FIXED_CELLS / W.shape[1]) / GATHER_ROW_COST
     max_iter = 50 * (n_struct + n_rows)
     iteration = bound_flips = 0
     bound = float("nan")
@@ -280,20 +297,16 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
         p = float(T[row, entering])
         # One rank-1 update moves x_B and c.x with the basis: the pivot row's
         # x_B cell holds its gap, which the division turns into the entering
-        # column's step, and that step from its bound is its value. When the
-        # entering column has an entry in more than half of W's rows, all of
-        # W takes the update in one call, where a row without an entry takes
-        # x - 0 * y, its own values; else only the rows with one, whose
-        # gather and scatter cost about twice as much per row.
+        # column's step, and that step from its bound is its value. It runs
+        # over the rows with an entry in the entering column when fewer than
+        # `gather_below` have one, the count at which the two updates cost
+        # the same, and over all of W otherwise.
         xB[row] = x_row - target
         W[row] /= p
         col = W[:, entering].copy()
         col[row] = 0.0
         others = col.nonzero()[0]
-        if 2 * len(others) > len(W):
-            W -= col[:, None] * W[row]
-        else:
-            W[others] -= col[others, None] * W[row]
+        _rank1(W, row, col, others if len(others) < gather_below else None)
         xB[row] += (hi_l if at_upper[entering] else lo_l)[entering]
         at_upper[leaving] = not below
         direction[leaving] = (1.0 if below else -1.0) if movable[leaving] else 0.0
@@ -308,6 +321,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     in_basis = np.zeros(n_all, dtype=bool)
     in_basis[basic] = True
     d = c - c[basic] @ T[:, :n_all]
+    W[n_rows, :n_all] = d  # the checked row an optimal solve's basis hands on
     wrong = movable & ~in_basis & np.where(at_upper, d < -FEAS_TOL, d > FEAS_TOL)
     if wrong.any():
         j = int(np.argmax(wrong))
@@ -321,9 +335,20 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
         r=r,
         objective_value=float(lp.c @ r),
         iteration_count=iteration,
-        basis=Basis(T[:, :last], basic, at_upper),
+        basis=Basis(W, basic, at_upper),
         bound_flips=bound_flips,
     )
+
+
+def _rank1(W: np.ndarray, row: int, col: np.ndarray, rows: np.ndarray | None) -> None:
+    """W -= col (outer) W[row], in place: over the listed `rows`, the
+    nonzeros of `col`, or over all of W in one call (None), where a row
+    whose `col` entry is zero takes x - 0 * y, its own values. Either gives
+    the same values; at most a zero cell can change its sign."""
+    if rows is None:
+        W -= col[:, None] * W[row]
+    else:
+        W[rows] -= col[rows, None] * W[row]
 
 
 def snap_binary(sol: LpSolution) -> np.ndarray | None:

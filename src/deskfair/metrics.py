@@ -13,6 +13,7 @@ author: many authors share a paper count and a rejected count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -47,10 +48,11 @@ class FairnessReport:
 def evaluate(inst: Instance, keep: KeepVector) -> FairnessReport:
     """Full report for a binary keep vector, from one loop over the authors.
     With s papers and k kept, an author's cost is the Fraction (s - k)/s,
-    built once per distinct (s - k, s) pair and shared by its authors. The
-    mean is the sum over distinct s of R_s/s, where the integer R_s totals
-    the rejected papers of the authors with s papers. The keep set is ideal
-    when every k equals min(x, s)."""
+    built once per distinct (s - k, s) pair and shared by its authors; the
+    worst of them is picked by integer cross-multiplication. The mean is
+    one Fraction, sum_s R_s (L / s) / (L n), where the integer R_s totals
+    the rejected papers of the authors with s papers and L is the lcm of
+    those s. The keep set is ideal when every k equals min(x, s)."""
     counts = author_kept_counts(inst, keep)
     x = inst.x
     shared = {}
@@ -69,10 +71,15 @@ def evaluate(inst: Instance, keep: KeepVector) -> FairnessReport:
                 ideal = False
         elif k > x:  # all s kept, and min(x, s) = s only when s <= x
             ideal = False
+    worst = next(iter(shared))
+    for pair in shared:
+        if pair[0] * worst[1] > worst[0] * pair[1]:
+            worst = pair
+    lcm = math.lcm(*rejected)
     return FairnessReport(
         per_author_cost=tuple(costs),
-        zeta_ind=max(shared.values()),
-        zeta_group=sum((Fraction(r, s) for s, r in rejected.items()), start=Fraction(0)) / inst.n,
+        zeta_ind=shared[worst],
+        zeta_group=Fraction(sum(r * (lcm // s) for s, r in rejected.items()), lcm * inst.n),
         feasible=max(counts) <= x,
         ideal=ideal,
         kept_counts=counts,

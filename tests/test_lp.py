@@ -14,6 +14,7 @@ from deskfair.lp import (
     Basis,
     LinearProgram,
     SparseMatrix,
+    _rank1,
     snap_binary,
     solve_lp,
     to_mps,
@@ -223,6 +224,54 @@ def same_solution(a, b):
             and (a.iteration_count, a.bound_flips) == (b.iteration_count, b.bound_flips))
 
 
+def recomputed_d(lp, basis):
+    """c - c_B B^-1 A over [A | I], from the basis's own tableau."""
+    c = np.concatenate([lp.c, np.zeros(lp.A.shape[0])])
+    return c - c[basis.basic] @ basis.T[:, :-1]
+
+
+@given(instances(max_n=6, max_m=10),
+       st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_a_basis_hands_on_its_checked_reduced_costs(inst, fixings):
+    # every optimal solve hands on the d row its closing check recomputed,
+    # and a warm child from it takes the path of one whose row is recomputed
+    lp = build_group_relaxation(inst)
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    sol = solve_lp(lp)
+    for j, value in [*fixings, (None, None)]:
+        assert np.array_equal(sol.basis.W[-1, :-2], recomputed_d(lp, sol.basis))
+        if j is None:
+            return
+        lo[j % inst.m] = hi[j % inst.m] = value
+        child = lp.with_bounds(lo, hi)
+        W = sol.basis.W.copy()
+        W[-1, :-2] = recomputed_d(lp, sol.basis)
+        carried = solve_lp(child, start=sol.basis)
+        rebuilt = solve_lp(child, start=Basis(W, sol.basis.basic, sol.basis.at_upper))
+        if carried.r is None:
+            assert rebuilt.r is None and carried.iteration_count == rebuilt.iteration_count
+            return
+        assert same_solution(carried, rebuilt)
+        sol = carried
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_both_rank1_updates_leave_equal_arrays(seed):
+    # the whole update and the one over the rows with an entry
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 60))
+    W = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.4)
+    row = int(rng.integers(rows))
+    W[row] /= 1.0 + rng.random()
+    col = W[:, rng.integers(cols)].copy()
+    col[row] = 0.0
+    whole, gathered = W.copy(), W.copy()
+    _rank1(whole, row, col, None)
+    _rank1(gathered, row, col, col.nonzero()[0])
+    assert np.array_equal(whole, gathered)
+
+
 @given(instances(max_n=6, max_m=10),
        st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 1.0])), max_size=4),
        st.floats(0.0, 5.0))
@@ -318,7 +367,9 @@ def test_dual_infeasible_start_raises():
     # reduced cost of r (1, at its lower bound) shows the start is not optimal
     lp = LinearProgram(c=np.array([1.0]), A=ones_row(1), b=np.array([5.0]),
                        lo=np.array([0.0]), hi=np.array([1.0]))
-    start = Basis(np.array([[1.0, 1.0, 5.0]]), np.array([1]), np.array([False, False]))
+    # W: the tableau row [A | I | b | x_B] over the reduced costs d = c, the slack basic
+    start = Basis(np.array([[1.0, 1.0, 5.0, 0.0], [1.0, 0.0, 0.0, 0.0]]), np.array([1]),
+                  np.array([False, False]))
     with pytest.raises(SolverStopped, match="basis is not dual feasible"):
         solve_lp(lp, start=start)
 
