@@ -23,6 +23,7 @@ worst-case cost encodes set cover.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -321,9 +322,12 @@ def _branch_and_bound(pre: GroupPresolve, limit: int, tally: Counter,
     and floors in integers (`_admits`) and its exact group objective, the
     total kept fraction n(1 - zeta_group), matches its float bound within
     1e-6. An uncertifiable vertex (numerics went sour) splits on a free
-    variable instead of being trusted or dropped. A node whose float bound
-    plus 1e-9 does not beat the best is pruned. A child's LP takes the best
-    as its cutoff and closes as soon as its dual bound fails that test,
+    variable instead of being trusted or dropped. A keep set's objective
+    sum_i k_i / s_i is a multiple of 1/L, L the lcm of the paper counts s_i,
+    so a node can beat the best only if it reaches the best plus 1/L, the
+    cut: a node whose float bound plus 1e-9 does not exceed the cut is
+    pruned. A child's LP takes the cut as its cutoff and closes as soon as
+    its dual bound fails that test,
     often long before its optimum; the root's LP runs to its optimum, and
     the test follows it. A child's bound is at most its parent's, so the
     cutoff also closes every node whose parent's bound already fails it,
@@ -338,8 +342,9 @@ def _branch_and_bound(pre: GroupPresolve, limit: int, tally: Counter,
     """
     inst, lp0 = pre.inst, pre.lp
     tally["lp_rows"], tally["lp_cols"] = lp0.A.shape
+    step = Fraction(1, math.lcm(*{len(papers) for papers in inst.author_papers}))
     best = incumbent or (float("-inf"), None, None)  # nothing to beat
-    cut = float(best[0])  # a node must beat it
+    cut = float(best[0] + step) if incumbent else best[0]  # a node must reach it
     stack = [(lp0.lo, lp0.hi, None)]  # column bounds and the parent's optimal basis
     while stack:
         lo, hi, basis = stack.pop()
@@ -370,7 +375,7 @@ def _branch_and_bound(pre: GroupPresolve, limit: int, tally: Counter,
                 exact = inst.n * (1 - report.zeta_group)
             if _admits(pre.floors, report) and abs(bound - float(exact)) <= INT_TOL:
                 if exact > best[0]:
-                    best, cut = (exact, keep, report), float(exact)
+                    best, cut = (exact, keep, report), float(exact + step)
                     yield best
                 continue
             free = np.flatnonzero(lo < hi)

@@ -167,13 +167,17 @@ def test_uncertifiable_vertex_is_split_not_trusted(monkeypatch, cvpr26, solve, n
 
 def test_an_uncertifiable_vertex_with_no_free_column_closes(monkeypatch, triangle):
     # every solved node comes back as all kept, which breaks the cap: the
-    # search splits until no column is free, and each such leaf closes
+    # search splits until no column is free, and each such leaf closes. The
+    # conventional keep set drops p3, the paper of all three authors, for 1;
+    # the optimum keeps p3 alone, for 2, so the search cannot stop early.
     monkeypatch.setattr(solvers, "snap_binary",
                         lambda sol: None if sol.r is None else np.ones_like(sol.r))
-    record = solve_group_exact(triangle)
-    assert record.keep == _conventional(triangle)[0]
+    inst = _instance(1, [("p1", ["a2"]), ("p2", ["a3"]), ("p3", ["a1", "a2", "a3"])])
+    record = solve_group_exact(inst)
+    assert record.keep == _conventional(inst)[0]
     assert record.objective == 1 and record.diagnostics.incumbent_trace == (1,)
-    assert record.diagnostics.node_count == 13
+    # 11 before the cutoff rose to the next reachable objective
+    assert record.diagnostics.node_count == 7
     with pre_lp_off():
         assert solve_ideal_feasibility(triangle).keep is None
 
@@ -478,10 +482,11 @@ def test_decide_set_cover_matches_brute_force():
 
 def test_search_counts_pruned_nodes_and_dual_pivots():
     d = solve_group_exact(gen_random(12, 24, 2, 0.2, 22)).diagnostics
-    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (7, 2, 7)
-    # the children close at the incumbent's cutoff: (43, 26) when each ran
-    # to its optimum
-    assert (d.lp_pivots, d.lp_bound_flips) == (35, 24)
+    assert (d.node_count, d.nodes_pruned, d.lp_calls) == (7, 3, 7)
+    # the children close at the cutoff, the next objective above the
+    # incumbent: (43, 26) when each ran to its optimum, (35, 24) when the
+    # cutoff was the incumbent itself
+    assert (d.lp_pivots, d.lp_bound_flips) == (33, 24)
 
 
 def test_branches_on_the_fractional_column_with_the_most_objective(lp_calls):
@@ -499,9 +504,37 @@ def test_branches_on_the_fractional_column_with_the_most_objective(lp_calls):
 
 
 def test_weighted_branching_pins_group_tree_size():
-    # 548 nodes under most-fractional branching
+    # 548 nodes under most-fractional branching, 162 with the incumbent
+    # itself as the cutoff
     total = sum(solve_group_exact(gen_random(25, 50, 3, 0.1, s)).diagnostics.node_count for s in range(20))
-    assert total == 162
+    assert total == 154
+
+
+def test_a_root_bound_below_the_next_reachable_objective_closes_at_the_root():
+    # Six authors have 3 papers and one has 1, so every keep set's objective
+    # is a multiple of 1/3. The conventional keep set reaches 7/3 and the
+    # root LP 5/2 < 7/3 + 1/3, so no keep set beats it, and the root, which
+    # the incumbent alone would split, closes.
+    inst = gen_random(7, 7, 1, 0.35, 18)
+    assert sorted({inst.paper_count(i) for i in range(inst.n)}) == [1, 3]
+    record = solve_group_exact(inst)
+    d = record.diagnostics
+    assert record.keep == _conventional(inst)[0] and record.objective == Fraction(7, 3)
+    assert d.lp_objective == pytest.approx(2.5, abs=FEAS_TOL) and not d.lp_integral
+    assert (d.node_count, d.nodes_pruned, d.incumbent_trace) == (1, 1, (Fraction(7, 3),))
+    assert record.report.zeta_group == enumerate_optimal(inst).best_group
+
+
+@pytest.mark.parametrize("n, m, x, seed", [(6, 13, 1, 5), (6, 16, 1, 5), (6, 18, 2, 4), (8, 13, 1, 2),
+                                           (8, 15, 1, 0), (8, 17, 2, 5)])
+def test_group_exact_matches_oracle_where_the_next_reachable_objective_prunes(n, m, x, seed):
+    # gen_random(n, m, x, 0.3, seed) instances, up to the oracle's 20 papers,
+    # whose group-exact tree shrinks once the cutoff is the next reachable
+    # objective above the incumbent in place of the incumbent itself
+    inst = gen_random(n, m, x, 0.3, seed)
+    record = solve_group_exact(inst)
+    assert record.report.zeta_group == enumerate_optimal(inst).best_group
+    assert evaluate(inst, record.keep).feasible
 
 
 def test_incumbent_trace_strictly_improves():
