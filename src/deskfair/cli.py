@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     except SolverStopped as exc:
         print(f"deskfair: error: solver stopped without a result: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's failed allocations are MemoryErrors too
+        print(f"deskfair: error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ starts:
 - Warm (`start=` an optimal basis of an LP differing only in its bounds,
   in branch and bound the parent node's): the basis stays dual feasible, so
   the dual loop restores primal feasibility, or proves there is none, in a
-  few pivots.
+  few pivots. The basis carries its solve's whole working array, reduced
+  costs included, so the start is one copy.
 
 The dual ratio test takes long steps (bound flipping): the columns that can
 move the leaving row toward its bound are walked in order of their dual
@@ -41,9 +42,10 @@ its cap then takes one pivot and k - 1 flips where a short step takes k
 pivots. A final check of the reduced costs makes sure no basis is reported
 optimal, or closes a solve at the cutoff, unless it is dual feasible. The
 reduced costs d = c - c_B B^-1 A
-are computed once per solve and carried across pivots by the pivot row;
-that final check recomputes them in full, so rounding in the carried d can
-reorder tied ratios but never pass a basis that is not dual feasible.
+are computed once, on the cold start, and carried across pivots by the pivot
+row; that final check recomputes them in full, so rounding in the carried d
+can reorder tied ratios but never pass a basis that is not dual feasible.
+The recomputed row is the one an optimal solve's basis hands on.
 
 Solutions are float arrays; `snap_binary`, the one integrality test, rounds
 an integral one to a 0/1 array. The LPs of the keep-set question, the
@@ -162,8 +164,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     practice an optimal one of an LP differing only in its bounds, or None
     for the cold start: [A | I | b], one scatter of A's nonzeros into zeros,
     with the slacks basic and each structural column at `hi` where c_j >= 0
-    and at `lo` elsewhere. A warm start's tableau and statuses are copied
-    and its basic values are recomputed under this LP's bounds. The dual
+    and at `lo` elsewhere. A warm start's working array, reduced costs
+    included, and statuses are copied, and its basic values are recomputed
+    under this LP's bounds. The dual
     simplex then restores primal feasibility. Its pricing is Dantzig's: the
     leaving row is the row farthest outside its FEAS_TOL-widened bounds,
     the largest max(lo - FEAS_TOL - x_B, x_B - hi - FEAS_TOL), first row on
@@ -171,9 +174,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     toward its bound in (|d_j / alpha_j|, j) order, flipping each column
     whose range leaves more than FEAS_TOL of the row's gap open and entering
     the first that closes it; when all of them flip and the row is still out
-    of bounds, the LP is infeasible. The reduced costs d, the basic values
-    and the dual objective c.x of the basic solution are computed once and
-    carried by the rank-1 update of each pivot (and each flip's d_j * step).
+    of bounds, the LP is infeasible. The reduced costs d (on the cold
+    start), the basic values and the dual objective c.x of the basic
+    solution are computed once and carried by the rank-1 update of each
+    pivot (and each flip's d_j * step).
     A primal feasible basis is optimal if it is dual feasible, which the
     start must be; the check recomputes d in full, and a movable nonbasic
     column whose reduced cost has the wrong sign by more than FEAS_TOL

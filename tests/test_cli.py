@@ -290,6 +290,24 @@ def test_node_limit_exits_three_with_one_line(triangle_file, monkeypatch, capsys
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("error, detail", [
+    (MemoryError("Unable to allocate 1.15 GiB for an array with shape (8006, 19200)"),
+     "Unable to allocate 1.15 GiB for an array with shape (8006, 19200)"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_four_with_one_line(error, detail, triangle_file, tmp_path, monkeypatch,
+                                                capsys):
+    def exhausted(inst):
+        raise error
+
+    monkeypatch.setattr(solvers, "solve_individual_exact", exhausted)
+    out_path = tmp_path / "out.json"
+    code = main(["solve", "--input", triangle_file, "--policy", "individual-exact", "--output", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and not out_path.exists()
+    assert err == f"deskfair: error: out of memory: {detail}\n"
+
+
 def assert_node_limit_rejected(cvpr_file, capsys, message):
     # every exact solve reads the limit at its start, even on cvpr26, where
     # individual-exact and ideal are settled before any search
